@@ -31,12 +31,13 @@
 //! `--checkpoint <dir>` snapshots the whole tuner line-up (learned
 //! state, recorded series, decision-trace prefix) to
 //! `<dir>/scenario-<name>.ckpt` every `--checkpoint-every N` (default 5)
-//! line-up iterations, atomically. `--stop-after N` exits cleanly after
-//! N iterations; `--resume <file>` picks the run back up and finishes
-//! it, producing CSV and trace output byte-identical to an
-//! uninterrupted run. `--warm-start <file>` seeds a fresh run's RAC
-//! agent with the policy library stored in a previous run's checkpoint
-//! instead of training/loading one from the cache.
+//! line-up iterations, atomically, and stores the policy library once
+//! beside it in `<dir>/library-<fingerprint>.ckpt`. `--stop-after N`
+//! exits cleanly after N iterations; `--resume <file>` picks the run
+//! back up and finishes it, producing CSV and trace output
+//! byte-identical to an uninterrupted run. `--warm-start <file>` seeds a
+//! fresh run's RAC agent with the policy library a previous run's
+//! checkpoint names instead of training/loading one from the cache.
 //!
 //! Each subcommand prints the series/rows the paper reports and writes a
 //! CSV under `results/`. Offline-trained policies are cached under
@@ -1311,6 +1312,18 @@ fn load_snapshot_or_exit(path: &Path, what: &str) -> ckpt::Snapshot {
     }
 }
 
+/// The policy-library sidecar of the line-up checkpoint at `path`,
+/// loaded for a warm start, or exits with a clear message.
+fn load_warm_start_or_exit(path: &Path) -> ckpt::Snapshot {
+    match rac_bench::checkpoint::library_sidecar(path) {
+        Ok(sidecar) => load_snapshot_or_exit(&sidecar, "warm-start"),
+        Err(e) => {
+            eprintln!("cannot warm-start from {}: {e}", path.display());
+            std::process::exit(2);
+        }
+    }
+}
+
 /// [`load_snapshot_or_exit`] for resume paths: first sweeps away any
 /// `.tmp` file a crash left beside the checkpoint. The committed
 /// snapshot is always the one to resume from — the temp is a torn
@@ -1388,7 +1401,7 @@ fn run_scenarios(raw: &[String], opts: &Options, console: &Console, live: bool) 
     }
     let library = match &cli.warm_start {
         Some(path) => {
-            let snap = load_snapshot_or_exit(path, "warm-start");
+            let snap = load_warm_start_or_exit(path);
             // The checked variant turns a snapshot trained on a
             // different lattice into a typed mismatch here, at the
             // seeding boundary, instead of a panic mid-run.
@@ -1641,8 +1654,9 @@ fn profile_usage() -> ! {
 /// `figures profile <scenario>` — one checkpointed line-up run with the
 /// self-profiler on, reported as a self-time table plus a
 /// flamegraph-compatible folded-stack file. The run is checkpointed
-/// (to a throwaway snapshot, deleted afterwards) so the `checkpoint`
-/// phase shows up in the attribution alongside measure/tuner/sweep.
+/// (into a throwaway directory, snapshot and library sidecar both
+/// deleted afterwards) so the `checkpoint` phase shows up in the
+/// attribution alongside measure/tuner/sweep.
 fn run_profile(raw: &[String], opts: &Options, console: &Console) {
     let mut operand: Option<&str> = None;
     for a in raw {
@@ -1678,9 +1692,9 @@ fn run_profile(raw: &[String], opts: &Options, console: &Console) {
         obs::health::global().begin_job(&format!("profile {}", scn.name));
     }
     let library = standard_policy_library(&opts.cache_dir());
-    let ckpt_path = opts.results_dir.join(format!("profile-{}.ckpt", scn.name));
+    let ckpt_dir = opts.results_dir.join(format!("profile-{}-ckpt", scn.name));
     let plan = CheckpointOptions {
-        path: ckpt_path.clone(),
+        path: ckpt_dir.join("lineup.ckpt"),
         every: 5,
         stop_after: None,
     };
@@ -1692,7 +1706,7 @@ fn run_profile(raw: &[String], opts: &Options, console: &Console) {
     ));
     let t0 = Instant::now();
     let outcome = rac_bench::checkpoint::run_tuners_checkpointed(&scn, &library, &plan, None);
-    let _ = std::fs::remove_file(&ckpt_path);
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
     match outcome {
         Ok(LineupOutcome::Complete(_)) => {}
         Ok(LineupOutcome::Interrupted { .. }) => unreachable!("stop_after is None"),
@@ -2160,7 +2174,7 @@ fn run_fleet(raw: &[String], opts: &Options, console: &Console) {
             Err(e) => fail(format!("cannot resume from {}: {e}", path.display())),
         }
     } else if let Some(path) = &cli.warm_start {
-        let snap = load_snapshot_or_exit(path, "warm-start");
+        let snap = load_warm_start_or_exit(path);
         match fleet::FleetRun::with_library(config.clone(), &snap) {
             Ok(run) => {
                 console.note(format!(

@@ -5,7 +5,7 @@
 //! binary file (little-endian, std-only — no serialization dependency).
 
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 use numerics::FitQuality;
@@ -50,66 +50,37 @@ pub fn store_policy(path: &Path, policy: &InitialPolicy) -> io::Result<()> {
 /// Loads a policy from `path` if it exists and matches the lattice;
 /// returns `None` on a miss or any corruption (the caller retrains).
 pub fn load_policy(path: &Path, lattice: &ConfigLattice) -> Option<InitialPolicy> {
-    let mut file = fs::File::open(path).ok()?;
-    let mut buf = Vec::new();
-    file.read_to_end(&mut buf).ok()?;
-    let mut at = 0usize;
-    let take = |buf: &[u8], at: &mut usize, n: usize| -> Option<Vec<u8>> {
-        if *at + n > buf.len() {
-            return None;
-        }
-        let out = buf[*at..*at + n].to_vec();
-        *at += n;
-        Some(out)
-    };
-    if take(&buf, &mut at, 8)? != MAGIC {
+    let buf = fs::read(path).ok()?;
+    let (header, values) = buf.split_at_checked(MAGIC.len() + 7 * 8)?;
+    let (magic, fields) = header.split_at(MAGIC.len());
+    if magic != MAGIC {
         return None;
     }
-    let read_u64 = |buf: &[u8], at: &mut usize| -> Option<u64> {
-        take(buf, at, 8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    };
-    let read_f64 = |buf: &[u8], at: &mut usize| -> Option<f64> {
-        take(buf, at, 8).map(|b| f64::from_le_bytes(b.try_into().expect("8 bytes")))
-    };
-    let states = read_u64(&buf, &mut at)? as usize;
-    let actions = read_u64(&buf, &mut at)? as usize;
+    let field = |i: usize| -> [u8; 8] { fields[8 * i..8 * (i + 1)].try_into().expect("8 bytes") };
+    let states = u64::from_le_bytes(field(0)) as usize;
+    let actions = u64::from_le_bytes(field(1)) as usize;
     if states != lattice.num_states() || actions != Action::COUNT {
         return None;
     }
-    let r_squared = read_f64(&buf, &mut at)?;
-    let rmse = read_f64(&buf, &mut at)?;
-    let fit_samples = read_u64(&buf, &mut at)? as usize;
-    let samples = read_u64(&buf, &mut at)? as usize;
-    let passes = read_u64(&buf, &mut at)? as usize;
-    let mut perf_ms = Vec::with_capacity(states);
-    for _ in 0..states {
-        let b = take(&buf, &mut at, 4)?;
-        perf_ms.push(f32::from_le_bytes(b.try_into().expect("4 bytes")));
-    }
-    let mut qtable = QTable::new(states, actions);
-    for s in 0..states {
-        for a in 0..actions {
-            let b = take(&buf, &mut at, 4)?;
-            qtable.set(
-                s,
-                a,
-                f32::from_le_bytes(b.try_into().expect("4 bytes")) as f64,
-            );
-        }
-    }
-    if at != buf.len() {
+    // The rest is exactly the performance map, then the Q-table in
+    // row-major order, all `f32`.
+    if values.len() != 4 * states * (1 + actions) {
         return None;
     }
+    let mut values = values
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")));
+    let perf_ms = values.by_ref().take(states).collect();
     Some(InitialPolicy {
-        qtable,
+        qtable: QTable::from_raw(states, actions, values.collect()),
         perf_ms,
         fit: FitQuality {
-            r_squared,
-            rmse,
-            samples: fit_samples,
+            r_squared: f64::from_le_bytes(field(2)),
+            rmse: f64::from_le_bytes(field(3)),
+            samples: u64::from_le_bytes(field(4)) as usize,
         },
-        samples,
-        passes,
+        samples: u64::from_le_bytes(field(5)) as usize,
+        passes: u64::from_le_bytes(field(6)) as usize,
     })
 }
 
@@ -139,11 +110,9 @@ mod tests {
         assert_eq!(loaded.samples, policy.samples);
         assert_eq!(loaded.passes, policy.passes);
         assert_eq!(loaded.perf_ms, policy.perf_ms);
-        for s in [0usize, 17, lattice.num_states() - 1] {
-            for a in 0..Action::COUNT {
-                assert!((loaded.qtable.get(s, a) - policy.qtable.get(s, a)).abs() < 1e-6);
-            }
-        }
+        assert_eq!(loaded.fit, policy.fit);
+        let bits = |q: &QTable| q.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&loaded.qtable), bits(&policy.qtable));
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -167,6 +136,17 @@ mod tests {
         let path = dir.join("junk.bin");
         fs::write(&path, b"not a policy").unwrap();
         assert!(load_policy(&path, &lattice).is_none());
+        // Cut inside the Q-table (the file's tail), and one byte too long.
+        store_policy(&path, &tiny_policy(&lattice)).unwrap();
+        let whole = fs::read(&path).unwrap();
+        fs::write(&path, &whole[..whole.len() - 6]).unwrap();
+        assert!(load_policy(&path, &lattice).is_none());
+        let mut long = whole.clone();
+        long.push(0);
+        fs::write(&path, &long).unwrap();
+        assert!(load_policy(&path, &lattice).is_none());
+        fs::write(&path, &whole).unwrap();
+        assert!(load_policy(&path, &lattice).is_some());
         let _ = fs::remove_dir_all(dir);
     }
 }

@@ -219,7 +219,7 @@ pub fn run_chaos_killed(scn: &Scenario, kill_points: &[usize]) -> (Vec<Iteration
                 let restored = ScenarioProgress::decode(&mut r).expect("progress decodes");
                 r.finish().expect("progress fully consumed");
                 let snap = Snapshot::from_bytes(&snapshot_bytes).expect("snapshot parses");
-                agent = RacAgent::restore(&snap).expect("agent restores");
+                agent = RacAgent::restore(&snap, None).expect("agent restores");
                 progress = Some(restored);
             }
         }

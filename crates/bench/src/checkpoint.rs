@@ -10,13 +10,22 @@
 //! checkpointing only adds its deterministic `checkpoint` trace events.
 //!
 //! The snapshot holds the lineup cursor (which tuner is active), the
-//! series of every finished tuner, the active tuner's
-//! [`ScenarioProgress`] and learned state, and the serialized decision
-//! trace prefix. Resuming restores all of that, replays the active
-//! tuner's completed intervals deterministically
-//! ([`Experiment::run_scenario_resumable`]), and continues — producing
-//! CSV and trace output byte-identical to an uninterrupted run at any
-//! `RAC_THREADS`.
+//! fingerprint of the policy library, the series of every finished
+//! tuner, the active tuner's [`ScenarioProgress`] and learned state, and
+//! the serialized decision trace prefix. The library itself never
+//! changes during a run, so it is written once, to a content-addressed
+//! sidecar beside the checkpoint ([`library_sidecar`]), and every
+//! snapshot names it by fingerprint. Resuming restores all of that
+//! (taking the library from the sidecar the snapshot names, never from
+//! the caller), replays the active tuner's completed intervals
+//! deterministically ([`Experiment::run_scenario_resumable`]), and
+//! continues — producing CSV and trace output byte-identical to an
+//! uninterrupted run at any `RAC_THREADS`.
+//!
+//! A snapshot is encoded only at a boundary that writes one, so a
+//! process that dies between writes leaves the last written snapshot as
+//! its resume point; by the determinism contract that is as good a
+//! resume point as any later one.
 //!
 //! Trace-equivalence invariants (all load-bearing):
 //!
@@ -33,7 +42,7 @@
 //! * Restoring is metrics/console-only — no `checkpoint_restored` trace
 //!   event, because the uninterrupted reference run never restores.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use ckpt::{CkptError, Snapshot, SnapshotWriter};
@@ -57,7 +66,8 @@ const SECTION_TRACE: &str = "lineup.trace";
 /// How a checkpointed lineup run persists itself.
 #[derive(Debug, Clone)]
 pub struct CheckpointOptions {
-    /// Snapshot file (atomically replaced at every flush).
+    /// Snapshot file (atomically replaced at every flush). The policy
+    /// library's sidecar ([`library_sidecar`]) goes in the same directory.
     pub path: PathBuf,
     /// Flush to disk every N lineup iterations.
     pub every: usize,
@@ -74,7 +84,7 @@ pub enum LineupOutcome {
     Complete(Vec<(&'static str, Vec<IterationRecord>)>),
     /// `stop_after` hit or the control callback asked to stop; the
     /// snapshot on disk resumes the run (unless the stop was an
-    /// [`LineupCommand::Abort`], which leaves the last *flushed*
+    /// [`LineupCommand::Abort`], which leaves the last *written*
     /// snapshot untouched instead).
     Interrupted {
         /// Lineup iterations completed across all tuners.
@@ -102,16 +112,15 @@ pub struct LineupStatus {
 pub enum LineupCommand {
     /// Keep running; flushes follow the periodic schedule.
     Continue,
-    /// Flush the just-encoded snapshot now (checkpoint-on-demand), then
-    /// keep running. Like an off-schedule stop flush, this writes
-    /// *without* a `checkpoint` trace event, so on-demand flushes never
-    /// perturb trace bytes.
+    /// Write a snapshot now (checkpoint-on-demand), then keep running.
+    /// Like an off-schedule stop, this writes *without* a `checkpoint`
+    /// trace event, so on-demand writes never perturb trace bytes.
     Checkpoint,
-    /// Flush the just-encoded snapshot, then stop cleanly — the daemon's
+    /// Write a snapshot, then stop cleanly — the daemon's
     /// checkpoint-then-graceful-shutdown path.
     Stop,
     /// Stop immediately *without* writing anything, leaving the last
-    /// flushed snapshot as the resume point. Used by a supervisor
+    /// written snapshot as the resume point. Used by a supervisor
     /// abandoning a superseded worker: a stale worker must never
     /// overwrite state a newer attempt is building on.
     Abort,
@@ -144,7 +153,8 @@ pub fn lineup_arms(library: Option<&PolicyLibrary>) -> (RacAgent, TrialAndError,
 ///
 /// Returns [`CkptError::Mismatch`] when `resume` was written for a
 /// different system spec or scenario, any decoding error from a corrupt
-/// snapshot, and I/O errors from writing the snapshot file.
+/// snapshot or library sidecar, and I/O errors from reading the sidecar
+/// or writing the snapshot file.
 pub fn run_tuners_checkpointed(
     scn: &Scenario,
     library: &PolicyLibrary,
@@ -185,14 +195,16 @@ pub fn run_tuners_checkpointed_with(
 /// through `scn`, each through [`Experiment::run_scenario_resumable`],
 /// and `control` is consulted at every iteration boundary.
 ///
-/// With `checkpoint`, a sink encodes every boundary and flushes on the
-/// schedule, and `resume` continues a snapshot mid-lineup. Without it
-/// nothing is encoded or written: `Stop` and `Abort` just stop the run,
-/// and `Checkpoint` does nothing.
+/// With `checkpoint`, a sink writes a snapshot to `checkpoint.path` on
+/// the schedule, on `Checkpoint` and `Stop`, at `stop_after`, and at the
+/// lineup's last boundary, and `resume` continues a snapshot of that
+/// file mid-lineup. Without it nothing is encoded or written: `Stop`
+/// and `Abort` just stop the run, and `Checkpoint` does nothing.
 ///
 /// # Errors
 ///
-/// As [`run_tuners_checkpointed`].
+/// As [`run_tuners_checkpointed`], plus [`CkptError::Mismatch`] for a
+/// `resume` without a `checkpoint` to find its library sidecar beside.
 pub fn run_lineup(
     scn: &Scenario,
     library: Option<&PolicyLibrary>,
@@ -203,20 +215,31 @@ pub fn run_lineup(
     let exp = Experiment::for_scenario(paper_system_spec(), scn);
     let spec_fp = exp.spec().fingerprint();
     let scn_fp = scn.fingerprint();
-    let resumed = match resume {
-        Some(snap) => {
+    let resumed = match (resume, checkpoint) {
+        (Some(snap), Some(options)) => {
             let t0 = Instant::now();
-            let resumed = decode_lineup(snap, spec_fp, scn_fp)?;
+            let resumed = decode_lineup(snap, &options.path, spec_fp, scn_fp)?;
             let m = obs::Registry::global();
             m.counter("rac_ckpt_restores_total").inc();
             m.histogram("rac_ckpt_restore_us")
                 .record_us(t0.elapsed().as_micros() as u64);
             Some(resumed)
         }
-        None => None,
+        (Some(_), None) => {
+            return Err(CkptError::Mismatch {
+                detail: "a resumed lineup needs the checkpoint file it continues".to_string(),
+            })
+        }
+        (None, _) => None,
     };
 
-    let (rac_agent, tae, dflt) = lineup_arms(library);
+    // A resumed run's library is the one its snapshot names: the caller's
+    // goes unused, and RAC's arm is either restored or already finished.
+    let sink_library = match &resumed {
+        Some(r) => r.library.map_or(SinkLibrary::None, SinkLibrary::Stored),
+        None => library.map_or(SinkLibrary::None, SinkLibrary::Unwritten),
+    };
+    let (rac_agent, tae, dflt) = lineup_arms(library.filter(|_| resumed.is_none()));
     let mut arms: [Box<dyn PersistTuner>; 3] = [Box::new(rac_agent), Box::new(tae), Box::new(dflt)];
     let (first, mut done, mut progress) = match resumed {
         Some(r) => {
@@ -227,10 +250,10 @@ pub fn run_lineup(
     };
     let mut sink = checkpoint.map(|options| CkptSink {
         options,
-        library,
         spec_fp,
         scn_fp,
-        pending: None,
+        iterations: scn.iterations(),
+        library: sink_library,
     });
     let mut stop = false;
     // Each arm is dropped as its session ends.
@@ -273,12 +296,6 @@ pub fn run_lineup(
             });
         }
     }
-    if let Some(sink) = &mut sink {
-        // Leave the finished run's final state on disk (warm-start food
-        // for the next run) even when the last boundary missed the
-        // schedule.
-        sink.flush_pending()?;
-    }
     Ok(LineupOutcome::Complete(done))
 }
 
@@ -293,16 +310,96 @@ pub(crate) fn run_plain_lineup(
     }
 }
 
-/// The periodic-snapshot sink driven by the lineup's boundary callback.
-/// Encodes the full lineup snapshot at *every* boundary and flushes it
-/// on the schedule; whatever is pending when the sink drops (error
-/// paths, panics) is flushed best-effort so no completed work is lost.
-struct CkptSink<'a> {
-    options: &'a CheckpointOptions,
-    library: Option<&'a PolicyLibrary>,
+/// The policy-library sidecar of the line-up checkpoint at `checkpoint`:
+/// the file a later run reads the checkpointed run's library from
+/// (`figures scenario --warm-start`, `figures fleet --warm-start`,
+/// `racd upgrade`). Load it with [`Snapshot::load`] and read it with
+/// [`rac::library_from_snapshot`].
+///
+/// # Errors
+///
+/// Returns any error loading the checkpoint, and
+/// [`CkptError::Mismatch`] when the line-up ran without a library.
+pub fn library_sidecar(checkpoint: &Path) -> Result<PathBuf, CkptError> {
+    match LineupMeta::decode(&Snapshot::load(checkpoint)?)?.library {
+        Some(fp) => Ok(sidecar_path(checkpoint, fp)),
+        None => Err(CkptError::Mismatch {
+            detail: "the checkpointed line-up ran without a policy library".to_string(),
+        }),
+    }
+}
+
+/// Where the library with fingerprint `fp` is stored for the checkpoint
+/// at `checkpoint`: `library-<fp>.ckpt` in the same directory.
+fn sidecar_path(checkpoint: &Path, fp: u64) -> PathBuf {
+    checkpoint.with_file_name(format!("library-{fp:016x}.ckpt"))
+}
+
+/// The `lineup.meta` section: what the snapshot was taken against, the
+/// lineup cursor, and the fingerprint of the library (if any).
+struct LineupMeta {
     spec_fp: u64,
     scn_fp: u64,
-    pending: Option<Vec<u8>>,
+    tuner_index: usize,
+    library: Option<u64>,
+}
+
+impl LineupMeta {
+    fn encode(&self, snap: &mut SnapshotWriter) {
+        snap.section(SECTION_META, |w| {
+            w.put_u64(self.spec_fp);
+            w.put_u64(self.scn_fp);
+            w.put_usize(self.tuner_index);
+            w.put_bool(self.library.is_some());
+            if let Some(fp) = self.library {
+                w.put_u64(fp);
+            }
+        });
+    }
+
+    fn decode(snap: &Snapshot) -> Result<Self, CkptError> {
+        let mut r = snap.section(SECTION_META)?;
+        let spec_fp = r.get_u64()?;
+        let scn_fp = r.get_u64()?;
+        let tuner_index = r.get_usize()?;
+        let library = if r.get_bool()? {
+            Some(r.get_u64()?)
+        } else {
+            None
+        };
+        r.finish()?;
+        Ok(LineupMeta {
+            spec_fp,
+            scn_fp,
+            tuner_index,
+            library,
+        })
+    }
+}
+
+/// The library a checkpoint sink names in its snapshots.
+enum SinkLibrary<'a> {
+    /// The lineup runs without one.
+    None,
+    /// Not yet in its sidecar: the first write stores it.
+    Unwritten(&'a PolicyLibrary),
+    /// In the sidecar named by this fingerprint.
+    Stored(u64),
+}
+
+/// The checkpoint sink driven by the lineup's boundary callback. It
+/// encodes and writes a snapshot only at a boundary that needs one: on
+/// the schedule, on `Checkpoint` and `Stop`, at `stop_after`, and at
+/// the lineup's last boundary (so a finished run leaves its final state
+/// behind as warm-start food). Its first write also stores the library
+/// in its sidecar.
+struct CkptSink<'a> {
+    options: &'a CheckpointOptions,
+    spec_fp: u64,
+    scn_fp: u64,
+    /// Iterations per tuner session.
+    iterations: usize,
+    library: SinkLibrary<'a>,
 }
 
 impl CkptSink<'_> {
@@ -319,21 +416,27 @@ impl CkptSink<'_> {
         cmd: LineupCommand,
     ) -> Result<BoundaryAction, CkptError> {
         if cmd == LineupCommand::Abort {
-            // Abandon without touching disk: clear anything pending so
-            // not even the drop rescue writes, and stop here. The last
-            // *flushed* snapshot stays the authoritative resume point.
-            self.pending = None;
+            // Abandon without touching disk: the last written snapshot
+            // stays the authoritative resume point.
             return Ok(BoundaryAction::Stop);
         }
         let global = status.global_iteration;
+        let scheduled = self.options.every > 0 && global.is_multiple_of(self.options.every);
+        let stop = cmd == LineupCommand::Stop || self.stop_requested(global);
+        let last =
+            status.tuner_index + 1 == LINEUP.len() && status.tuner_iteration == self.iterations;
+        if !(scheduled || stop || last || cmd == LineupCommand::Checkpoint) {
+            return Ok(BoundaryAction::Continue);
+        }
         // Wall-clock attribution of encode+write time (metrics/profile
         // only; the trace event below is simulated-time as ever).
         let _span = obs::Span::start("checkpoint");
-        let flush = self.options.every > 0 && global.is_multiple_of(self.options.every);
-        if flush {
+        if scheduled {
             // Emitted before encoding so the snapshot's trace prefix
             // includes this event: a resumed run replays it from the
-            // prefix and never re-emits it.
+            // prefix and never re-emits it. Off-schedule writes emit
+            // nothing — the resumed run's schedule is what keeps traces
+            // identical.
             trace::emit(|| {
                 obs::Event::new("checkpoint")
                     .field("iter", global as u64)
@@ -341,47 +444,54 @@ impl CkptSink<'_> {
                     .field("tuner", status.tuner_index as u64)
             });
         }
-        let bytes = self.encode(status.tuner_index, done, progress, tuner);
-        if flush {
-            self.write(&bytes)?;
-            self.pending = None;
+        let library = self.store_library()?;
+        let bytes = self.encode(status.tuner_index, library, done, progress, tuner);
+        write(&self.options.path, &bytes)?;
+        Ok(if stop {
+            BoundaryAction::Stop
         } else {
-            self.pending = Some(bytes);
+            BoundaryAction::Continue
+        })
+    }
+
+    /// The fingerprint the next snapshot names, storing the library in
+    /// its sidecar first if this sink has not done so yet. A sidecar
+    /// that already exists holds the same bytes (it is named by them),
+    /// so it is not rewritten.
+    fn store_library(&mut self) -> Result<Option<u64>, CkptError> {
+        match self.library {
+            SinkLibrary::None => Ok(None),
+            SinkLibrary::Stored(fp) => Ok(Some(fp)),
+            SinkLibrary::Unwritten(library) => {
+                let fp = library.fingerprint();
+                let path = sidecar_path(&self.options.path, fp);
+                if !path.exists() {
+                    let mut snap = SnapshotWriter::new();
+                    rac::library_to_snapshot(&mut snap, library);
+                    write(&path, &snap.to_bytes())?;
+                }
+                self.library = SinkLibrary::Stored(fp);
+                Ok(Some(fp))
+            }
         }
-        if cmd == LineupCommand::Checkpoint {
-            // Checkpoint-on-demand: persist now, off the schedule and
-            // therefore without a trace event, then keep running.
-            self.flush_pending()?;
-        }
-        if cmd == LineupCommand::Stop {
-            // Checkpoint-then-stop (graceful shutdown): same flush
-            // semantics as an off-schedule `stop_after` stop.
-            self.flush_pending()?;
-            return Ok(BoundaryAction::Stop);
-        }
-        if self.stop_requested(global) {
-            // Make the stop resumable even off-schedule: persist the
-            // just-encoded state, without a trace event (the resumed
-            // run's schedule is what keeps traces identical).
-            self.flush_pending()?;
-            return Ok(BoundaryAction::Stop);
-        }
-        Ok(BoundaryAction::Continue)
     }
 
     fn encode(
         &self,
         tuner_index: usize,
+        library: Option<u64>,
         done: &[(&'static str, Vec<IterationRecord>)],
         progress: &ScenarioProgress,
         tuner: &dyn PersistTuner,
     ) -> Vec<u8> {
         let mut snap = SnapshotWriter::new();
-        snap.section(SECTION_META, |w| {
-            w.put_u64(self.spec_fp);
-            w.put_u64(self.scn_fp);
-            w.put_usize(tuner_index);
-        });
+        let meta = LineupMeta {
+            spec_fp: self.spec_fp,
+            scn_fp: self.scn_fp,
+            tuner_index,
+            library,
+        };
+        meta.encode(&mut snap);
         snap.section(SECTION_DONE, |w| {
             w.put_usize(done.len());
             for (_, series) in done {
@@ -390,13 +500,6 @@ impl CkptSink<'_> {
         });
         snap.section(SECTION_PROGRESS, |w| progress.encode(w));
         tuner.save_state(&mut snap);
-        if let Some(library) = self.library.filter(|_| tuner_index != 0) {
-            // The RAC agent (tuner 0) saves its own library section; once
-            // a later tuner is active, persist the lineup's library here
-            // so any snapshot of the run — including the final one — can
-            // seed a warm start.
-            rac::library_to_snapshot(&mut snap, library);
-        }
         let prefix = trace::snapshot_serialized();
         snap.section(SECTION_TRACE, |w| {
             w.put_bool(prefix.is_some());
@@ -404,48 +507,44 @@ impl CkptSink<'_> {
         });
         snap.to_bytes()
     }
-
-    fn write(&self, bytes: &[u8]) -> Result<(), CkptError> {
-        let t0 = Instant::now();
-        ckpt::write_bytes_atomic(bytes, &self.options.path)?;
-        let m = obs::Registry::global();
-        m.counter("rac_ckpt_writes_total").inc();
-        m.counter("rac_ckpt_bytes_total").add(bytes.len() as u64);
-        m.histogram("rac_ckpt_write_us")
-            .record_us(t0.elapsed().as_micros() as u64);
-        Ok(())
-    }
-
-    fn flush_pending(&mut self) -> Result<(), CkptError> {
-        match self.pending.take() {
-            Some(bytes) => self.write(&bytes),
-            None => Ok(()),
-        }
-    }
 }
 
-impl Drop for CkptSink<'_> {
-    fn drop(&mut self) {
-        // Snapshot-on-drop: error paths and panics still leave the last
-        // boundary's state behind. Errors are swallowed — this is a
-        // best-effort rescue, never the primary persistence path.
-        let _ = self.flush_pending();
-    }
+/// Atomically writes one checkpoint file (snapshot or sidecar) and
+/// records it in the `rac_ckpt_*` metrics.
+fn write(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
+    let t0 = Instant::now();
+    ckpt::write_bytes_atomic(bytes, path)?;
+    let m = obs::Registry::global();
+    m.counter("rac_ckpt_writes_total").inc();
+    m.counter("rac_ckpt_bytes_total").add(bytes.len() as u64);
+    m.histogram("rac_ckpt_write_us")
+        .record_us(t0.elapsed().as_micros() as u64);
+    Ok(())
 }
 
 struct ResumedLineup {
     tuner_index: usize,
+    /// Fingerprint of the library the snapshot names.
+    library: Option<u64>,
     done: Vec<(&'static str, Vec<IterationRecord>)>,
     tuner: Box<dyn PersistTuner>,
     progress: ScenarioProgress,
 }
 
-fn decode_lineup(snap: &Snapshot, spec_fp: u64, scn_fp: u64) -> Result<ResumedLineup, CkptError> {
-    let mut r = snap.section(SECTION_META)?;
-    let snap_spec = r.get_u64()?;
-    let snap_scn = r.get_u64()?;
-    let tuner_index = r.get_usize()?;
-    r.finish()?;
+/// Decodes a snapshot of the checkpoint at `checkpoint`, reading the
+/// library it names from the sidecar beside it.
+fn decode_lineup(
+    snap: &Snapshot,
+    checkpoint: &Path,
+    spec_fp: u64,
+    scn_fp: u64,
+) -> Result<ResumedLineup, CkptError> {
+    let LineupMeta {
+        spec_fp: snap_spec,
+        scn_fp: snap_scn,
+        tuner_index,
+        library,
+    } = LineupMeta::decode(snap)?;
     if snap_spec != spec_fp {
         return Err(CkptError::Mismatch {
             detail: format!(
@@ -488,11 +587,28 @@ fn decode_lineup(snap: &Snapshot, spec_fp: u64, scn_fp: u64) -> Result<ResumedLi
     let progress = ScenarioProgress::decode(&mut r)?;
     r.finish()?;
 
+    // RAC is restored with the library the snapshot names, read from its
+    // sidecar. Later tuners do not use the library, but the run keeps
+    // naming it, so its sidecar must still be there.
+    let sidecar = library.map(|fp| sidecar_path(checkpoint, fp));
     let tuner: Box<dyn PersistTuner> = match tuner_index {
-        0 => Box::new(RacAgent::restore(snap)?),
+        0 => {
+            let library = match &sidecar {
+                Some(path) => Some(rac::library_from_snapshot(&Snapshot::load(path)?)?),
+                None => None,
+            };
+            Box::new(RacAgent::restore(snap, library)?)
+        }
         1 => Box::new(TrialAndError::restore(snap)?),
         _ => Box::new(StaticDefault::new()),
     };
+    if let Some(path) = sidecar.filter(|_| tuner_index > 0) {
+        std::fs::metadata(&path).map_err(|source| CkptError::Io {
+            path,
+            context: "find the policy-library sidecar",
+            source,
+        })?;
+    }
 
     let mut r = snap.section(SECTION_TRACE)?;
     let has_trace = r.get_bool()?;
@@ -509,6 +625,7 @@ fn decode_lineup(snap: &Snapshot, spec_fp: u64, scn_fp: u64) -> Result<ResumedLi
 
     Ok(ResumedLineup {
         tuner_index,
+        library,
         done,
         tuner,
         progress,
@@ -563,7 +680,7 @@ mod tests {
         assert_eq!(full, plain, "checkpointing must not perturb the series");
 
         // Interrupt at a mid-lineup boundary (tuner 1 mid-run) and at a
-        // non-schedule boundary (pending flush), then resume each.
+        // non-schedule boundary (an off-schedule write), then resume each.
         for stop_after in [8usize, 7] {
             let path = dir.join(format!("stop-{stop_after}.ckpt"));
             let opts = CheckpointOptions {
@@ -635,7 +752,7 @@ mod tests {
         };
         assert_eq!(resumed, plain, "control-steered run diverged");
 
-        // Abort stops without touching disk — not even the drop rescue.
+        // Abort stops without touching disk.
         let path2 = dir.join("abort.ckpt");
         let opts = CheckpointOptions {
             path: path2.clone(),

@@ -48,7 +48,8 @@ pub enum KillAim {
 pub struct PlannedKill {
     /// Where to aim.
     pub aim: KillAim,
-    /// Plant `<ckpt>.tmp` garbage after this kill.
+    /// Plant a torn checkpoint temp file ([`ckpt::temp_path`]) after
+    /// this kill.
     pub torn_tmp: bool,
 }
 
@@ -190,15 +191,7 @@ pub fn run_drill(racd: &Path, seed: u64, opts: &DrillOptions) -> Result<DrillRep
             ));
         }
         if kill.torn_tmp {
-            // Emulate dying mid-checkpoint-write: a torn temp beside
-            // whatever the daemon last committed.
-            let ckpt_dir = drill.join("ckpt");
-            let _ = std::fs::create_dir_all(&ckpt_dir);
-            std::fs::write(
-                ckpt_dir.join(format!("{}.ckpt.tmp", scn.name)),
-                b"RACCKPT\x00torn-mid-write",
-            )
-            .map_err(|e| format!("plant torn tmp: {e}"))?;
+            plant_torn_temp(&drill, &scn.name).map_err(|e| format!("plant torn tmp: {e}"))?;
         }
     }
 
@@ -240,6 +233,16 @@ pub fn run_drill(racd: &Path, seed: u64, opts: &DrillOptions) -> Result<DrillRep
             .push("dirty marker still armed after a clean recovery run".to_string());
     }
     Ok(report)
+}
+
+/// Emulates dying mid-checkpoint-write: a torn temp file where the
+/// daemon's atomic write of job `job`'s checkpoint would have left it,
+/// beside whatever the daemon last committed.
+fn plant_torn_temp(state: &Path, job: &str) -> std::io::Result<()> {
+    let dir = state.join("ckpt");
+    std::fs::create_dir_all(&dir)?;
+    let ckpt_path = dir.join(format!("{job}.ckpt"));
+    std::fs::write(ckpt::temp_path(&ckpt_path), b"RACCKPT\x00torn-mid-write")
 }
 
 fn launch(
@@ -335,6 +338,21 @@ mod tests {
                 "seed {seed}: no mid-checkpoint-write kill"
             );
         }
+    }
+
+    #[test]
+    fn planted_torn_temp_is_swept_before_resume() {
+        let state = std::env::temp_dir().join(format!("rac-drill-tmp-{}", std::process::id()));
+        plant_torn_temp(&state, "chaos-7").unwrap();
+        // The daemon sweeps exactly this file before loading the
+        // committed checkpoint.
+        let ckpt_path = state.join("ckpt").join("chaos-7.ckpt");
+        assert!(ckpt::remove_stale_temp(&ckpt_path).unwrap());
+        assert!(std::fs::read_dir(state.join("ckpt"))
+            .unwrap()
+            .next()
+            .is_none());
+        let _ = std::fs::remove_dir_all(&state);
     }
 
     #[test]

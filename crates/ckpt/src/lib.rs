@@ -20,9 +20,10 @@
 //!
 //! # Writing guarantees
 //!
-//! [`SnapshotWriter::write_atomic`] serializes to `<path>.tmp`, fsyncs,
-//! then renames over `path`. A crash at any point leaves either the old
-//! complete file or the new complete file — never a torn one.
+//! [`SnapshotWriter::write_atomic`] serializes to [`temp_path`] (the
+//! path with its extension replaced by `tmp`), fsyncs, then renames over
+//! `path`. A crash at any point leaves either the old complete file or
+//! the new complete file — never a torn one.
 //!
 //! # Example
 //!
@@ -47,5 +48,6 @@ pub mod wire;
 pub use crc::crc32;
 pub use error::CkptError;
 pub use snapshot::{
-    remove_stale_temp, write_bytes_atomic, Snapshot, SnapshotWriter, FORMAT_VERSION, MAGIC,
+    remove_stale_temp, temp_path, write_bytes_atomic, Snapshot, SnapshotWriter, FORMAT_VERSION,
+    MAGIC,
 };

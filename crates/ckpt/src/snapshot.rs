@@ -20,7 +20,7 @@
 
 use std::fs::{self, File};
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::crc::crc32;
 use crate::error::CkptError;
@@ -30,7 +30,10 @@ use crate::wire::{Reader, Writer};
 pub const MAGIC: [u8; 8] = *b"RACCKPT\0";
 
 /// The format revision this build writes and the only one it reads.
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// Version 2 moved the policy library out of line-up snapshots into a
+/// content-addressed sidecar snapshot, so version-1 files are refused.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Builds a snapshot section by section, then serializes or persists it.
 #[derive(Debug, Default)]
@@ -97,11 +100,19 @@ impl SnapshotWriter {
     }
 
     /// Persists the snapshot atomically: parent directories are created,
-    /// bytes go to `<path>.tmp`, the file is fsynced, then renamed over
+    /// bytes go to [`temp_path`], the file is fsynced, then renamed over
     /// `path`. Returns the number of bytes written.
     pub fn write_atomic(&self, path: &Path) -> Result<u64, CkptError> {
         write_bytes_atomic(&self.to_bytes(), path)
     }
+}
+
+/// The temp file an atomic write of `path` goes through: `path` with its
+/// extension replaced by `tmp` (`run/x.ckpt` → `run/x.tmp`). The one
+/// definition shared by writers, the stale-temp sweep, and anything
+/// that plants or looks for a torn write.
+pub fn temp_path(path: &Path) -> PathBuf {
+    path.with_extension("tmp")
 }
 
 /// Atomically replaces `path` with `bytes` via a temp file + rename —
@@ -127,7 +138,7 @@ pub fn write_bytes_atomic(bytes: &[u8], path: &Path) -> Result<u64, CkptError> {
             fs::create_dir_all(parent).map_err(io("create checkpoint directory for"))?;
         }
     }
-    let tmp = path.with_extension("tmp");
+    let tmp = temp_path(path);
     {
         let mut f = File::create(&tmp).map_err(|source| CkptError::Io {
             path: tmp.clone(),
@@ -149,7 +160,7 @@ pub fn write_bytes_atomic(bytes: &[u8], path: &Path) -> Result<u64, CkptError> {
     Ok(bytes.len() as u64)
 }
 
-/// Removes a stale `<path>.tmp` left beside a checkpoint by a crash
+/// Removes the stale [`temp_path`] file left beside a checkpoint by a crash
 /// that hit between temp-file creation and the final rename. The temp
 /// file is by construction incomplete or unrenamed — the committed
 /// snapshot at `path` (if any) is always the authoritative one — so
@@ -161,7 +172,7 @@ pub fn write_bytes_atomic(bytes: &[u8], path: &Path) -> Result<u64, CkptError> {
 /// Returns [`CkptError::Io`] when the temp file exists but cannot be
 /// removed; a missing temp file is the normal case, not an error.
 pub fn remove_stale_temp(path: &Path) -> Result<bool, CkptError> {
-    let tmp = path.with_extension("tmp");
+    let tmp = temp_path(path);
     match fs::remove_file(&tmp) {
         Ok(()) => Ok(true),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
@@ -332,6 +343,19 @@ mod tests {
     }
 
     #[test]
+    fn rejects_format_version_1() {
+        let mut bytes = sample().to_bytes();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            Snapshot::from_bytes(&bytes),
+            Err(CkptError::UnsupportedVersion {
+                found: 1,
+                supported: 2
+            })
+        ));
+    }
+
+    #[test]
     fn rejects_truncation_at_every_length() {
         let bytes = sample().to_bytes();
         for len in 0..bytes.len() {
@@ -394,7 +418,7 @@ mod tests {
         assert_eq!(written, sample().to_bytes().len() as u64);
         let snap = Snapshot::load(&path).unwrap();
         assert!(snap.has_section("alpha"));
-        assert!(!path.with_extension("tmp").exists());
+        assert!(!temp_path(&path).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -405,7 +429,7 @@ mod tests {
         sample().write_atomic(&path).unwrap();
         // Emulate a crash mid-write: a torn temp file beside the real
         // snapshot.
-        let tmp = path.with_extension("tmp");
+        let tmp = temp_path(&path);
         std::fs::write(&tmp, &sample().to_bytes()[..10]).unwrap();
         assert!(remove_stale_temp(&path).unwrap());
         assert!(!tmp.exists(), "stale temp must be cleaned");

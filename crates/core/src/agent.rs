@@ -469,9 +469,12 @@ impl RacAgent {
 
     /// Writes the agent's complete learned and tuner state into a
     /// snapshot: settings, Q-table, performance knowledge, detector,
-    /// experience log, RNG stream position, and (when present) the
-    /// policy library. A [`restore`](Self::restore)d agent makes
-    /// bit-identical decisions to one that was never serialized.
+    /// experience log, RNG stream position, and whether the agent has a
+    /// policy library. The library itself is immutable and large, so
+    /// only its [`fingerprint`](PolicyLibrary::fingerprint) is recorded;
+    /// whoever checkpoints the agent stores the library once, beside the
+    /// snapshot. A [`restore`](Self::restore)d agent makes bit-identical
+    /// decisions to one that was never serialized.
     pub fn save_state(&self, snap: &mut ckpt::SnapshotWriter) {
         snap.section(SECTION_SETTINGS, |w| {
             w.put_usize(self.settings.online_levels);
@@ -542,21 +545,17 @@ impl RacAgent {
                 w.put_u64(word);
             }
         });
-        snap.section(SECTION_LIBRARY, |w| {
-            match &self.library {
-                Some(lib) => {
-                    w.put_bool(true);
-                    w.put_usize(self.lattice.num_states());
-                    w.put_usize(Action::COUNT);
-                    crate::persist::encode_library(w, lib);
-                }
-                None => w.put_bool(false),
-            };
+        snap.section(SECTION_LIBRARY_REF, |w| {
+            w.put_bool(self.library.is_some());
+            if let Some(library) = &self.library {
+                w.put_u64(library.fingerprint());
+            }
         });
     }
 
     /// Reconstructs an agent from a snapshot written by
-    /// [`save_state`](Self::save_state).
+    /// [`save_state`](Self::save_state), given the policy library the
+    /// agent was saved with (`None` for an agent without one).
     ///
     /// # Errors
     ///
@@ -564,8 +563,13 @@ impl RacAgent {
     /// fails its CRC, or decodes to values that violate the agent's
     /// invariants (out-of-range states/actions, mismatched table
     /// shapes, invalid hyper-parameters) — a CRC-valid but semantically
-    /// impossible snapshot is rejected rather than trusted.
-    pub fn restore(snap: &ckpt::Snapshot) -> Result<Self, ckpt::CkptError> {
+    /// impossible snapshot is rejected rather than trusted — and
+    /// [`ckpt::CkptError::Mismatch`] when `library` is not the one the
+    /// snapshot names.
+    pub fn restore(
+        snap: &ckpt::Snapshot,
+        library: Option<PolicyLibrary>,
+    ) -> Result<Self, ckpt::CkptError> {
         let corrupt = |detail: String| ckpt::CkptError::Corrupt { detail };
 
         let mut r = snap.section(SECTION_SETTINGS)?;
@@ -723,28 +727,27 @@ impl RacAgent {
         r.finish()?;
         let rng = Pcg64::from_state_words(words);
 
-        let mut r = snap.section(SECTION_LIBRARY)?;
-        let library = if r.get_bool()? {
-            let lib_states = r.get_usize()?;
-            let lib_actions = r.get_usize()?;
-            if (lib_states, lib_actions) != (states, Action::COUNT) {
-                return Err(ckpt::CkptError::Mismatch {
-                    detail: format!(
-                        "library trained on {lib_states}x{lib_actions}, agent uses {}x{}",
-                        states,
-                        Action::COUNT
-                    ),
-                });
-            }
-            Some(crate::persist::decode_library(
-                &mut r,
-                states,
-                Action::COUNT,
-            )?)
+        let mut r = snap.section(SECTION_LIBRARY_REF)?;
+        let saved = if r.get_bool()? {
+            Some(r.get_u64()?)
         } else {
             None
         };
         r.finish()?;
+        let given = library.as_ref().map(PolicyLibrary::fingerprint);
+        if given != saved {
+            let name = |fp: Option<u64>| match fp {
+                Some(fp) => format!("policy library {fp:#018x}"),
+                None => "no policy library".to_string(),
+            };
+            return Err(ckpt::CkptError::Mismatch {
+                detail: format!(
+                    "agent was checkpointed with {}, restore was given {}",
+                    name(saved),
+                    name(given)
+                ),
+            });
+        }
 
         let learner = QLearning::new(settings.alpha, settings.gamma);
         let mut agent = RacAgent {
@@ -781,7 +784,7 @@ pub(crate) const SECTION_STATE: &str = "rac.state";
 pub(crate) const SECTION_EXPERIENCE: &str = "rac.experience";
 pub(crate) const SECTION_DETECTOR: &str = "rac.detector";
 pub(crate) const SECTION_RNG: &str = "rac.rng";
-pub(crate) const SECTION_LIBRARY: &str = "rac.library";
+pub(crate) const SECTION_LIBRARY_REF: &str = "rac.library_ref";
 pub(crate) const SECTION_GUARD: &str = "rac.guard";
 
 impl Tuner for RacAgent {
@@ -1223,7 +1226,8 @@ mod tests {
         let mut snap = ckpt::SnapshotWriter::new();
         agent.save_state(&mut snap);
         let bytes = snap.to_bytes();
-        let restored = RacAgent::restore(&ckpt::Snapshot::from_bytes(&bytes).unwrap()).unwrap();
+        let restored =
+            RacAgent::restore(&ckpt::Snapshot::from_bytes(&bytes).unwrap(), None).unwrap();
         assert!(restored.is_degraded());
         assert_eq!(restored.vetoes, agent.vetoes);
         assert_eq!(restored.guard, agent.guard);

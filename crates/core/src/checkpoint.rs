@@ -286,7 +286,7 @@ mod tests {
         // Rebuild the agent purely from the snapshot bytes, as a new
         // process would.
         let snap = ckpt::Snapshot::from_bytes(&snapshot_bytes).unwrap();
-        let mut agent = RacAgent::restore(&snap).unwrap();
+        let mut agent = RacAgent::restore(&snap, None).unwrap();
         let resumed = exp
             .run_scenario_resumable(&scn, &mut agent, Some(progress), |_, _| {
                 Ok(BoundaryAction::Continue)
@@ -343,7 +343,7 @@ mod tests {
             assert_eq!(back, progress);
 
             let snap = ckpt::Snapshot::from_bytes(&snapshot_bytes).unwrap();
-            let mut agent = RacAgent::restore(&snap).unwrap();
+            let mut agent = RacAgent::restore(&snap, None).unwrap();
             let resumed = exp
                 .run_scenario_resumable(&scn, &mut agent, Some(back), |_, _| {
                     Ok(BoundaryAction::Continue)

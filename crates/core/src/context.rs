@@ -1,6 +1,8 @@
 //! System contexts, context-change detection, and the policy library
 //! (Section 4.3).
 
+use std::sync::{Arc, OnceLock};
+
 use simkernel::stats::SlidingWindow;
 use tpcw::Mix;
 use vmstack::ResourceLevel;
@@ -312,9 +314,18 @@ impl ViolationDetector {
 /// switches to the "most suitable" policy — the one whose predicted
 /// performance at the current configuration best matches what is being
 /// measured.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct PolicyLibrary {
     entries: Vec<(SystemContext, InitialPolicy)>,
+    /// [`fingerprint`](Self::fingerprint) once computed, shared by
+    /// clones; [`insert`](Self::insert) starts a fresh one.
+    fingerprint: Arc<OnceLock<u64>>,
+}
+
+impl PartialEq for PolicyLibrary {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
+    }
 }
 
 impl PolicyLibrary {
@@ -322,12 +333,25 @@ impl PolicyLibrary {
     pub fn new() -> Self {
         PolicyLibrary {
             entries: Vec::new(),
+            fingerprint: Arc::default(),
         }
     }
 
     /// Adds a context's policy.
     pub fn insert(&mut self, context: SystemContext, policy: InitialPolicy) {
         self.entries.push((context, policy));
+        self.fingerprint = Arc::default();
+    }
+
+    /// A 64-bit FNV-1a fingerprint of the library's checkpoint wire
+    /// encoding: what a checkpoint records to name the library, and the
+    /// content address of the sidecar file holding it. Computed on the
+    /// first call and remembered by this library and every clone of it,
+    /// so a process pays for it at most once per library.
+    pub fn fingerprint(&self) -> u64 {
+        *self
+            .fingerprint
+            .get_or_init(|| crate::persist::library_fingerprint(self))
     }
 
     /// Number of stored policies.
@@ -590,6 +614,27 @@ mod tests {
         let slow_pred = lib.for_context(ctx_slow).unwrap().predicted_perf(state);
         let best = lib.best_match(state, slow_pred).unwrap();
         assert!((best.predicted_perf(state) - slow_pred).abs() < 1e-6);
+    }
+
+    #[test]
+    fn library_fingerprint_follows_contents_and_is_shared_by_clones() {
+        let ctx = SystemContext::new(Mix::Shopping, ResourceLevel::Level1);
+        let mut lib = PolicyLibrary::new();
+        lib.insert(ctx, tiny_policy(1.0));
+        let clone = lib.clone();
+        let fp = lib.fingerprint();
+        // Computed once, for the library and its clones alike.
+        assert_eq!(clone.fingerprint.get(), Some(&fp));
+        // Equal contents, equal fingerprint; any insert changes it.
+        let mut rebuilt = PolicyLibrary::new();
+        rebuilt.insert(ctx, tiny_policy(1.0));
+        assert_eq!(rebuilt.fingerprint(), fp);
+        lib.insert(
+            SystemContext::new(Mix::Ordering, ResourceLevel::Level3),
+            tiny_policy(10.0),
+        );
+        assert_ne!(lib.fingerprint(), fp);
+        assert_eq!(clone.fingerprint(), fp);
     }
 
     #[test]

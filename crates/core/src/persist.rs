@@ -19,6 +19,9 @@ use websim::ServerConfig;
 use crate::context::{PolicyLibrary, SystemContext};
 use crate::init::InitialPolicy;
 
+/// The section [`library_to_snapshot`] writes.
+const SECTION_LIBRARY: &str = "rac.library";
+
 /// Encodes a server configuration as its eight raw parameter values.
 pub(crate) fn encode_config(w: &mut Writer, config: &ServerConfig) {
     for v in config.values() {
@@ -180,27 +183,32 @@ pub(crate) fn decode_library(
     Ok(lib)
 }
 
-/// Extracts the policy library embedded in a [`RacAgent`] snapshot —
-/// the warm-start path: a fresh run seeds its agent with the library a
-/// previous run learned with, without restoring any online state.
-///
-/// # Errors
-///
-/// Returns [`CkptError::MissingSection`] when the snapshot has no
-/// agent library section, [`CkptError::Mismatch`] when the agent ran
-/// without a policy library, and decoding errors as usual.
-/// Writes a policy library into a snapshot under the same section and
-/// layout a [`RacAgent`](crate::RacAgent) saves its own library with,
-/// so [`library_from_snapshot`] reads either source. The bench lineup
-/// checkpoint uses this to keep the library warm-startable even in
-/// snapshots taken while a library-less tuner is active.
+/// FNV-1a over the library's wire encoding ([`encode_library`]), the
+/// hash the spec and scenario fingerprints take over theirs. Callers go
+/// through the memoizing [`PolicyLibrary::fingerprint`].
+pub(crate) fn library_fingerprint(lib: &PolicyLibrary) -> u64 {
+    let mut w = Writer::new();
+    encode_library(&mut w, lib);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &byte in &w.into_bytes() {
+        hash ^= byte as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Writes a policy library into a snapshot as its `rac.library`
+/// section: the lattice shape, then every `(context, policy)` entry.
+/// Checkpointed line-ups store their library this way, once, in a
+/// sidecar snapshot that their snapshots name by
+/// [`PolicyLibrary::fingerprint`]; [`library_from_snapshot`] reads it
+/// back.
 ///
 /// # Panics
 ///
-/// Panics if the snapshot already has an agent library section (the
-/// caller mixed this with [`RacAgent::save_state`](crate::RacAgent)).
+/// Panics if the snapshot already has a `rac.library` section.
 pub fn library_to_snapshot(snap: &mut SnapshotWriter, lib: &PolicyLibrary) {
-    snap.section(crate::agent::SECTION_LIBRARY, |w| {
+    snap.section(SECTION_LIBRARY, |w| {
         match lib.iter().next() {
             Some((_, policy)) => {
                 w.put_bool(true);
@@ -213,11 +221,22 @@ pub fn library_to_snapshot(snap: &mut SnapshotWriter, lib: &PolicyLibrary) {
     });
 }
 
+/// Reads the policy library a snapshot stores with
+/// [`library_to_snapshot`] — the warm-start path: a fresh run seeds its
+/// agent with the library a previous run learned with, without
+/// restoring any online state.
+///
+/// # Errors
+///
+/// Returns [`CkptError::MissingSection`] when the snapshot has no
+/// `rac.library` section, [`CkptError::Mismatch`] when the stored
+/// library is empty, and decoding errors as usual.
 pub fn library_from_snapshot(snap: &Snapshot) -> Result<PolicyLibrary, CkptError> {
-    let mut r = snap.section(crate::agent::SECTION_LIBRARY)?;
+    let mut r = snap.section(SECTION_LIBRARY)?;
     if !r.get_bool()? {
         return Err(CkptError::Mismatch {
-            detail: "checkpointed agent had no policy library to warm-start from".to_string(),
+            detail: "snapshot holds an empty policy library, nothing to warm-start from"
+                .to_string(),
         });
     }
     let states = r.get_usize()?;
@@ -240,10 +259,11 @@ pub fn library_from_snapshot_checked(
     states: usize,
     actions: usize,
 ) -> Result<PolicyLibrary, CkptError> {
-    let mut r = snap.section(crate::agent::SECTION_LIBRARY)?;
+    let mut r = snap.section(SECTION_LIBRARY)?;
     if !r.get_bool()? {
         return Err(CkptError::Mismatch {
-            detail: "checkpointed agent had no policy library to warm-start from".to_string(),
+            detail: "snapshot holds an empty policy library, nothing to warm-start from"
+                .to_string(),
         });
     }
     let got_states = r.get_usize()?;

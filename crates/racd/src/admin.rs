@@ -49,8 +49,9 @@ pub enum AdminCmd {
     Shutdown,
     /// Validate and enqueue a scenario file.
     Inject(String),
-    /// Rolling agent swap: seed subsequent jobs' RAC agent from a
-    /// policy snapshot (vetoed if lattice fingerprints mismatch).
+    /// Rolling agent swap: seed subsequent jobs' RAC agent from the
+    /// policy library of a line-up checkpoint (vetoed if its lattice
+    /// does not match).
     Upgrade(String),
 }
 

@@ -193,13 +193,15 @@ fn inject(state: &Arc<ControlState>, operand: &str) -> String {
     }
 }
 
-/// `upgrade <snapshot>`: rolling agent swap. The library restored from
-/// the snapshot seeds the RAC agent of every *subsequent* job (the
-/// running job keeps its state — swaps happen at job boundaries, never
-/// mid-lineup). Vetoed when the snapshot's Q-table dimensions do not
-/// match this build's lattice.
+/// `upgrade <snapshot>`: rolling agent swap. The library of the line-up
+/// checkpoint at `path` (read from its sidecar) seeds the RAC agent of
+/// every *subsequent* job. The running job keeps its state, and so does
+/// a resumed one, whose library is the one its own checkpoint names —
+/// swaps happen at job boundaries, never mid-lineup. Vetoed when the
+/// library's Q-table dimensions do not match this build's lattice.
 fn upgrade(state: &Arc<ControlState>, path: &str) -> String {
-    let snap = match ckpt::Snapshot::load(std::path::Path::new(path)) {
+    let sidecar = rac_bench::checkpoint::library_sidecar(std::path::Path::new(path));
+    let snap = match sidecar.and_then(|sidecar| ckpt::Snapshot::load(&sidecar)) {
         Ok(snap) => snap,
         Err(e) => return format!("err snapshot-unreadable {path}: {e}"),
     };
@@ -774,25 +776,45 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("racd-upg-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let state = empty_state(&dir);
-        // A library snapshot at the WRONG lattice (3 levels instead of
-        // the standard 4) must be vetoed.
-        let lib = rac_bench::quick_policy_library(&[rac::paper_contexts()[0]]);
+        // A line-up checkpoint, whose library lives in a sidecar beside
+        // it.
+        let scn = Scenario::parse(
+            "name upg\nduration 120s\ninterval 60s\nwarmup 60s\nclients 60\nseed 1\n",
+        )
+        .unwrap();
+        let lib = rac_bench::daemon_quick_library(&dir.join("cache"));
+        let options = CheckpointOptions {
+            path: dir.join("run.ckpt"),
+            every: 1,
+            stop_after: Some(1),
+        };
+        rac_bench::checkpoint::run_tuners_checkpointed(&scn, &lib, &options, None).unwrap();
+        let reply = handle_command(
+            &state,
+            AdminCmd::Upgrade(options.path.display().to_string()),
+        );
+        assert!(reply.starts_with("ok upgraded 1"), "got: {reply}");
+        assert_eq!(state.library_override.lock().unwrap().as_ref(), Some(&lib));
+
+        // A sidecar holding a library at the WRONG lattice (3 levels
+        // instead of the standard 4, as a build with other lattice
+        // settings would leave) must be vetoed.
+        *state.library_override.lock().unwrap() = None;
+        let wrong = rac_bench::quick_policy_library(&[rac::paper_contexts()[0]]);
         let mut w = ckpt::SnapshotWriter::new();
-        rac::library_to_snapshot(&mut w, &lib);
-        let bad = dir.join("bad-lattice.ckpt");
-        w.write_atomic(&bad).unwrap();
-        let reply = handle_command(&state, AdminCmd::Upgrade(bad.display().to_string()));
+        rac::library_to_snapshot(&mut w, &wrong);
+        let sidecar = rac_bench::checkpoint::library_sidecar(&options.path).unwrap();
+        w.write_atomic(&sidecar).unwrap();
+        let reply = handle_command(
+            &state,
+            AdminCmd::Upgrade(options.path.display().to_string()),
+        );
         assert!(reply.starts_with("err lattice-mismatch"), "got: {reply}");
         assert!(state.library_override.lock().unwrap().is_none());
-        // A matching-lattice snapshot is accepted.
-        let lib = rac_bench::daemon_quick_library(&dir.join("cache"));
-        let mut w = ckpt::SnapshotWriter::new();
-        rac::library_to_snapshot(&mut w, &lib);
-        let good = dir.join("good-lattice.ckpt");
-        w.write_atomic(&good).unwrap();
-        let reply = handle_command(&state, AdminCmd::Upgrade(good.display().to_string()));
-        assert!(reply.starts_with("ok upgraded 1"), "got: {reply}");
-        assert!(state.library_override.lock().unwrap().is_some());
+
+        // A path that is not a line-up checkpoint is unreadable.
+        let reply = handle_command(&state, AdminCmd::Upgrade(sidecar.display().to_string()));
+        assert!(reply.starts_with("err snapshot-unreadable"), "got: {reply}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -129,7 +129,7 @@ fn kill_and_resume_inside_the_outage_matches_uninterrupted() {
     let restored_progress = ScenarioProgress::decode(&mut r).expect("progress decodes");
     r.finish().expect("progress fully consumed");
     let snap = Snapshot::from_bytes(&snapshot_bytes).expect("snapshot parses");
-    let mut agent = RacAgent::restore(&snap).expect("agent restores");
+    let mut agent = RacAgent::restore(&snap, None).expect("agent restores");
     assert!(agent.is_degraded(), "restored agent must still be degraded");
 
     let resumed = exp

@@ -8,7 +8,9 @@
 //! the flush schedule. Alongside it: on-disk corruption of every kind
 //! must surface as a typed [`ckpt::CkptError`], never a panic or a
 //! silently wrong agent, and a finished run's checkpoint must be able
-//! to warm-start the next run's policy library.
+//! to warm-start the next run's policy library. The library lives in a
+//! sidecar beside the checkpoint: snapshots name it by fingerprint, so
+//! their size does not grow with it, and a resume reads it from there.
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -20,8 +22,11 @@ use rac::{
     paper_contexts, train_initial_policy, ConfigLattice, OfflineSettings, PolicyLibrary, RacAgent,
     SimMeasurer, SlaReward, Tuner,
 };
-use rac_bench::checkpoint::{run_tuners_checkpointed, CheckpointOptions, LineupOutcome};
-use rac_bench::scenario::scenario_table;
+use rac_bench::checkpoint::{
+    library_sidecar, run_tuners_checkpointed, run_tuners_checkpointed_with, CheckpointOptions,
+    LineupCommand, LineupOutcome,
+};
+use rac_bench::scenario::{run_tuners, scenario_table};
 use rac_bench::{paper_system_spec, standard_settings, ONLINE_LEVELS, SLA_MS};
 use scenario::Scenario;
 use simkernel::SimDuration;
@@ -56,6 +61,15 @@ fn shared_library() -> &'static PolicyLibrary {
         lib.insert(ctx, policy);
         lib
     })
+}
+
+/// [`shared_library`] with its policy also filed under a second
+/// context: twice the library bytes, no extra training.
+fn two_context_library() -> PolicyLibrary {
+    let mut lib = shared_library().clone();
+    let policy = lib.iter().next().expect("one policy").1.clone();
+    lib.insert(paper_contexts()[1], policy);
+    lib
 }
 
 /// A short inline scenario: 6 intervals per tuner (18 line-up
@@ -100,7 +114,11 @@ fn written_checkpoint_reloads_byte_identically() {
     let dir = temp_dir("roundtrip");
     let path = dir.join("agent.ckpt");
     snap.write_atomic(&path).expect("atomic write");
-    let restored = RacAgent::restore(&Snapshot::load(&path).expect("load")).expect("restore");
+    let restored = RacAgent::restore(
+        &Snapshot::load(&path).expect("load"),
+        Some(shared_library().clone()),
+    )
+    .expect("restore");
 
     // The restored agent must re-encode to the exact same bytes (full
     // state equality, including NaN-holding fields that `==` can't see)
@@ -280,7 +298,8 @@ fn finished_run_checkpoint_warm_starts_the_library() {
         run_tuners_checkpointed(&scn, shared_library(), &options, None).expect("lineup runs");
     assert!(matches!(outcome, LineupOutcome::Complete(_)));
 
-    let snap = Snapshot::load(&path).expect("final checkpoint persisted");
+    let sidecar = library_sidecar(&path).expect("final checkpoint names its library");
+    let snap = Snapshot::load(&sidecar).expect("library sidecar persisted");
     let lib = rac::library_from_snapshot(&snap).expect("library section present");
     assert_eq!(
         &lib,
@@ -311,5 +330,134 @@ fn resume_with_wrong_fingerprint_is_rejected() {
     .unwrap();
     let err = run_tuners_checkpointed(&other, shared_library(), &options, Some(&snap)).unwrap_err();
     assert!(matches!(err, CkptError::Mismatch { .. }), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The line-up position a line-up snapshot was taken at.
+fn snapshot_position(snap: &Snapshot) -> (usize, usize) {
+    let mut r = snap.section("lineup.meta").expect("meta section");
+    let _spec = r.get_u64().unwrap();
+    let _scenario = r.get_u64().unwrap();
+    let tuner = r.get_usize().unwrap();
+    let mut r = snap.section("lineup.progress").expect("progress section");
+    let progress = rac::ScenarioProgress::decode(&mut r).expect("progress decodes");
+    (tuner, progress.iterations_done)
+}
+
+#[test]
+fn panic_between_writes_resumes_from_the_last_written_snapshot() {
+    let scn = tiny_scenario();
+    let dir = temp_dir("panic");
+    let options = CheckpointOptions {
+        path: dir.join("run.ckpt"),
+        every: 4,
+        stop_after: None,
+    };
+    let died = std::panic::catch_unwind(|| {
+        run_tuners_checkpointed_with(&scn, shared_library(), &options, None, |s| {
+            assert!(s.global_iteration != 7, "process dies at boundary 7");
+            LineupCommand::Continue
+        })
+    });
+    assert!(died.is_err(), "the control callback must have panicked");
+
+    // Nothing is encoded between writes: the file on disk is the
+    // boundary-4 snapshot, and resuming it reproduces the plain run.
+    let snap = Snapshot::load(&options.path).expect("boundary-4 snapshot on disk");
+    assert_eq!(snapshot_position(&snap), (0, 4));
+    let resumed = match run_tuners_checkpointed(&scn, shared_library(), &options, Some(&snap))
+        .expect("resume runs")
+    {
+        LineupOutcome::Complete(series) => series,
+        LineupOutcome::Interrupted { .. } => panic!("resume should finish"),
+    };
+    assert_eq!(resumed, run_tuners(&scn, shared_library()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn snapshot_size_does_not_grow_with_the_library() {
+    let scn = tiny_scenario();
+    let dir = temp_dir("size");
+    let two = two_context_library();
+    let mut sizes = Vec::new();
+    for (tag, lib) in [("one", shared_library()), ("two", &two)] {
+        // Stopped inside the trial-and-error session.
+        let options = CheckpointOptions {
+            path: dir.join(tag).join("run.ckpt"),
+            every: 4,
+            stop_after: Some(9),
+        };
+        run_tuners_checkpointed(&scn, lib, &options, None).expect("stops cleanly");
+        let snap = Snapshot::load(&options.path).expect("checkpoint");
+        assert_eq!(snapshot_position(&snap), (1, 3));
+        assert!(
+            !snap.has_section("rac.library"),
+            "library left the snapshot"
+        );
+        let sidecar = library_sidecar(&options.path).expect("sidecar named");
+        let len = |p: &std::path::Path| std::fs::metadata(p).expect("file exists").len();
+        sizes.push((len(&options.path), len(&sidecar)));
+    }
+    assert_eq!(sizes[0].0, sizes[1].0, "snapshot sizes: {sizes:?}");
+    assert!(sizes[0].1 < sizes[1].1, "sidecar sizes: {sizes:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resume_reads_the_library_its_snapshot_names() {
+    let scn = tiny_scenario();
+    let dir = temp_dir("sidecar");
+    let options = CheckpointOptions {
+        path: dir.join("run.ckpt"),
+        every: 2,
+        stop_after: Some(2),
+    };
+    run_tuners_checkpointed(&scn, shared_library(), &options, None).expect("stops cleanly");
+    let snap = Snapshot::load(&options.path).expect("load");
+    assert_eq!(snapshot_position(&snap), (0, 2), "RAC is the active tuner");
+    let sidecar = library_sidecar(&options.path).expect("sidecar named");
+    let stored = std::fs::read(&sidecar).expect("sidecar written");
+    let resume = || {
+        run_tuners_checkpointed(&scn, shared_library(), &options, Some(&snap))
+            .expect_err("resume must fail")
+    };
+
+    std::fs::remove_file(&sidecar).unwrap();
+    let err = resume();
+    assert!(matches!(err, CkptError::Io { .. }), "{err}");
+
+    let mut flipped = stored.clone();
+    let mid = flipped.len() / 2;
+    flipped[mid] ^= 0x01;
+    std::fs::write(&sidecar, &flipped).unwrap();
+    let err = resume();
+    assert!(matches!(err, CkptError::CrcMismatch { .. }), "{err}");
+
+    for other in [Some(two_context_library()), None] {
+        let err = RacAgent::restore(&snap, other).expect_err("wrong library");
+        assert!(matches!(err, CkptError::Mismatch { .. }), "{err}");
+    }
+
+    // With its sidecar back, the resume ignores the caller's library:
+    // handed another one, it still finishes the run it interrupted and
+    // keeps naming the same sidecar.
+    std::fs::write(&sidecar, &stored).unwrap();
+    let to_the_end = CheckpointOptions {
+        stop_after: None,
+        ..options.clone()
+    };
+    let resumed =
+        match run_tuners_checkpointed(&scn, &two_context_library(), &to_the_end, Some(&snap))
+            .expect("resume runs")
+        {
+            LineupOutcome::Complete(series) => series,
+            LineupOutcome::Interrupted { .. } => panic!("resume should finish"),
+        };
+    assert_eq!(resumed, run_tuners(&scn, shared_library()));
+    assert_eq!(
+        library_sidecar(&options.path).expect("still named"),
+        sidecar
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
