@@ -16,9 +16,11 @@ pub mod profile;
 pub mod scenario;
 pub mod tournament;
 
+use std::path::Path;
+
 use rac::{
-    build_policy_library, paper_contexts, ConfigLattice, PolicyLibrary, RacSettings, SlaReward,
-    SystemContext, TrainingOptions,
+    build_policy_library, paper_contexts, ConfigLattice, InitialPolicy, PolicyLibrary, RacSettings,
+    SlaReward, SystemContext, TrainingOptions,
 };
 use simkernel::SimDuration;
 use websim::SystemSpec;
@@ -63,45 +65,23 @@ pub fn standard_training_options() -> TrainingOptions {
 /// six Table-2 contexts. Offline training is the expensive step — the
 /// paper reports "more than ten hours" of data collection — so the
 /// result is cached on disk keyed by context.
-pub fn standard_policy_library(cache_dir: &std::path::Path) -> PolicyLibrary {
-    let lattice = standard_lattice();
-    let spec = paper_system_spec();
-    let reward = SlaReward::new(SLA_MS);
-    let options = standard_training_options();
-    let mut library = PolicyLibrary::new();
-    for (i, context) in paper_contexts().iter().enumerate() {
-        let key = format!("policy-ctx{}-L{}.bin", i + 1, ONLINE_LEVELS);
-        let path = cache_dir.join(&key);
-        let policy = match cache::load_policy(&path, &lattice) {
-            Some(policy) => policy,
-            None => {
-                eprintln!(
-                    "  [offline] training initial policy for context-{} ({context})",
-                    i + 1
-                );
-                let policy =
-                    rac::train_policy_for_context(&spec, *context, &lattice, reward, options);
-                if let Err(e) = cache::store_policy(&path, &policy) {
-                    eprintln!("  [offline] warning: could not cache policy: {e}");
-                }
-                policy
-            }
-        };
-        library.insert(*context, policy);
-    }
-    library
-}
-
-/// Builds the library for a subset of contexts (used by single-figure
-/// runs that do not need all six).
-pub fn policy_library_for(cache_dir: &std::path::Path, wanted: &[SystemContext]) -> PolicyLibrary {
-    let full = standard_policy_library(cache_dir);
-    let mut lib = PolicyLibrary::new();
-    for ctx in wanted {
-        let policy = full.for_context(*ctx).expect("Table-2 context").clone();
-        lib.insert(*ctx, policy);
-    }
-    lib
+pub fn standard_policy_library(cache_dir: &Path) -> PolicyLibrary {
+    let entries: Vec<(SystemContext, String)> = paper_contexts()
+        .iter()
+        .enumerate()
+        .map(|(i, context)| {
+            (
+                *context,
+                format!("policy-ctx{}-L{ONLINE_LEVELS}.bin", i + 1),
+            )
+        })
+        .collect();
+    cached_library(
+        cache_dir,
+        &entries,
+        &paper_system_spec(),
+        standard_training_options(),
+    )
 }
 
 /// Convenience: train the library fresh with cheap settings, for smoke
@@ -129,33 +109,62 @@ pub fn quick_policy_library(contexts: &[SystemContext]) -> PolicyLibrary {
 /// dimension checks pass. Deterministic: cached and freshly-trained
 /// libraries are identical, so a relaunched daemon seeds the same
 /// agent.
-pub fn daemon_quick_library(cache_dir: &std::path::Path) -> PolicyLibrary {
+pub fn daemon_quick_library(cache_dir: &Path) -> PolicyLibrary {
+    let entries = [(
+        paper_contexts()[0],
+        format!("policy-daemon-quick-L{ONLINE_LEVELS}.bin"),
+    )];
+    cached_library(
+        cache_dir,
+        &entries,
+        &paper_system_spec().with_clients(60),
+        TrainingOptions {
+            warmup: SimDuration::from_secs(60),
+            measure: SimDuration::from_secs(60),
+            ..TrainingOptions::default()
+        },
+    )
+}
+
+/// A standard-lattice library over `entries`, each a context and the
+/// cache file under `cache_dir` that holds its policy. Every context
+/// whose file is missing or unreadable is trained in one
+/// [`build_policy_library`] call and then stored. The library lists the
+/// entries in order, and each policy is moved into it, never copied. A
+/// fully cached library starts no runner batch.
+fn cached_library(
+    cache_dir: &Path,
+    entries: &[(SystemContext, String)],
+    spec: &SystemSpec,
+    options: TrainingOptions,
+) -> PolicyLibrary {
     let lattice = standard_lattice();
-    let context = paper_contexts()[0];
-    let path = cache_dir.join(format!("policy-daemon-quick-L{ONLINE_LEVELS}.bin"));
+    let cached: Vec<Option<InitialPolicy>> = entries
+        .iter()
+        .map(|(_, file)| cache::load_policy(&cache_dir.join(file), &lattice))
+        .collect();
+    let mut missing = Vec::new();
+    for ((context, file), policy) in entries.iter().zip(&cached) {
+        if policy.is_none() {
+            eprintln!("  [offline] training initial policy for {context} ({file})");
+            missing.push(*context);
+        }
+    }
+    let mut trained =
+        build_policy_library(spec, &missing, &lattice, SlaReward::new(SLA_MS), options).into_iter();
     let mut library = PolicyLibrary::new();
-    let policy = match cache::load_policy(&path, &lattice) {
-        Some(policy) => policy,
-        None => {
-            let lib = build_policy_library(
-                &paper_system_spec().with_clients(60),
-                &[context],
-                &lattice,
-                SlaReward::new(SLA_MS),
-                TrainingOptions {
-                    warmup: SimDuration::from_secs(60),
-                    measure: SimDuration::from_secs(60),
-                    ..TrainingOptions::default()
-                },
-            );
-            let policy = lib.for_context(context).expect("trained context").clone();
-            if let Err(e) = cache::store_policy(&path, &policy) {
+    for ((context, file), policy) in entries.iter().zip(cached) {
+        let policy = policy.unwrap_or_else(|| {
+            let (_, policy) = trained
+                .next()
+                .expect("one trained policy per missing context");
+            if let Err(e) = cache::store_policy(&cache_dir.join(file), &policy) {
                 eprintln!("  [offline] warning: could not cache policy: {e}");
             }
             policy
-        }
-    };
-    library.insert(context, policy);
+        });
+        library.insert(*context, policy);
+    }
     library
 }
 
@@ -177,5 +186,21 @@ mod tests {
         let contexts = [rac::paper_contexts()[0]];
         let lib = quick_policy_library(&contexts);
         assert_eq!(lib.len(), 1);
+    }
+
+    #[test]
+    fn warm_cache_trains_nothing() {
+        let dir = std::env::temp_dir().join(format!("rac-bench-warm-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cold = daemon_quick_library(&dir);
+        let writer = std::sync::Arc::new(obs::TraceWriter::new());
+        let warm = obs::trace::with_writer(&writer, || daemon_quick_library(&dir));
+        let _ = std::fs::remove_dir_all(&dir);
+        let kinds: Vec<String> = writer.events().into_iter().map(|e| e.kind).collect();
+        assert!(
+            !kinds.iter().any(|kind| kind == "runner_batch"),
+            "a warm cache started a batch: {kinds:?}"
+        );
+        assert_eq!(warm, cold);
     }
 }

@@ -19,6 +19,7 @@
 //! against the committed full-mode `BENCH_9.json` with a generous
 //! regression floor.
 
+use std::path::Path;
 use std::time::Instant;
 
 use rac::{
@@ -355,16 +356,14 @@ fn recovery_scenario() -> Scenario {
     .expect("recovery benchmark scenario parses")
 }
 
-/// Runs the lineup to `RECOVERY_STOP_AFTER` iterations and returns the
-/// committed snapshot bytes — the untimed setup for
-/// [`daemon_recoveries_per_sec`], standing in for the checkpoint a
-/// killed daemon leaves behind.
-fn prepare_recovery_snapshot(scn: &Scenario, library: &PolicyLibrary) -> Vec<u8> {
-    let dir = std::env::temp_dir().join(format!("rac-bench-recovery-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("recovery scratch dir");
-    let path = dir.join("seed.ckpt");
+/// Runs the lineup to `RECOVERY_STOP_AFTER` iterations, checkpointing
+/// to `path`, and returns the committed snapshot bytes — the untimed
+/// setup for [`daemon_recoveries_per_sec`], standing in for the
+/// checkpoint a killed daemon leaves behind. The library sidecar the
+/// snapshot names stays beside `path`, where a resume looks for it.
+fn prepare_recovery_snapshot(scn: &Scenario, library: &PolicyLibrary, path: &Path) -> Vec<u8> {
     let opts = crate::checkpoint::CheckpointOptions {
-        path: path.clone(),
+        path: path.to_path_buf(),
         every: 1,
         stop_after: Some(RECOVERY_STOP_AFTER),
     };
@@ -377,9 +376,7 @@ fn prepare_recovery_snapshot(scn: &Scenario, library: &PolicyLibrary) -> Vec<u8>
         ),
         "recovery snapshot run must stop mid-lineup"
     );
-    let bytes = std::fs::read(&path).expect("recovery snapshot readable");
-    let _ = std::fs::remove_dir_all(&dir);
-    bytes
+    std::fs::read(path).expect("recovery snapshot readable")
 }
 
 /// Times `racd`'s crash-recovery path: parse the committed snapshot,
@@ -388,11 +385,17 @@ fn prepare_recovery_snapshot(scn: &Scenario, library: &PolicyLibrary) -> Vec<u8>
 /// point at which a restarted attempt is provably making progress
 /// again). The timed loop aborts at that boundary — aborts never write,
 /// so no disk I/O pollutes the measurement. Returns recoveries/sec.
-fn daemon_recoveries_per_sec(scn: &Scenario, library: &PolicyLibrary, snapshot: &[u8]) -> f64 {
+fn daemon_recoveries_per_sec(
+    scn: &Scenario,
+    library: &PolicyLibrary,
+    checkpoint: &Path,
+    snapshot: &[u8],
+) -> f64 {
     let opts = crate::checkpoint::CheckpointOptions {
         // Never written: the schedule is disabled and the control
-        // callback aborts before any flush.
-        path: std::env::temp_dir().join("rac-bench-recovery-unused.ckpt"),
+        // callback aborts before any flush. The resume reads the
+        // library sidecar beside it.
+        path: checkpoint.to_path_buf(),
         every: 0,
         stop_after: None,
     };
@@ -520,14 +523,19 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteReport {
 
     eprintln!("  [bench] preparing daemon-recovery snapshot (untimed)");
     let recovery_scn = recovery_scenario();
-    let recovery_snapshot = prepare_recovery_snapshot(&recovery_scn, &library);
+    let recovery_dir =
+        std::env::temp_dir().join(format!("rac-bench-recovery-{}", std::process::id()));
+    std::fs::create_dir_all(&recovery_dir).expect("recovery scratch dir");
+    let recovery_ckpt = recovery_dir.join("seed.ckpt");
+    let recovery_snapshot = prepare_recovery_snapshot(&recovery_scn, &library, &recovery_ckpt);
     push(
         "daemon.recoveries_per_sec",
         "recoveries/sec",
         run_samples(opts.daemon_repeats(), || {
-            daemon_recoveries_per_sec(&recovery_scn, &library, &recovery_snapshot)
+            daemon_recoveries_per_sec(&recovery_scn, &library, &recovery_ckpt, &recovery_snapshot)
         }),
     );
+    let _ = std::fs::remove_dir_all(&recovery_dir);
 
     SuiteReport {
         results,

@@ -398,6 +398,16 @@ impl Default for PolicyLibrary {
     }
 }
 
+/// Moves the `(context, policy)` entries out, in insertion order.
+impl IntoIterator for PolicyLibrary {
+    type Item = (SystemContext, InitialPolicy);
+    type IntoIter = std::vec::IntoIter<(SystemContext, InitialPolicy)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries.into_iter()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -114,9 +114,28 @@ pub fn train_initial_policy(
     let plan = sampling_plan(settings.group_levels);
     let configs: Vec<ServerConfig> = plan.iter().map(|(_, config)| *config).collect();
     let measured = measure.measure_batch(&configs);
+    let policy = fit_initial_policy(lattice, reward, settings, &plan, &measured)?;
+    trace_offline_policy(&policy);
+    Ok(policy)
+}
+
+/// Steps 2–4 of Algorithm 2 over an already measured sampling plan:
+/// `measured[i]` is the response time of `plan[i]`. A pure function of
+/// its arguments that emits no trace events, so it may run on any
+/// thread; callers report the result with [`trace_offline_policy`].
+pub(crate) fn fit_initial_policy(
+    lattice: &ConfigLattice,
+    reward: SlaReward,
+    settings: OfflineSettings,
+    plan: &[(Vec<f64>, ServerConfig)],
+    measured: &[f64],
+) -> Result<InitialPolicy, RegressionError> {
+    // Worker threads root their own profiler stacks, so the fit opens
+    // its own frame wherever it runs.
+    let _span = obs::Span::start("fit_initial_policy");
     let mut xs = Vec::with_capacity(plan.len());
     let mut ys = Vec::with_capacity(plan.len());
-    for ((coords, _), rt) in plan.iter().zip(measured) {
+    for ((coords, _), &rt) in plan.iter().zip(measured) {
         if rt.is_finite() && rt > 0.0 {
             xs.push(coords.clone());
             ys.push(rt);
@@ -168,13 +187,6 @@ pub fn train_initial_policy(
         settings.max_passes,
     );
 
-    obs::trace::emit(|| {
-        obs::Event::new("offline_policy")
-            .field("samples", samples as u64)
-            .field("passes", passes as u64)
-            .field("r_squared", model.quality().r_squared)
-    });
-
     Ok(InitialPolicy {
         qtable,
         perf_ms: mdp.perf_map().iter().map(|&p| p as f32).collect(),
@@ -182,6 +194,17 @@ pub fn train_initial_policy(
         samples,
         passes,
     })
+}
+
+/// Emits the `offline_policy` trace event for a trained policy. The
+/// trace scope is thread-local, so this runs on the caller's thread.
+pub(crate) fn trace_offline_policy(policy: &InitialPolicy) {
+    obs::trace::emit(|| {
+        obs::Event::new("offline_policy")
+            .field("samples", policy.samples as u64)
+            .field("passes", policy.passes as u64)
+            .field("r_squared", policy.fit.r_squared)
+    });
 }
 
 #[cfg(test)]

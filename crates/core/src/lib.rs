@@ -102,4 +102,4 @@ pub use persist::{
 pub use reward::SlaReward;
 pub use runner::{Measure, MeasureJob, Runner, SimMeasurer};
 pub use sensitivity::{analyze_sensitivity, select_parameters, ParamSensitivity};
-pub use training::{build_policy_library, train_policy_for_context, TrainingOptions};
+pub use training::{build_policy_library, TrainingOptions};

@@ -11,8 +11,9 @@ use crate::reward::SlaReward;
 /// steps, and the reward of a transition is the SLA reward of the
 /// *destination* configuration's (measured or predicted) response time.
 ///
-/// Transitions are precomputed into a dense table so that batch
-/// retraining sweeps ([`rl::batch_value_sweep`]) are a linear pass.
+/// Transitions are precomputed into a dense table and rewards into a
+/// per-destination table, which batch retraining sweeps
+/// ([`rl::batch_value_sweep`]) read in place.
 ///
 /// The performance map is kept in `f64`: the agent multiplies predicted
 /// response times by a calibration factor every interval, and rounding

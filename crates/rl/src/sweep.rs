@@ -17,9 +17,8 @@ pub trait Environment {
     fn num_actions(&self) -> usize;
     /// The state reached by taking `a` in `s`.
     ///
-    /// Must be pure: the sweep reads the whole model into dense tables
-    /// once per call, so a transition that changed between invocations
-    /// would silently be ignored.
+    /// Must be pure: a sweep may query the same `(s, a)` any number of
+    /// times within a call and expects the same answer every time.
     fn transition(&self, s: usize, a: usize) -> usize;
     /// Immediate reward for the transition `s --a--> s2`.
     ///
@@ -136,21 +135,15 @@ pub fn batch_value_sweep_report(
     let states = env.num_states();
     let actions = env.num_actions();
 
-    // Read the (pure) model out into dense row-stride tables once per
-    // sweep: every pass then runs over flat arrays — no dynamic dispatch
-    // per update, no recomputed reward arithmetic (`ConfigMdp` divides
-    // by the SLA on every `reward` call). Purity makes this
-    // bit-identical to querying the model inside the loop.
-    let mut transitions: Vec<u32> = Vec::with_capacity(states * actions);
-    let mut rewards: Vec<f64> = Vec::with_capacity(states * actions);
-    for s in 0..states {
-        for a in 0..actions {
-            let s2 = env.transition(s, a);
-            assert!(s2 < states, "transition ({s},{a}) -> {s2} out of range");
-            transitions.push(s2 as u32);
-            rewards.push(env.reward(s, a, s2));
-        }
-    }
+    // The model is read in place on every update. The sweep is generic,
+    // so each query inlines (for `ConfigMdp`, a load from its own dense
+    // transition and per-destination reward tables), and purity makes
+    // re-reading it bit-identical to reading it once.
+    let successor = |s: usize, a: usize| {
+        let s2 = env.transition(s, a);
+        assert!(s2 < states, "transition ({s},{a}) -> {s2} out of range");
+        s2
+    };
 
     let mut report = SweepReport::default();
     match backup {
@@ -174,12 +167,12 @@ pub fn batch_value_sweep_report(
                 for s in 0..states {
                     let base = s * actions;
                     for a in 0..actions {
-                        let s2 = transitions[base + a] as usize;
+                        let s2 = successor(s, a);
                         // Same arithmetic as `QLearning::update_toward`:
                         // f64 target, f32 store, f64 delta.
                         let old32 = values[base + a];
                         let old = old32 as f64;
-                        let target = rewards[base + a] + gamma * row_max[s2] as f64;
+                        let target = env.reward(s, a, s2) + gamma * row_max[s2] as f64;
                         let new = old + alpha * (target - old);
                         let new32 = new as f32;
                         values[base + a] = new32;
@@ -203,16 +196,15 @@ pub fn batch_value_sweep_report(
             // The ε-greedy backup folds an order-dependent f64 mean over
             // the successor row, which every write invalidates — no
             // cache can reproduce it bit-exactly, so this ablation
-            // variant keeps the straightforward loop (still fed from
-            // the precomputed tables).
+            // variant keeps the straightforward loop.
             for pass in 1..=max_passes {
                 let mut error: f64 = 0.0;
                 for s in 0..states {
-                    let base = s * actions;
                     for a in 0..actions {
-                        let s2 = transitions[base + a] as usize;
+                        let s2 = successor(s, a);
                         let next_value = backup.state_value(q, s2);
-                        let delta = learner.update_toward(q, s, a, rewards[base + a], next_value);
+                        let delta =
+                            learner.update_toward(q, s, a, env.reward(s, a, s2), next_value);
                         error = error.max(delta);
                     }
                 }
@@ -297,6 +289,31 @@ mod tests {
         let env = Ridge { n: 5, peak: 2 };
         let mut q = QTable::new(4, 3);
         batch_value_sweep(&env, &mut q, &QLearning::new(0.5, 0.5), 1e-3, 10);
+    }
+
+    /// A model whose every transition leaves the state space.
+    struct Escape;
+
+    impl Environment for Escape {
+        fn num_states(&self) -> usize {
+            4
+        }
+        fn num_actions(&self) -> usize {
+            2
+        }
+        fn transition(&self, _s: usize, _a: usize) -> usize {
+            self.num_states()
+        }
+        fn reward(&self, _s: usize, _a: usize, _s2: usize) -> f64 {
+            0.0
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_transition_panics() {
+        let mut q = QTable::new(4, 2);
+        batch_value_sweep(&Escape, &mut q, &QLearning::new(0.5, 0.5), 1e-3, 10);
     }
 
     #[test]
