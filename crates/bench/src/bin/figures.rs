@@ -22,10 +22,10 @@
 //! RAC_OBS=trace cargo run --release -p rac-bench --bin figures -- fig5
 //!
 //! # Crash-safe scenario runs
-//! figures -- scenario flash-crowd --checkpoint ckpts
-//! figures -- scenario flash-crowd --checkpoint ckpts --stop-after 10
-//! figures -- scenario flash-crowd --resume ckpts/scenario-flash-crowd.ckpt
-//! figures -- scenario diurnal --warm-start ckpts/scenario-flash-crowd.ckpt
+//! figures scenario flash-crowd --checkpoint ckpts
+//! figures scenario flash-crowd --checkpoint ckpts --stop-after 10
+//! figures scenario flash-crowd --resume ckpts/scenario-flash-crowd.ckpt
+//! figures scenario diurnal --warm-start ckpts/scenario-flash-crowd.ckpt
 //! ```
 //!
 //! `--checkpoint <dir>` snapshots the whole tuner line-up (learned
@@ -61,6 +61,7 @@
 //! only once per process.
 
 use std::fmt::Write as _;
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -74,6 +75,7 @@ use rac::{
 use rac_bench::checkpoint::{
     lineup_arms, run_lineup, CheckpointOptions, LineupCommand, LineupOutcome,
 };
+use rac_bench::cli::{self, Args, Grammar};
 use rac_bench::output::{ascii_chart, TextTable};
 use rac_bench::perfsuite;
 use rac_bench::{
@@ -124,90 +126,211 @@ fn needs_library(cmd: &str) -> bool {
     matches!(cmd, "fig5" | "fig6" | "fig7" | "fig8" | "fig9" | "fig10")
 }
 
+/// What a count that must be at least 1 reads as.
+const POSITIVE: &str = "a positive integer";
+/// What a seed or a count that may be 0 reads as.
+const UNSIGNED: &str = "an unsigned integer";
+
+/// Flags every subcommand accepts, before or after the subcommand.
+const GLOBAL: Grammar = Grammar {
+    name: "",
+    synopsis: "",
+    flags: "\
+--quick                        shrink intervals, iterations and timelines for a smoke run
+--quiet                        no progress notes on stderr, like RAC_OBS=off
+--serve <addr>                 serve /metrics, /healthz and /profile while running (port 0: any)",
+    notes: "",
+};
+
+/// A subcommand's entry point. `Err` is a usage error, which `main`
+/// prints with the subcommand's usage before exiting 2; every entry
+/// checks its arguments before it simulates, trains or writes anything.
+type Entry = fn(&Args, &Options, &Console) -> Result<(), String>;
+
+/// Every subcommand with its entry point. The first, unnamed one runs
+/// the paper's tables and figures and is the default.
+const COMMANDS: [(Grammar, Entry); 8] = [
+    (
+        Grammar {
+            name: "",
+            synopsis: "figures [table1|table2|fig1..fig10|all]...",
+            flags: "",
+            notes: "",
+        },
+        run_figures,
+    ),
+    (
+        Grammar {
+            name: "scenario",
+            synopsis: "figures scenario <name|file.scn>...",
+            flags: "\
+--list                         print the bundled scenarios instead of running any
+--checkpoint <dir>             snapshot the line-up to <dir>/scenario-<name>.ckpt
+--checkpoint-every <N>         line-up iterations between snapshots [5]
+--stop-after <N>               stop after N line-up iterations
+--resume <file>                finish the checkpointed run in <file>
+--warm-start <file>            seed RAC with the policy library a checkpoint names",
+            notes: "--stop-after needs --checkpoint or --resume; --resume takes one scenario",
+        },
+        run_scenarios,
+    ),
+    (
+        Grammar {
+            name: "fleet",
+            synopsis: "figures fleet [<tenants>]",
+            flags: "\
+--list                         print the generated roster without running anything
+--seed <N>                     roster seed [42]
+--cold <N>                     tenants in the cold wave [tenants/4]
+--chunk <N>                    warm tenants per step [25]
+--radius <D>                   max squared feature distance to a donor [0.005]
+--no-control                   skip the matched cold control of each warm tenant
+--checkpoint <dir>             checkpoint to <dir>/fleet.ckpt after every step
+--stop-after <N>               stop once N tenants are done
+--resume <file>                continue the checkpointed fleet in <file>
+--warm-start <file>            seed transfer with the policy library a checkpoint names",
+            notes: "\
+defaults: 200 tenants; a --radius of 2.0 or more accepts any donor; --no-control
+halves warm-tenant cost but drops the paired comparison; --stop-after needs
+--checkpoint or --resume; --resume excludes --warm-start",
+        },
+        run_fleet,
+    ),
+    (
+        Grammar {
+            name: "chaos",
+            synopsis: "figures chaos [<seed>...]",
+            flags: "--iterations <n>               iterations per seed",
+            notes: "no seed runs the pinned CI seeds; exits 1 on an invariant violation",
+        },
+        run_chaos_harness,
+    ),
+    (
+        Grammar {
+            name: "crashdrill",
+            synopsis: "figures crashdrill [<seed>...]",
+            flags: "--iterations <n>               iterations per seed",
+            notes: "no seed runs the default drill seeds; exits 1 on a failed drill",
+        },
+        run_crashdrill,
+    ),
+    (
+        Grammar {
+            name: "bench",
+            synopsis: "figures bench",
+            flags: "\
+--out <path>                   where to write the report [the current BENCH_<n>.json]
+--check <committed.json>       compare against a committed report, write nothing",
+            notes: "--check exits 1 on a regression; --quick repeats less at the same sizes",
+        },
+        run_bench_suite,
+    ),
+    (
+        Grammar {
+            name: "tournament",
+            synopsis: "figures tournament [<scenarios>]",
+            flags: "\
+--seed <N>                     generator seed [42]
+--profile <calm|brisk|stormy>  one difficulty for every scenario [cycle through all]
+--out <dir>                    directory for the matchup and scoreboard CSVs [results]",
+            notes: "defaults: 200 generated scenarios; --quick compresses every timeline 3x",
+        },
+        run_tournament,
+    ),
+    (
+        Grammar {
+            name: "profile",
+            synopsis: "figures profile <name|file.scn>",
+            flags: "",
+            notes: "\
+runs the line-up once under the self-profiler, prints a self-time table,
+and writes results/profile-<name>.folded",
+        },
+        run_profile,
+    ),
+];
+
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--serve <addr>` is global: extract it (and its value) before any
-    // sub-grammar sees the tail, then start the embedded observability
-    // server so it is already answering while the policy library builds.
-    let serve_addr = extract_serve_flag(&mut args);
-    let live = serve_addr.is_some();
-    let quick = args.iter().any(|a| a == "--quick");
-    let quiet = args.iter().any(|a| a == "--quiet");
-    let cmds: Vec<&str> = args
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let token = cli::subcommand(&argv, &GLOBAL);
+    let (grammar, entry) = COMMANDS
         .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(|s| s.as_str())
-        .collect();
+        .find(|(g, _)| !g.name.is_empty() && Some(g.name) == token)
+        .unwrap_or(&COMMANDS[0]);
+    let mut args =
+        cli::parse(&argv, &[&GLOBAL, grammar]).unwrap_or_else(|e| usage_exit(grammar, &e));
+    if !grammar.name.is_empty() {
+        // The subcommand token itself.
+        args.operands.remove(0);
+    }
     let opts = Options {
-        quick,
+        quick: args.has("--quick"),
         results_dir: PathBuf::from("results"),
     };
-    let console = Console::from_env(quiet);
-    let _server = serve_addr.map(|addr| start_obs_server(&addr));
-
-    // `scenario` is its own sub-grammar (operands are scenario names or
-    // .scn paths, plus `--list` and the checkpoint flags, some of which
-    // take values), so it gets the *raw* argument tail and branches off
-    // before the figure validation below.
-    if cmds.first() == Some(&"scenario") {
-        run_scenarios(subcommand_tail(&args, "scenario"), &opts, &console, live);
-        return;
+    let console = Console::from_env(args.has("--quiet"));
+    // Started before the entry, so it already answers while the policy
+    // library builds.
+    let _server = args.get("--serve").map(start_obs_server);
+    if let Err(e) = entry(&args, &opts, &console) {
+        usage_exit(grammar, &e);
     }
+}
 
-    // `chaos` likewise: operands are RNG seeds (default: the pinned CI
-    // seeds), and the exit code reports invariant violations.
-    if cmds.first() == Some(&"chaos") {
-        run_chaos_harness(subcommand_tail(&args, "chaos"), &opts, &console);
-        return;
+/// Prints `msg` and the usage of `grammar` — for the figure list, every
+/// subcommand's synopsis and the global flags — then exits 2, the exit
+/// of every malformed invocation.
+fn usage_exit(grammar: &Grammar, msg: &str) -> ! {
+    eprintln!("{msg}");
+    if grammar.name.is_empty() {
+        let all: Vec<&Grammar> = COMMANDS.iter().map(|(g, _)| g).collect();
+        eprint!("{}{}", cli::synopses(&all), cli::usage(&[&GLOBAL]));
+    } else {
+        eprint!("{}", cli::usage(&[grammar, &GLOBAL]));
     }
+    std::process::exit(2);
+}
 
-    // `crashdrill` likewise: operands are drill seeds; each seed
-    // SIGKILLs a live racd daemon at seeded points and asserts the
-    // recovered output is byte-identical to an uninterrupted run.
-    if cmds.first() == Some(&"crashdrill") {
-        run_crashdrill(subcommand_tail(&args, "crashdrill"), &opts, &console);
-        return;
+/// The optional single operand of `tournament` and `fleet`, a positive
+/// count.
+fn count_operand(args: &Args, name: &str) -> Result<Option<usize>, String> {
+    match args.operands.as_slice() {
+        [] => Ok(None),
+        [n] => cli::typed::<NonZeroUsize>(name, n, POSITIVE).map(|n| Some(n.get())),
+        [_, extra, ..] => Err(format!("at most one {name} operand, got a second: {extra}")),
     }
+}
 
-    // `bench` likewise: runs the perf-trajectory suite and writes (or,
-    // with --check, regression-tests against) a BENCH_<n>.json; its
-    // --out/--check flags take values.
-    if cmds.first() == Some(&"bench") {
-        run_bench_suite(subcommand_tail(&args, "bench"), &console);
-        return;
+/// The seed operands of `chaos` and `crashdrill`, or `default` when
+/// none is given.
+fn seed_operands(args: &Args, default: &[u64]) -> Result<Vec<u64>, String> {
+    if args.operands.is_empty() {
+        return Ok(default.to_vec());
     }
+    args.operands
+        .iter()
+        .map(|s| cli::typed("seed", s, UNSIGNED))
+        .collect()
+}
 
-    // `fleet` likewise: the operand is a tenant count, and the flags
-    // (seed, cold wave, chunking, checkpointing) form a sub-grammar.
-    if cmds.first() == Some(&"fleet") {
-        run_fleet(subcommand_tail(&args, "fleet"), &opts, &console);
-        return;
-    }
+/// A scenario operand — a bundled name or a `.scn` path — compressed 3x
+/// under `--quick`.
+fn scenario_operand(arg: &str, opts: &Options) -> Result<Scenario, String> {
+    let scn = rac_bench::scenario::resolve(arg).map_err(|e| e.to_string())?;
+    Ok(if opts.quick { scn.scaled(1, 3) } else { scn })
+}
 
-    // `tournament` likewise: the operand is a scenario count, with
-    // seed/profile/out flags.
-    if cmds.first() == Some(&"tournament") {
-        run_tournament(subcommand_tail(&args, "tournament"), &opts, &console);
-        return;
-    }
-
-    // `profile` runs one scenario line-up under the hierarchical
-    // self-profiler and reports where the wall-clock went.
-    if cmds.first() == Some(&"profile") {
-        run_profile(subcommand_tail(&args, "profile"), &opts, &console);
-        return;
-    }
-
-    let selected: Vec<&str> = if cmds.is_empty() || cmds.contains(&"all") {
+/// `figures [table1|…|fig10|all]...` — the paper's evaluation. Figure
+/// jobs run concurrently on the global runner; reports print in
+/// submission order.
+fn run_figures(args: &Args, opts: &Options, console: &Console) -> Result<(), String> {
+    let named: Vec<&str> = args.operands.iter().map(String::as_str).collect();
+    let selected = if named.is_empty() || named.contains(&"all") {
         ALL_CMDS.to_vec()
     } else {
-        cmds
+        named
     };
-    for cmd in &selected {
-        if !ALL_CMDS.contains(cmd) {
-            eprintln!("unknown experiment: {cmd}");
-            top_usage();
-        }
+    if let Some(cmd) = selected.iter().find(|c| !ALL_CMDS.contains(c)) {
+        return Err(format!("unknown experiment: {cmd}"));
     }
 
     // The policy library feeds six figures; build it once before the
@@ -242,11 +365,11 @@ fn main() {
         let trace = if tracing {
             let writer = Arc::new(TraceWriter::new());
             obs::trace::with_writer(&writer, || {
-                run_figure(cmd, &opts, library.as_ref(), &mut out)
+                run_figure(cmd, opts, library.as_ref(), &mut out)
             });
             Some(writer)
         } else {
-            run_figure(cmd, &opts, library.as_ref(), &mut out);
+            run_figure(cmd, opts, library.as_ref(), &mut out);
             None
         };
         (out, t0.elapsed().as_secs_f64(), trace)
@@ -272,54 +395,11 @@ fn main() {
         stats.misses,
         stats.hits
     ));
-    write_metrics_snapshot(&opts, &console);
+    write_metrics_snapshot(opts, console);
     if obs::enabled() {
         obs::health::global().finish_job(true);
     }
-}
-
-/// Prints the top-level usage synopsis and exits 2 — the shared exit
-/// for every malformed top-level invocation.
-fn top_usage() -> ! {
-    eprintln!(
-        "available: table1 table2 fig1..fig10 all | scenario <name|file.scn> [--list] \
-         [--quick] [--quiet] | fleet [<tenants>] [--list] [--seed N] | chaos [<seed>...] \
-         [--iterations <n>] | bench [--quick] \
-         [--out <path>] [--check <committed.json>] | \
-         tournament [<scenarios>] [--seed N] [--profile <calm|brisk|stormy>] [--out <dir>] \
-         [--quick] | profile <name|file.scn> [--quick] | crashdrill [<seed>...] \
-         [--iterations <n>]\n\
-         global: --serve <addr> exposes /metrics, /healthz and /profile over HTTP \
-         while the run executes"
-    );
-    std::process::exit(2);
-}
-
-/// The argument tail after the subcommand token the dispatch matched.
-/// The token always exists (it came from scanning `args`), but if the
-/// scan ever drifts the user gets the usage message and exit 2, never a
-/// panic.
-fn subcommand_tail<'a>(args: &'a [String], cmd: &str) -> &'a [String] {
-    match args.iter().position(|a| a == cmd) {
-        Some(pos) => &args[pos + 1..],
-        None => {
-            eprintln!("figures: cannot locate `{cmd}` among the arguments");
-            top_usage();
-        }
-    }
-}
-
-/// Pulls a global `--serve <addr>` (and its value) out of the argument
-/// list so subcommand parsers never see it.
-fn extract_serve_flag(args: &mut Vec<String>) -> Option<String> {
-    let pos = args.iter().position(|a| a == "--serve")?;
-    if pos + 1 >= args.len() || args[pos + 1].starts_with("--") {
-        eprintln!("--serve needs a bind address, e.g. --serve 127.0.0.1:9898 (port 0 = auto)");
-        std::process::exit(2);
-    }
-    let addr = args.remove(pos + 1);
-    args.remove(pos);
-    Some(addr)
+    Ok(())
 }
 
 /// Starts the embedded observability server (and switches the profiler
@@ -340,7 +420,7 @@ fn start_obs_server(addr: &str) -> obs::ObsServer {
     }
 }
 
-/// `figures bench [--quick] [--out <path>] [--check <committed.json>]`.
+/// `figures bench [--out <path>] [--check <committed.json>]`.
 ///
 /// Default mode runs the perf-trajectory suite and writes the
 /// `BENCH_<n>.json` report (full repeats unless `--quick`). `--check`
@@ -350,38 +430,25 @@ fn start_obs_server(addr: &str) -> obs::ObsServer {
 /// stays the authoritative trajectory point. Quick and full mode use
 /// identical problem sizes (quick only repeats less), which is what
 /// makes a quick-mode check against a full-mode file meaningful.
-fn run_bench_suite(rest: &[String], console: &Console) {
-    let mut quick = false;
-    let mut check: Option<PathBuf> = None;
-    let mut out = PathBuf::from(perfsuite::DEFAULT_OUTPUT);
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--quiet" => {}
-            "--check" => match it.next() {
-                Some(p) => check = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--check needs a path to a committed BENCH_<n>.json");
-                    std::process::exit(2);
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => out = PathBuf::from(p),
-                None => {
-                    eprintln!("--out needs a path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown bench argument: {other}");
-                eprintln!(
-                    "usage: figures bench [--quick] [--out <path>] [--check <committed.json>]"
-                );
-                std::process::exit(2);
-            }
-        }
+fn run_bench_suite(args: &Args, opts: &Options, console: &Console) -> Result<(), String> {
+    if let Some(op) = args.operands.first() {
+        return Err(format!("bench takes no operands, got `{op}`"));
     }
+    let out = Path::new(args.get("--out").unwrap_or(perfsuite::DEFAULT_OUTPUT));
+    // Read the committed report before the suite runs, so a mistyped
+    // path costs nothing.
+    let check = args.get("--check").map(|path| {
+        let committed = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("cannot read {path}: {e}");
+            std::process::exit(2);
+        });
+        let medians = perfsuite::parse_medians(&committed).unwrap_or_else(|e| {
+            eprintln!("cannot parse {path}: {e}");
+            std::process::exit(2);
+        });
+        (path, medians)
+    });
+    let quick = opts.quick;
     console.note(format!(
         "bench: perf-trajectory suite, {} mode, {} worker thread(s) [RAC_THREADS]",
         if quick { "quick" } else { "full" },
@@ -403,19 +470,11 @@ fn run_bench_suite(rest: &[String], console: &Console) {
         console.note(format!("bench: optimized sweep {s:.2}x over naive loop"));
     }
     match check {
-        Some(path) => {
-            let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                eprintln!("cannot read {}: {e}", path.display());
-                std::process::exit(2);
-            });
-            let medians = perfsuite::parse_medians(&committed).unwrap_or_else(|e| {
-                eprintln!("cannot parse {}: {e}", path.display());
-                std::process::exit(2);
-            });
+        Some((path, medians)) => {
             let failures =
                 perfsuite::check_regressions(&medians, &report, perfsuite::REGRESSION_FLOOR);
             if !failures.is_empty() {
-                eprintln!("bench regression vs {}:", path.display());
+                eprintln!("bench regression vs {path}:");
                 for f in &failures {
                     eprintln!("  {f}");
                 }
@@ -425,9 +484,8 @@ fn run_bench_suite(rest: &[String], console: &Console) {
                 std::process::exit(1);
             }
             println!(
-                "bench check OK: all medians within {}x of {}",
-                perfsuite::REGRESSION_FLOOR,
-                path.display()
+                "bench check OK: all medians within {}x of {path}",
+                perfsuite::REGRESSION_FLOOR
             );
         }
         None => {
@@ -436,7 +494,7 @@ fn run_bench_suite(rest: &[String], console: &Console) {
                     std::fs::create_dir_all(dir).ok();
                 }
             }
-            std::fs::write(&out, report.to_json()).unwrap_or_else(|e| {
+            std::fs::write(out, report.to_json()).unwrap_or_else(|e| {
                 eprintln!("cannot write {}: {e}", out.display());
                 std::process::exit(2);
             });
@@ -446,80 +504,28 @@ fn run_bench_suite(rest: &[String], console: &Console) {
     if obs::enabled() {
         obs::health::global().finish_job(true);
     }
-}
-
-fn tournament_usage() -> ! {
-    eprintln!(
-        "usage: figures tournament [<scenarios>] [--seed N] [--profile <calm|brisk|stormy>] \
-         [--out <dir>] [--quick] [--quiet]"
-    );
-    eprintln!(
-        "defaults: 200 generated scenarios, seed 42, difficulty cycling calm/brisk/stormy; \
-         --quick compresses every scenario's timeline 3x; writes \
-         <dir>/tournament-matchups.csv and <dir>/tournament-scoreboard.csv (default dir: \
-         results)"
-    );
-    std::process::exit(2);
+    Ok(())
 }
 
 /// `figures tournament [N] [--seed S] [--quick] [--profile P] [--out D]`
 /// — RAC vs trial-and-error vs static default across N generated
 /// scenarios, sharded over the global runner. The scoreboard is a pure
 /// function of (seed, N): byte-identical CSVs at any `RAC_THREADS`.
-fn run_tournament(raw: &[String], opts: &Options, console: &Console) {
-    let mut topts = rac_bench::tournament::TournamentOptions {
+fn run_tournament(args: &Args, opts: &Options, console: &Console) -> Result<(), String> {
+    let defaults = rac_bench::tournament::TournamentOptions::default();
+    let topts = rac_bench::tournament::TournamentOptions {
+        scenarios: count_operand(args, "scenario-count")?.unwrap_or(defaults.scenarios),
+        seed: args.value("--seed", UNSIGNED)?.unwrap_or(defaults.seed),
         quick: opts.quick,
-        ..rac_bench::tournament::TournamentOptions::default()
+        profile: args.value_by(
+            "--profile",
+            "one of calm, brisk, stormy",
+            scenario::Difficulty::by_name,
+        )?,
     };
-    let mut out_dir = opts.results_dir.clone();
-    let mut count: Option<usize> = None;
-    let mut it = raw.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" | "--quiet" => {}
-            "--seed" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(seed) => topts.seed = seed,
-                None => {
-                    eprintln!("--seed needs an unsigned integer");
-                    tournament_usage();
-                }
-            },
-            "--profile" => match it.next().and_then(|v| scenario::Difficulty::by_name(v)) {
-                Some(d) => topts.profile = Some(d),
-                None => {
-                    eprintln!("--profile needs one of: calm, brisk, stormy");
-                    tournament_usage();
-                }
-            },
-            "--out" => match it.next() {
-                Some(dir) => out_dir = PathBuf::from(dir),
-                None => {
-                    eprintln!("--out needs a directory");
-                    tournament_usage();
-                }
-            },
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown tournament flag: {flag}");
-                tournament_usage();
-            }
-            operand => {
-                if count.is_some() {
-                    eprintln!("tournament takes at most one scenario-count operand");
-                    tournament_usage();
-                }
-                count = Some(match operand.parse::<usize>() {
-                    Ok(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("scenario count must be a positive integer, got `{operand}`");
-                        tournament_usage();
-                    }
-                });
-            }
-        }
-    }
-    if let Some(n) = count {
-        topts.scenarios = n;
-    }
+    let out_dir = args
+        .get("--out")
+        .map_or_else(|| opts.results_dir.clone(), PathBuf::from);
 
     if obs::enabled() {
         obs::health::global().begin_job(&format!("tournament {}", topts.scenarios));
@@ -568,6 +574,7 @@ fn run_tournament(raw: &[String], opts: &Options, console: &Console) {
     if obs::enabled() {
         obs::health::global().finish_job(true);
     }
+    Ok(())
 }
 
 /// Drops the process-wide metrics next to the figure CSVs (Prometheus
@@ -1008,7 +1015,8 @@ fn fig6(opts: &Options, library: &PolicyLibrary, out: &mut String) {
         .with_warmup(opts.warmup())
         .then(context, opts.iters(40));
 
-    let mut with_ol = RacAgent::with_initial_policy(standard_settings(), &policy);
+    let mut with_ol = RacAgent::with_initial_policy(standard_settings(), &policy)
+        .expect("library policies use the standard lattice");
     let with_series = exp.run(&mut with_ol);
     let mut without_ol = RacAgent::with_initial_policy(
         RacSettings {
@@ -1016,7 +1024,8 @@ fn fig6(opts: &Options, library: &PolicyLibrary, out: &mut String) {
             ..standard_settings()
         },
         &policy,
-    );
+    )
+    .expect("library policies use the standard lattice");
     let without_series = exp.run(&mut without_ol);
 
     series_table(
@@ -1054,7 +1063,8 @@ fn fig7(opts: &Options, library: &PolicyLibrary, out: &mut String) {
             .with_warmup(opts.warmup())
             .then(context, opts.iters(30));
 
-        let mut with_init = RacAgent::with_initial_policy(standard_settings(), &policy);
+        let mut with_init = RacAgent::with_initial_policy(standard_settings(), &policy)
+            .expect("library policies use the standard lattice");
         let with_series = exp.run(&mut with_init);
         let mut without_init = RacAgent::new(standard_settings());
         let without_series = exp.run(&mut without_init);
@@ -1101,7 +1111,8 @@ fn fig8(opts: &Options, library: &PolicyLibrary, out: &mut String) {
                 ..standard_settings()
             },
             &policy,
-        );
+        )
+        .expect("library policies use the standard lattice");
         all.push((format!("rate {epsilon}"), exp.run(&mut agent)));
     }
     let named: Vec<(&str, &Vec<IterationRecord>)> =
@@ -1142,7 +1153,8 @@ fn fig9(opts: &Options, library: &PolicyLibrary, out: &mut String) {
 
         let mut adaptive = RacAgent::with_policy_library(standard_settings(), library.clone());
         let adaptive_series = exp.run(&mut adaptive);
-        let mut static_agent = RacAgent::with_initial_policy(standard_settings(), &static_policy);
+        let mut static_agent = RacAgent::with_initial_policy(standard_settings(), &static_policy)
+            .expect("library policies use the standard lattice");
         let static_series = exp.run(&mut static_agent);
 
         series_table(
@@ -1174,7 +1186,8 @@ fn fig10(opts: &Options, library: &PolicyLibrary, out: &mut String) {
 
     let mut adaptive = RacAgent::with_policy_library(standard_settings(), library.clone());
     let adaptive_series = exp.run(&mut adaptive);
-    let mut static_agent = RacAgent::with_initial_policy(standard_settings(), &static_policy);
+    let mut static_agent = RacAgent::with_initial_policy(standard_settings(), &static_policy)
+        .expect("library policies use the standard lattice");
     let static_series = exp.run(&mut static_agent);
     let mut cold = RacAgent::new(standard_settings());
     let cold_series = exp.run(&mut cold);
@@ -1208,97 +1221,6 @@ fn fig10(opts: &Options, library: &PolicyLibrary, out: &mut String) {
 // --------------------------------------------------------------------
 // Scenario runs (time-varying workload & fault injection)
 // --------------------------------------------------------------------
-
-/// Parsed form of the `figures scenario` argument tail.
-struct ScenarioCli {
-    operands: Vec<String>,
-    list: bool,
-    checkpoint_dir: Option<PathBuf>,
-    every: usize,
-    stop_after: Option<usize>,
-    resume: Option<PathBuf>,
-    warm_start: Option<PathBuf>,
-}
-
-fn scenario_usage() -> ! {
-    eprintln!(
-        "usage: figures scenario <name|file.scn>... [--checkpoint <dir>] [--checkpoint-every N] \
-         [--stop-after N] [--warm-start <file>]\n       \
-         figures scenario <name|file.scn> --resume <file>\n       \
-         figures scenario --list"
-    );
-    eprintln!(
-        "bundled: {}",
-        rac_bench::scenario::bundled_names().join(" ")
-    );
-    std::process::exit(2);
-}
-
-/// Parses the raw argument tail after the `scenario` token. The global
-/// flags (`--quick`, `--quiet`) were consumed in `main` and are skipped
-/// here; anything else starting with `--` must be a known scenario flag.
-fn parse_scenario_cli(raw: &[String]) -> ScenarioCli {
-    let mut cli = ScenarioCli {
-        operands: Vec::new(),
-        list: false,
-        checkpoint_dir: None,
-        every: 5,
-        stop_after: None,
-        resume: None,
-        warm_start: None,
-    };
-    let mut i = 0;
-    let value = |raw: &[String], i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        match raw.get(*i) {
-            Some(v) if !v.starts_with("--") => v.clone(),
-            _ => {
-                eprintln!("{flag} needs a value");
-                scenario_usage();
-            }
-        }
-    };
-    let number = |raw: &[String], i: &mut usize, flag: &str| -> usize {
-        let v = value(raw, i, flag);
-        match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("{flag} needs a positive integer, got `{v}`");
-                scenario_usage();
-            }
-        }
-    };
-    while i < raw.len() {
-        match raw[i].as_str() {
-            "--list" => cli.list = true,
-            "--quick" | "--quiet" => {}
-            "--checkpoint" => {
-                cli.checkpoint_dir = Some(PathBuf::from(value(raw, &mut i, "--checkpoint")))
-            }
-            "--checkpoint-every" => cli.every = number(raw, &mut i, "--checkpoint-every"),
-            "--stop-after" => cli.stop_after = Some(number(raw, &mut i, "--stop-after")),
-            "--resume" => cli.resume = Some(PathBuf::from(value(raw, &mut i, "--resume"))),
-            "--warm-start" => {
-                cli.warm_start = Some(PathBuf::from(value(raw, &mut i, "--warm-start")))
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown scenario flag: {flag}");
-                scenario_usage();
-            }
-            operand => cli.operands.push(operand.to_string()),
-        }
-        i += 1;
-    }
-    if cli.stop_after.is_some() && cli.checkpoint_dir.is_none() && cli.resume.is_none() {
-        eprintln!("--stop-after only makes sense with --checkpoint or --resume");
-        scenario_usage();
-    }
-    if cli.resume.is_some() && cli.operands.len() != 1 {
-        eprintln!("--resume continues exactly one scenario run");
-        scenario_usage();
-    }
-    cli
-}
 
 /// Loads and verifies a snapshot file, or exits with a clear message —
 /// a half-written, corrupt, or stale checkpoint must never panic.
@@ -1358,9 +1280,22 @@ fn load_resume_snapshot_or_exit(path: &Path) -> ckpt::Snapshot {
 /// flushed to its final path as each tuner session completes, so
 /// `inspect_trace --follow` can tail the run; the flushes are prefixes
 /// of the final byte-identical file.
-fn run_scenarios(raw: &[String], opts: &Options, console: &Console, live: bool) {
-    let cli = parse_scenario_cli(raw);
-    if cli.list {
+fn run_scenarios(args: &Args, opts: &Options, console: &Console) -> Result<(), String> {
+    let checkpoint_dir = args.get("--checkpoint").map(PathBuf::from);
+    let every = args
+        .value::<NonZeroUsize>("--checkpoint-every", POSITIVE)?
+        .map_or(5, NonZeroUsize::get);
+    let stop_after = args
+        .value::<NonZeroUsize>("--stop-after", POSITIVE)?
+        .map(NonZeroUsize::get);
+    let resume_path = args.get("--resume").map(PathBuf::from);
+    if stop_after.is_some() && checkpoint_dir.is_none() && resume_path.is_none() {
+        return Err("--stop-after only makes sense with --checkpoint or --resume".into());
+    }
+    if resume_path.is_some() && args.operands.len() != 1 {
+        return Err("--resume continues exactly one scenario run".into());
+    }
+    if args.has("--list") {
         println!("bundled scenarios:");
         for (name, src) in scenario::bundled::all() {
             let scn = Scenario::parse(src).expect("bundled scenario parses");
@@ -1371,35 +1306,23 @@ fn run_scenarios(raw: &[String], opts: &Options, console: &Console, live: bool) 
                 scn.directives.len()
             );
         }
-        return;
+        return Ok(());
     }
-    if cli.operands.is_empty() {
-        scenario_usage();
+    if args.operands.is_empty() {
+        return Err("scenario needs a <name|file.scn> operand".into());
     }
-    let scenarios: Vec<Scenario> = cli
+    let scenarios: Vec<Scenario> = args
         .operands
         .iter()
-        .map(|arg| match rac_bench::scenario::resolve(arg) {
-            Ok(scn) => {
-                if opts.quick {
-                    scn.scaled(1, 3)
-                } else {
-                    scn
-                }
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        })
-        .collect();
+        .map(|arg| scenario_operand(arg, opts))
+        .collect::<Result<_, _>>()?;
 
     // Mark the job running before the (potentially long) library build
     // so live /healthz readers see it immediately.
     if obs::enabled() {
-        obs::health::global().begin_job(&format!("scenario {}", cli.operands.join(" ")));
+        obs::health::global().begin_job(&format!("scenario {}", args.operands.join(" ")));
     }
-    let library = match &cli.warm_start {
+    let library = match args.get("--warm-start").map(Path::new) {
         Some(path) => {
             let snap = load_warm_start_or_exit(path);
             // The checked variant turns a snapshot trained on a
@@ -1426,25 +1349,25 @@ fn run_scenarios(raw: &[String], opts: &Options, console: &Console, live: bool) 
         }
         None => standard_policy_library(&opts.cache_dir()),
     };
-    let resume = cli
-        .resume
+    let resume = resume_path
         .as_ref()
         .map(|path| load_resume_snapshot_or_exit(path));
+    let live = args.has("--serve");
     let tracing = obs::tracing_enabled();
     let started = Instant::now();
     for scn in &scenarios {
         // Resume continues the checkpoint file it came from; a fresh
         // checkpointed run gets one file per scenario under the dir.
-        let ckpt_plan = match (&cli.resume, &cli.checkpoint_dir) {
+        let ckpt_plan = match (&resume_path, &checkpoint_dir) {
             (Some(path), _) => Some(CheckpointOptions {
                 path: path.clone(),
-                every: cli.every,
-                stop_after: cli.stop_after,
+                every,
+                stop_after,
             }),
             (None, Some(dir)) => Some(CheckpointOptions {
                 path: dir.join(format!("scenario-{}.ckpt", scn.name)),
-                every: cli.every,
-                stop_after: cli.stop_after,
+                every,
+                stop_after,
             }),
             (None, None) => None,
         };
@@ -1534,6 +1457,7 @@ fn run_scenarios(raw: &[String], opts: &Options, console: &Console, live: bool) 
     if obs::enabled() {
         obs::health::global().finish_job(true);
     }
+    Ok(())
 }
 
 /// Flush-on-failure: a failing scenario run still writes the metrics
@@ -1644,47 +1568,17 @@ fn scenario_figure(
     Ok(true)
 }
 
-fn profile_usage() -> ! {
-    eprintln!("usage: figures profile <name|file.scn> [--quick] [--quiet]");
-    eprintln!("  runs the tuner line-up once under the hierarchical self-profiler,");
-    eprintln!("  prints a self-time table, and writes results/profile-<name>.folded");
-    std::process::exit(2);
-}
-
 /// `figures profile <scenario>` — one checkpointed line-up run with the
 /// self-profiler on, reported as a self-time table plus a
 /// flamegraph-compatible folded-stack file. The run is checkpointed
 /// (into a throwaway directory, snapshot and library sidecar both
 /// deleted afterwards) so the `checkpoint` phase shows up in the
 /// attribution alongside measure/tuner/sweep.
-fn run_profile(raw: &[String], opts: &Options, console: &Console) {
-    let mut operand: Option<&str> = None;
-    for a in raw {
-        match a.as_str() {
-            "--quick" | "--quiet" => {}
-            s if s.starts_with("--") => profile_usage(),
-            s => {
-                if operand.replace(s).is_some() {
-                    eprintln!("profile: exactly one scenario, got several");
-                    profile_usage();
-                }
-            }
-        }
-    }
-    let Some(arg) = operand else { profile_usage() };
-    let scn = match rac_bench::scenario::resolve(arg) {
-        Ok(scn) => {
-            if opts.quick {
-                scn.scaled(1, 3)
-            } else {
-                scn
-            }
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
+fn run_profile(args: &Args, opts: &Options, console: &Console) -> Result<(), String> {
+    let [arg] = args.operands.as_slice() else {
+        return Err("profile takes exactly one <name|file.scn> operand".into());
     };
+    let scn = scenario_operand(arg, opts)?;
 
     obs::profile::set_enabled(true);
     obs::profile::reset();
@@ -1744,12 +1638,7 @@ fn run_profile(raw: &[String], opts: &Options, console: &Console) {
     if obs::enabled() {
         obs::health::global().finish_job(true);
     }
-}
-
-fn chaos_usage() -> ! {
-    eprintln!("usage: figures chaos [<seed>...] [--iterations <n>] [--quiet]");
-    eprintln!("  (no seeds: runs the pinned CI seeds)");
-    std::process::exit(2);
+    Ok(())
 }
 
 /// `figures chaos` — the deterministic chaos harness: for each seed,
@@ -1757,34 +1646,11 @@ fn chaos_usage() -> ! {
 /// through it, write `results/chaos-<seed>.csv` (and a trace under
 /// `RAC_OBS=trace`), and check the guardrail invariants. Exits nonzero
 /// if any invariant is violated, so CI can gate on it.
-fn run_chaos_harness(raw: &[String], opts: &Options, console: &Console) {
-    let mut seeds: Vec<u64> = Vec::new();
-    let mut iterations = rac_bench::chaos::DEFAULT_ITERATIONS;
-    let mut i = 0;
-    while i < raw.len() {
-        match raw[i].as_str() {
-            "--iterations" => {
-                i += 1;
-                iterations = raw
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| chaos_usage());
-            }
-            "--quiet" | "--quick" => {}
-            a if a.starts_with("--") => chaos_usage(),
-            a => match a.parse::<u64>() {
-                Ok(seed) => seeds.push(seed),
-                Err(_) => {
-                    eprintln!("chaos: seeds are unsigned integers, got {a:?}");
-                    chaos_usage();
-                }
-            },
-        }
-        i += 1;
-    }
-    if seeds.is_empty() {
-        seeds = rac_bench::chaos::PINNED_SEEDS.to_vec();
-    }
+fn run_chaos_harness(args: &Args, opts: &Options, console: &Console) -> Result<(), String> {
+    let seeds = seed_operands(args, &rac_bench::chaos::PINNED_SEEDS)?;
+    let iterations = args
+        .value("--iterations", UNSIGNED)?
+        .unwrap_or(rac_bench::chaos::DEFAULT_ITERATIONS);
 
     let tracing = obs::tracing_enabled();
     if obs::enabled() {
@@ -1867,44 +1733,18 @@ fn run_chaos_harness(raw: &[String], opts: &Options, console: &Console) {
         eprintln!("chaos: {violation_count} invariant violation(s)");
         std::process::exit(1);
     }
+    Ok(())
 }
 
 // --------------------------------------------------------------------
 // `figures crashdrill`: SIGKILL a live racd daemon at seeded points and
 // assert byte-identical convergence after recovery.
 
-fn run_crashdrill(raw: &[String], opts: &Options, console: &Console) {
-    let usage = || -> ! {
-        eprintln!("usage: figures crashdrill [<seed>...] [--iterations <n>]");
-        std::process::exit(2);
-    };
-    let mut seeds: Vec<u64> = Vec::new();
-    let mut iterations = rac_bench::chaos::DEFAULT_ITERATIONS;
-    let mut i = 0;
-    while i < raw.len() {
-        match raw[i].as_str() {
-            "--iterations" => {
-                i += 1;
-                iterations = raw
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--quiet" | "--quick" => {}
-            a if a.starts_with("--") => usage(),
-            a => match a.parse::<u64>() {
-                Ok(seed) => seeds.push(seed),
-                Err(_) => {
-                    eprintln!("crashdrill: seeds are unsigned integers, got {a:?}");
-                    usage();
-                }
-            },
-        }
-        i += 1;
-    }
-    if seeds.is_empty() {
-        seeds = rac_bench::crashdrill::DEFAULT_SEEDS.to_vec();
-    }
+fn run_crashdrill(args: &Args, opts: &Options, console: &Console) -> Result<(), String> {
+    let seeds = seed_operands(args, &rac_bench::crashdrill::DEFAULT_SEEDS)?;
+    let iterations = args
+        .value("--iterations", UNSIGNED)?
+        .unwrap_or(rac_bench::chaos::DEFAULT_ITERATIONS);
 
     let racd = match rac_bench::crashdrill::find_racd() {
         Ok(p) => p,
@@ -1959,6 +1799,7 @@ fn run_crashdrill(raw: &[String], opts: &Options, console: &Console) {
         eprintln!("crashdrill: {failure_count} failure(s)");
         std::process::exit(1);
     }
+    Ok(())
 }
 
 // --------------------------------------------------------------------
@@ -1976,176 +1817,52 @@ fn save(t: &TextTable, opts: &Options, file: &str, out: &mut String) {
 // --------------------------------------------------------------------
 // `figures fleet`: multi-tenant runs with cross-tenant policy transfer.
 
-struct FleetCli {
-    tenants: Option<usize>,
-    seed: u64,
-    cold: Option<usize>,
-    chunk: usize,
-    list: bool,
-    no_control: bool,
-    radius: f64,
-    checkpoint_dir: Option<PathBuf>,
-    stop_after: Option<usize>,
-    resume: Option<PathBuf>,
-    warm_start: Option<PathBuf>,
-}
-
-fn fleet_usage() -> ! {
-    eprintln!(
-        "usage: figures fleet [<tenants>] [--seed N] [--cold N] [--chunk N] [--radius D] \
-         [--quick] [--no-control] [--checkpoint <dir>] [--stop-after N] \
-         [--warm-start <file>]\n       \
-         figures fleet [<tenants>] [--seed N] --resume <file>\n       \
-         figures fleet [<tenants>] [--seed N] --list"
-    );
-    eprintln!(
-        "defaults: 200 tenants, seed 42, cold wave = tenants/4, chunk 25, transfer radius \
-         0.005; --list prints the generated roster without running anything; --radius sets \
-         the max squared feature distance a donor may sit at (>= 2.0 accepts any donor); \
-         --no-control skips the matched cold-control run each warm tenant gets by default \
-         (halves warm-tenant cost, drops the paired comparison)"
-    );
-    std::process::exit(2);
-}
-
-/// Parses the raw argument tail after the `fleet` token (the global
-/// `--quick`/`--quiet` flags were consumed in `main` and are skipped).
-fn parse_fleet_cli(raw: &[String]) -> FleetCli {
-    let mut cli = FleetCli {
-        tenants: None,
-        seed: 42,
-        cold: None,
-        chunk: 25,
-        list: false,
-        no_control: false,
-        radius: 0.005,
-        checkpoint_dir: None,
-        stop_after: None,
-        resume: None,
-        warm_start: None,
-    };
-    let mut i = 0;
-    let value = |raw: &[String], i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        match raw.get(*i) {
-            Some(v) if !v.starts_with("--") => v.clone(),
-            _ => {
-                eprintln!("{flag} needs a value");
-                fleet_usage();
-            }
-        }
-    };
-    let number = |raw: &[String], i: &mut usize, flag: &str| -> usize {
-        let v = value(raw, i, flag);
-        match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("{flag} needs a positive integer, got `{v}`");
-                fleet_usage();
-            }
-        }
-    };
-    while i < raw.len() {
-        match raw[i].as_str() {
-            "--list" => cli.list = true,
-            "--quick" | "--quiet" => {}
-            "--no-control" => cli.no_control = true,
-            "--radius" => {
-                let v = value(raw, &mut i, "--radius");
-                cli.radius = match v.parse::<f64>() {
-                    Ok(d) if d > 0.0 => d,
-                    _ => {
-                        eprintln!("--radius needs a positive number, got `{v}`");
-                        fleet_usage();
-                    }
-                };
-            }
-            "--seed" => {
-                let v = value(raw, &mut i, "--seed");
-                cli.seed = match v.parse::<u64>() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        eprintln!("--seed needs an unsigned integer, got `{v}`");
-                        fleet_usage();
-                    }
-                };
-            }
-            "--cold" => cli.cold = Some(number(raw, &mut i, "--cold")),
-            "--chunk" => cli.chunk = number(raw, &mut i, "--chunk"),
-            "--checkpoint" => {
-                cli.checkpoint_dir = Some(PathBuf::from(value(raw, &mut i, "--checkpoint")))
-            }
-            "--stop-after" => cli.stop_after = Some(number(raw, &mut i, "--stop-after")),
-            "--resume" => cli.resume = Some(PathBuf::from(value(raw, &mut i, "--resume"))),
-            "--warm-start" => {
-                cli.warm_start = Some(PathBuf::from(value(raw, &mut i, "--warm-start")))
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown fleet flag: {flag}");
-                fleet_usage();
-            }
-            operand => {
-                if cli.tenants.is_some() {
-                    eprintln!(
-                        "fleet takes at most one tenant-count operand, got a second: {operand}"
-                    );
-                    fleet_usage();
-                }
-                cli.tenants = Some(match operand.parse::<usize>() {
-                    Ok(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("tenant count must be a positive integer, got `{operand}`");
-                        fleet_usage();
-                    }
-                });
-            }
-        }
-        i += 1;
-    }
-    if cli.stop_after.is_some() && cli.checkpoint_dir.is_none() && cli.resume.is_none() {
-        eprintln!("--stop-after only makes sense with --checkpoint or --resume");
-        fleet_usage();
-    }
-    if cli.resume.is_some() && cli.warm_start.is_some() {
-        eprintln!(
-            "--resume restores the transfer store from the checkpoint; --warm-start \
-                   only applies to a fresh fleet"
-        );
-        fleet_usage();
-    }
-    cli
-}
-
 /// Entry point for `figures fleet ...`: generates the tenant roster,
 /// runs every tenant's RAC experiment sharded over the global runner
 /// with nearest-neighbor policy transfer, and writes the per-tenant,
 /// aggregate, and scaling CSVs under `results/`.
-fn run_fleet(raw: &[String], opts: &Options, console: &Console) {
-    let cli = parse_fleet_cli(raw);
-    let tenants = cli.tenants.unwrap_or(200);
-    let cold = cli.cold.unwrap_or_else(|| (tenants / 4).max(1));
+fn run_fleet(args: &Args, opts: &Options, console: &Console) -> Result<(), String> {
+    let tenants = count_operand(args, "tenant-count")?.unwrap_or(200);
+    let positive = |flag| args.value::<NonZeroUsize>(flag, POSITIVE);
+    let cold = positive("--cold")?.map_or((tenants / 4).max(1), NonZeroUsize::get);
+    let chunk = positive("--chunk")?.map_or(25, NonZeroUsize::get);
+    let stop_after = positive("--stop-after")?.map(NonZeroUsize::get);
+    let radius = args.value_by("--radius", "a positive number", |v| {
+        v.parse::<f64>().ok().filter(|d| *d > 0.0)
+    })?;
+    let checkpoint_dir = args.get("--checkpoint").map(PathBuf::from);
+    let resume = args.get("--resume").map(PathBuf::from);
+    let warm_start = args.get("--warm-start").map(PathBuf::from);
+    if stop_after.is_some() && checkpoint_dir.is_none() && resume.is_none() {
+        return Err("--stop-after only makes sense with --checkpoint or --resume".into());
+    }
+    if resume.is_some() && warm_start.is_some() {
+        return Err("--resume restores the transfer store from the checkpoint; \
+                    --warm-start only applies to a fresh fleet"
+            .into());
+    }
     let config = fleet::FleetConfig {
         tenants,
-        seed: cli.seed,
+        seed: args.value("--seed", UNSIGNED)?.unwrap_or(42),
         cold,
-        chunk: cli.chunk,
+        chunk,
         // Bundled scenarios span 7200 s; compress the timeline (same
         // iteration count, shorter intervals) so a 200-tenant fleet
         // finishes in minutes. `--quick` compresses 3x harder.
         scale_den: if opts.quick { 15 } else { 5 },
         online_levels: ONLINE_LEVELS,
-        control: !cli.no_control,
-        radius: cli.radius,
+        control: !args.has("--no-control"),
+        radius: radius.unwrap_or(0.005),
     };
 
-    if cli.list {
+    if args.has("--list") {
         let roster = fleet::generate(config.tenants, config.seed);
         println!(
             "fleet roster: {} tenants from seed {}",
             config.tenants, config.seed
         );
         print!("{}", rac_bench::fleet::roster_table(&roster));
-        return;
+        return Ok(());
     }
 
     if obs::enabled() {
@@ -2159,7 +1876,7 @@ fn run_fleet(raw: &[String], opts: &Options, console: &Console) {
         std::process::exit(2);
     };
 
-    let mut run = if let Some(path) = &cli.resume {
+    let mut run = if let Some(path) = &resume {
         let snap = load_resume_snapshot_or_exit(path);
         match fleet::FleetRun::resume(config.clone(), &snap) {
             Ok(run) => {
@@ -2173,7 +1890,7 @@ fn run_fleet(raw: &[String], opts: &Options, console: &Console) {
             }
             Err(e) => fail(format!("cannot resume from {}: {e}", path.display())),
         }
-    } else if let Some(path) = &cli.warm_start {
+    } else if let Some(path) = &warm_start {
         let snap = load_warm_start_or_exit(path);
         match fleet::FleetRun::with_library(config.clone(), &snap) {
             Ok(run) => {
@@ -2193,7 +1910,7 @@ fn run_fleet(raw: &[String], opts: &Options, console: &Console) {
         }
     };
 
-    let ckpt_path = match (&cli.resume, &cli.checkpoint_dir) {
+    let ckpt_path = match (&resume, &checkpoint_dir) {
         (Some(path), _) => Some(path.clone()),
         (None, Some(dir)) => Some(dir.join("fleet.ckpt")),
         (None, None) => None,
@@ -2235,7 +1952,7 @@ fn run_fleet(raw: &[String], opts: &Options, console: &Console) {
                 fail(format!("cannot checkpoint to {}: {e}", path.display()));
             }
         }
-        if let Some(stop) = cli.stop_after {
+        if let Some(stop) = stop_after {
             if run.done() >= stop && !run.is_complete() {
                 // Interrupted runs write no CSVs: their outputs exist to
                 // be byte-compared once resumed to completion.
@@ -2246,7 +1963,7 @@ fn run_fleet(raw: &[String], opts: &Options, console: &Console) {
                 if obs::enabled() {
                     obs::health::global().finish_job(true);
                 }
-                return;
+                return Ok(());
             }
         }
     }
@@ -2303,4 +2020,5 @@ fn run_fleet(raw: &[String], opts: &Options, console: &Console) {
     if obs::enabled() {
         obs::health::global().finish_job(true);
     }
+    Ok(())
 }

@@ -10,13 +10,30 @@ use std::fmt::Write as _;
 
 use obs::Console;
 use rac::{Action, ConfigLattice, ConfigMdp, SlaReward};
+use rac_bench::cli::{self, Grammar};
 use rac_bench::{cache, ONLINE_LEVELS, SLA_MS};
 use rl::Environment;
 use websim::ServerConfig;
 
+const GRAMMAR: Grammar = Grammar {
+    name: "",
+    synopsis: "inspect_policy",
+    flags: "--quiet  print nothing, like RAC_OBS=off",
+    notes: "reads the cached policies under results/cache/",
+};
+
 fn main() {
-    let quiet = std::env::args().any(|a| a == "--quiet");
-    let console = Console::from_env(quiet);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli::parse(&argv, &[&GRAMMAR]).and_then(|args| match args.operands.first() {
+        Some(op) => Err(format!("inspect_policy takes no operands, got `{op}`")),
+        None => Ok(args),
+    });
+    let args = args.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        eprint!("{}", cli::usage(&[&GRAMMAR]));
+        std::process::exit(2);
+    });
+    let console = Console::from_env(args.has("--quiet"));
     let _span = obs::Span::start("inspect_policy");
     let lattice = ConfigLattice::new(ONLINE_LEVELS);
     for i in 1..=6 {

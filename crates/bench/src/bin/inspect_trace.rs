@@ -27,6 +27,7 @@ use std::time::Duration;
 
 use obs::event::parse_line;
 use obs::{Event, Value};
+use rac_bench::cli::{self, Grammar};
 use rac_bench::output::{ascii_chart, TextTable};
 
 /// Field names every `decision` event must carry (the schema contract
@@ -51,37 +52,36 @@ const DECISION_FIELDS: [&str; 17] = [
     "calibration",
 ];
 
-fn usage() -> ExitCode {
-    eprintln!("usage: inspect_trace <trace.jsonl>...");
-    eprintln!("       inspect_trace --follow <trace.jsonl> [--max-idle-ms <n>]");
+const GRAMMAR: Grammar = Grammar {
+    name: "",
+    synopsis: "inspect_trace <trace.jsonl>...",
+    flags: "\
+--follow           tail one growing trace, one line per new event
+--max-idle-ms <n>  with --follow, stop after this long without new events [15000]",
+    notes: "",
+};
+
+/// Prints `msg` and the usage; exit 2.
+fn usage(msg: &str) -> ExitCode {
+    eprintln!("{msg}");
+    eprint!("{}", cli::usage(&[&GRAMMAR]));
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut follow_mode = false;
-    let mut max_idle_ms: u64 = 15_000;
-    let mut paths: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--follow" => follow_mode = true,
-            "--max-idle-ms" => {
-                i += 1;
-                max_idle_ms = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(n) => n,
-                    None => return usage(),
-                };
-            }
-            a if a.starts_with("--") => return usage(),
-            a => paths.push(a.to_string()),
-        }
-        i += 1;
-    }
-    if follow_mode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match cli::parse(&argv, &[&GRAMMAR]) {
+        Ok(args) => args,
+        Err(e) => return usage(&e),
+    };
+    let max_idle_ms = match args.value("--max-idle-ms", "an unsigned integer") {
+        Ok(ms) => ms.unwrap_or(15_000),
+        Err(e) => return usage(&e),
+    };
+    let paths = &args.operands;
+    if args.has("--follow") {
         let [path] = paths.as_slice() else {
-            eprintln!("inspect_trace: --follow takes exactly one trace file");
-            return usage();
+            return usage("inspect_trace: --follow takes exactly one trace file");
         };
         return match follow(Path::new(path), max_idle_ms) {
             Ok(()) => ExitCode::SUCCESS,
@@ -92,10 +92,10 @@ fn main() -> ExitCode {
         };
     }
     if paths.is_empty() {
-        return usage();
+        return usage("inspect_trace: no trace file given");
     }
     let mut failed = false;
-    for path in &paths {
+    for path in paths {
         match inspect(Path::new(path)) {
             Ok(report) => print!("{report}"),
             Err(e) => {

@@ -8,6 +8,7 @@
 pub mod cache;
 pub mod chaos;
 pub mod checkpoint;
+pub mod cli;
 pub mod crashdrill;
 pub mod fleet;
 pub mod output;

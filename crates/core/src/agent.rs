@@ -20,11 +20,9 @@ use crate::measure::GuardMetrics;
 use crate::param::ConfigLattice;
 use crate::reward::SlaReward;
 
-/// Typed constructor errors for [`RacAgent`].
-///
-/// The panicking constructors ([`RacAgent::with_initial_policy`],
-/// [`RacAgent::with_policy_library`]) are thin wrappers over the
-/// `try_` variants that return these.
+/// Typed constructor errors for [`RacAgent`], returned by
+/// [`RacAgent::with_initial_policy`] and
+/// [`RacAgent::try_with_policy_library`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AgentError {
     /// The initial policy was trained on a lattice of a different size
@@ -231,7 +229,7 @@ impl RacAgent {
     ///
     /// Returns [`AgentError::LatticeMismatch`] when the policy's
     /// lattice size does not match `settings.online_levels`.
-    pub fn try_with_initial_policy(
+    pub fn with_initial_policy(
         settings: RacSettings,
         policy: &InitialPolicy,
     ) -> Result<Self, AgentError> {
@@ -248,17 +246,6 @@ impl RacAgent {
         let mut qtable = QTable::new(lattice.num_states(), Action::COUNT);
         qtable.copy_from(&policy.qtable);
         Ok(Self::assemble(settings, lattice, mdp, qtable, None))
-    }
-
-    /// Panicking convenience wrapper over
-    /// [`try_with_initial_policy`](Self::try_with_initial_policy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy's lattice size does not match
-    /// `settings.online_levels`.
-    pub fn with_initial_policy(settings: RacSettings, policy: &InitialPolicy) -> Self {
-        Self::try_with_initial_policy(settings, policy).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Creates an agent with a library of per-context policies and
@@ -279,7 +266,7 @@ impl RacAgent {
             return Err(AgentError::EmptyLibrary);
         };
         let first = first.clone();
-        let mut agent = Self::try_with_initial_policy(settings, &first)?;
+        let mut agent = Self::with_initial_policy(settings, &first)?;
         agent.library = Some(library);
         Ok(agent)
     }
@@ -376,7 +363,7 @@ impl RacAgent {
     ///
     /// This is the donor side of cross-run policy transfer — a finished
     /// agent's `learned_policy()` can seed a fresh agent on the same
-    /// lattice via [`try_with_initial_policy`](Self::try_with_initial_policy),
+    /// lattice via [`with_initial_policy`](Self::with_initial_policy),
     /// generalizing the snapshot warm-start path to transfers that never
     /// touch disk. `fit.samples`/`samples` report how many lattice
     /// states were actually measured online; `passes` is 0 because no
@@ -1048,7 +1035,7 @@ mod tests {
             landscape,
         )
         .unwrap();
-        let mut agent = RacAgent::with_initial_policy(settings(), &policy);
+        let mut agent = RacAgent::with_initial_policy(settings(), &policy).unwrap();
         let rts = drive(&mut agent, 25);
         // With a good initial policy the agent reaches the bowl floor in
         // well under 25 iterations (paper's headline claim).
@@ -1073,8 +1060,8 @@ mod tests {
             online_learning: false,
             ..settings()
         };
-        let mut a = RacAgent::with_initial_policy(s.clone(), &policy);
-        let mut b = RacAgent::with_initial_policy(s, &policy);
+        let mut a = RacAgent::with_initial_policy(s.clone(), &policy).unwrap();
+        let mut b = RacAgent::with_initial_policy(s, &policy).unwrap();
         // Identical observations → identical (greedy, deterministic) paths.
         for i in 0..20 {
             let rt = 100.0 + i as f64;
@@ -1143,7 +1130,7 @@ mod tests {
             |_: &ServerConfig| 100.0,
         )
         .unwrap();
-        let err = RacAgent::try_with_initial_policy(settings(), &policy).unwrap_err();
+        let err = RacAgent::with_initial_policy(settings(), &policy).unwrap_err();
         assert_eq!(
             err,
             AgentError::LatticeMismatch {
@@ -1243,21 +1230,6 @@ mod tests {
         for rt in [4_800.0, 500.0, 900.0, 5_200.0, 410.0] {
             assert_eq!(a.next_config(&sample(rt)), b.next_config(&sample(rt)));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "different lattice")]
-    fn lattice_mismatch_panics() {
-        let lattice = ConfigLattice::new(4);
-        let policy = train_initial_policy(
-            &lattice,
-            SlaReward::new(1_000.0),
-            OfflineSettings::default(),
-            |_: &ServerConfig| 100.0,
-        )
-        .unwrap();
-        // settings() uses 3 levels; the policy was trained on 4.
-        RacAgent::with_initial_policy(settings(), &policy);
     }
 
     #[test]

@@ -7,16 +7,15 @@
 //! scenario timelines ([`Experiment::run_scenario`]) and resumable
 //! scenario runs ([`Experiment::run_scenario_resumable`]) all compile to
 //! timed steps and go through one loop, so a plain run and a resumed
-//! one cannot drift apart. The *sweeps* the
-//! paper's static figures need ([`cross_workload`], [`cross_platform`],
-//! [`maxclients_sweep`]) are batches of independent measurements, so
-//! they fan out across the global parallel [`Runner`](crate::Runner)
-//! and return deterministic, submission-ordered results.
+//! one cannot drift apart. The *sweep* the
+//! paper's Figure 2 needs ([`maxclients_sweep`]) is a batch of
+//! independent measurements, so it fans out across the global parallel
+//! [`Runner`](crate::Runner) and returns deterministic,
+//! submission-ordered results.
 
 use obs::{trace, Event, Span};
 use scenario::{EventKind, Scenario};
 use simkernel::SimDuration;
-use tpcw::Mix;
 use vmstack::ResourceLevel;
 use websim::{Param, PerfSample, ServerConfig, SystemSpec, ThreeTierSystem};
 
@@ -595,57 +594,6 @@ pub fn series_mean(records: &[IterationRecord]) -> f64 {
     finite.iter().sum::<f64>() / finite.len() as f64
 }
 
-/// Measures one configuration under every TPC-W mix (workload
-/// heterogeneity, the axis of the paper's Figure 3), as one parallel
-/// batch through the global runner.
-///
-/// # Example
-///
-/// ```
-/// use rac::cross_workload;
-/// use simkernel::SimDuration;
-/// use websim::{ServerConfig, SystemSpec};
-///
-/// let rows = cross_workload(
-///     &SystemSpec::default().with_clients(30),
-///     ServerConfig::default(),
-///     SimDuration::from_secs(10),
-///     SimDuration::from_secs(30),
-/// );
-/// assert_eq!(rows.len(), 3);
-/// assert!(rows.iter().all(|(_, s)| s.is_measurable()));
-/// ```
-pub fn cross_workload(
-    spec: &SystemSpec,
-    config: ServerConfig,
-    warmup: SimDuration,
-    measure: SimDuration,
-) -> Vec<(Mix, PerfSample)> {
-    let jobs: Vec<MeasureJob> = Mix::ALL
-        .iter()
-        .map(|&mix| MeasureJob::new(spec.clone().with_mix(mix), config, warmup, measure))
-        .collect();
-    let samples = Runner::global().run(&jobs);
-    Mix::ALL.into_iter().zip(samples).collect()
-}
-
-/// Measures one configuration at every app/db VM resource level
-/// (platform heterogeneity, the paper's Figure 4 axis), as one parallel
-/// batch through the global runner.
-pub fn cross_platform(
-    spec: &SystemSpec,
-    config: ServerConfig,
-    warmup: SimDuration,
-    measure: SimDuration,
-) -> Vec<(ResourceLevel, PerfSample)> {
-    let jobs: Vec<MeasureJob> = ResourceLevel::ALL
-        .iter()
-        .map(|&level| MeasureJob::new(spec.clone().with_level(level), config, warmup, measure))
-        .collect();
-    let samples = Runner::global().run(&jobs);
-    ResourceLevel::ALL.into_iter().zip(samples).collect()
-}
-
 /// Sweeps `MaxClients` (the paper's single most sensitive parameter,
 /// Figure 2) across the given values at each of the given resource
 /// levels — the full `levels × values` grid submitted as one parallel
@@ -811,26 +759,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_platform_orders_levels_and_degrades() {
-        let spec = SystemSpec::default().with_clients(300).with_seed(11);
-        let rows = cross_platform(
-            &spec,
-            ServerConfig::default(),
-            SimDuration::from_secs(120),
-            SimDuration::from_secs(120),
-        );
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].0, ResourceLevel::Level1);
-        assert_eq!(rows[2].0, ResourceLevel::Level3);
-        assert!(
-            rows[2].1.mean_response_ms > rows[0].1.mean_response_ms,
-            "Level 3 ({:.0}ms) should be slower than Level 1 ({:.0}ms)",
-            rows[2].1.mean_response_ms,
-            rows[0].1.mean_response_ms
-        );
-    }
-
-    #[test]
     fn maxclients_sweep_covers_the_grid_in_order() {
         let spec = SystemSpec::default().with_clients(40).with_seed(13);
         let values = [5, 300, 600];
@@ -846,19 +774,5 @@ mod tests {
             assert_eq!(level, [ResourceLevel::Level1, ResourceLevel::Level2][i / 3]);
             assert_eq!(v, values[i % 3]);
         }
-    }
-
-    #[test]
-    fn cross_workload_covers_all_mixes() {
-        let spec = SystemSpec::default().with_clients(30).with_seed(17);
-        let rows = cross_workload(
-            &spec,
-            ServerConfig::default(),
-            SimDuration::from_secs(10),
-            SimDuration::from_secs(30),
-        );
-        let mixes: Vec<Mix> = rows.iter().map(|&(m, _)| m).collect();
-        assert_eq!(mixes, Mix::ALL.to_vec());
-        assert!(rows.iter().all(|(_, s)| s.is_measurable()));
     }
 }

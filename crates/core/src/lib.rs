@@ -84,10 +84,7 @@ pub use checkpoint::{
     ScenarioRunOutcome,
 };
 pub use context::{paper_contexts, PolicyLibrary, SystemContext, ViolationDetector};
-pub use experiment::{
-    cross_platform, cross_workload, maxclients_sweep, series_mean, ContextPhase, Experiment,
-    IterationRecord,
-};
+pub use experiment::{maxclients_sweep, series_mean, ContextPhase, Experiment, IterationRecord};
 pub use guardrail::{GuardDecision, GuardSettings, RollbackGuard};
 pub use init::{train_initial_policy, InitialPolicy, OfflineSettings};
 pub use mdp::ConfigMdp;

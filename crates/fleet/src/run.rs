@@ -544,15 +544,16 @@ fn run_tenant(
         .with_warmup(scn.warmup);
 
     let mut agent = match donor {
-        Some((_, _, policy)) => RacAgent::try_with_initial_policy(settings.clone(), policy)
-            .map_err(|_| {
+        Some((_, _, policy)) => {
+            RacAgent::with_initial_policy(settings.clone(), policy).map_err(|_| {
                 FleetError::Transfer(TransferError::LatticeMismatch {
                     policy_states: policy.qtable.states(),
                     policy_actions: policy.qtable.actions(),
                     store_states: ConfigLattice::new(config.online_levels).num_states(),
                     store_actions: Action::COUNT,
                 })
-            })?,
+            })?
+        }
         None => RacAgent::new(settings.clone()),
     };
 

@@ -4,6 +4,8 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
+use rac_bench::cli::{self, Grammar};
+
 use crate::backoff::Backoff;
 
 /// Which offline policy library the worker seeds the RAC agent from.
@@ -170,112 +172,86 @@ pub struct Cli {
     pub operands: Vec<String>,
 }
 
-/// The usage text for `racd --help` and argument errors.
-pub const USAGE: &str = "\
-usage: racd [scenario ...] --state <dir> [options]
-  runs scenario line-up jobs under supervision: each job checkpoints to
-  <state>/ckpt, crashes resume from the last committed snapshot, and
-  SIGTERM/SIGINT checkpoint-then-stop at the next iteration boundary.
-
-options:
-  --state <dir>       state root (queue, checkpoints, markers)  [required]
-  --results <dir>     output dir for CSV/trace artifacts  [<state>/results]
-  --cache <dir>       offline-policy cache  [<state>/cache]
-  --admin <addr>      admin listener  [127.0.0.1:0; resolved addr in <state>/admin.addr]
-  --serve <addr>      embedded /metrics /healthz /profile server  [off]
-  --config <file>     key = value tunables, re-read on SIGHUP
-  --library <kind>    quick | standard policy library  [quick]
-  --every <n>         checkpoint every N line-up iterations  [5]
-  --once              exit once the queue drains
-  --quick             scale scenarios down (like figures --quick)
+/// The `racd` command line: its options with their defaults, and the
+/// admin protocol. `racd --help` prints it rendered.
+pub const GRAMMAR: Grammar = Grammar {
+    name: "",
+    synopsis: "racd [scenario ...]",
+    flags: "\
+--state <dir>       state root (queue, checkpoints, markers)  [required]
+--results <dir>     output dir for CSV/trace artifacts  [<state>/results]
+--cache <dir>       offline-policy cache  [<state>/cache]
+--admin <addr>      admin listener  [127.0.0.1:0; resolved addr in <state>/admin.addr]
+--serve <addr>      embedded /metrics /healthz /profile server  [off]
+--config <file>     key = value tunables, re-read on SIGHUP
+--library <kind>    quick | standard policy library  [quick]
+--every <n>         checkpoint every N line-up iterations  [5]
+--once              exit once the queue drains
+--quick             scale scenarios down (like figures --quick)
+--help              print this usage (also -h)",
+    notes: "
+runs scenario line-up jobs under supervision: each job checkpoints to
+<state>/ckpt, crashes resume from the last committed snapshot, and
+SIGTERM/SIGINT checkpoint-then-stop at the next iteration boundary.
 
 admin protocol (one command per line; reply is `ok ...` or `err <code> ...`):
   status | checkpoint | pause | resume | shutdown
-  inject <scenario.scn> | upgrade <snapshot.ckpt>";
+  inject <scenario.scn> | upgrade <snapshot.ckpt>",
+};
 
 /// Parses `args` (without the program name).
 ///
 /// # Errors
 ///
-/// A usage message; the caller prints it and exits with
-/// [`crate::supervisor::EXIT_USAGE`].
+/// The offending argument's message followed by the usage; the caller
+/// prints it and exits with [`crate::supervisor::EXIT_USAGE`].
 pub fn parse_args(args: &[String]) -> Result<Cli, String> {
-    let mut state_dir: Option<PathBuf> = None;
-    let mut results_dir: Option<PathBuf> = None;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut admin_addr: Option<String> = None;
-    let mut serve_addr: Option<String> = None;
-    let mut config_path: Option<PathBuf> = None;
-    let mut library: Option<LibraryKind> = None;
-    let mut every: Option<usize> = None;
-    let mut once = false;
-    let mut quick = false;
-    let mut operands = Vec::new();
+    let usage = |msg: String| format!("{msg}\n{}", cli::usage(&[&GRAMMAR]));
+    let parsed = cli::parse(args, &[&GRAMMAR]).map_err(usage)?;
+    // `-h` is single-dash, so the parser reads it as an operand.
+    if parsed.has("--help") || parsed.operands.iter().any(|o| o == "-h") {
+        return Err(cli::usage(&[&GRAMMAR]));
+    }
+    let library = parsed
+        .value_by("--library", "quick or standard", |v| match v {
+            "quick" => Some(LibraryKind::Quick),
+            "standard" => Some(LibraryKind::Standard),
+            _ => None,
+        })
+        .map_err(usage)?;
+    let every = parsed
+        .value("--every", "an unsigned integer")
+        .map_err(usage)?;
+    let state_dir = parsed
+        .get("--state")
+        .ok_or_else(|| usage("--state is required".into()))?;
 
-    let mut i = 0;
-    let value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--state" => state_dir = Some(PathBuf::from(value(args, &mut i, "--state")?)),
-            "--results" => results_dir = Some(PathBuf::from(value(args, &mut i, "--results")?)),
-            "--cache" => cache_dir = Some(PathBuf::from(value(args, &mut i, "--cache")?)),
-            "--admin" => admin_addr = Some(value(args, &mut i, "--admin")?),
-            "--serve" => serve_addr = Some(value(args, &mut i, "--serve")?),
-            "--config" => config_path = Some(PathBuf::from(value(args, &mut i, "--config")?)),
-            "--library" => {
-                library = Some(match value(args, &mut i, "--library")?.as_str() {
-                    "quick" => LibraryKind::Quick,
-                    "standard" => LibraryKind::Standard,
-                    other => return Err(format!("--library: unknown kind `{other}`\n{USAGE}")),
-                })
-            }
-            "--every" => {
-                every = Some(
-                    value(args, &mut i, "--every")?
-                        .parse()
-                        .map_err(|_| format!("--every needs a count\n{USAGE}"))?,
-                )
-            }
-            "--once" => once = true,
-            "--quick" => quick = true,
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag {flag}\n{USAGE}"));
-            }
-            operand => operands.push(operand.to_string()),
-        }
-        i += 1;
+    let mut config = DaemonConfig::new(PathBuf::from(state_dir));
+    if let Some(d) = parsed.get("--results") {
+        config.results_dir = PathBuf::from(d);
     }
-
-    let state_dir = state_dir.ok_or_else(|| format!("--state is required\n{USAGE}"))?;
-    let mut config = DaemonConfig::new(state_dir);
-    if let Some(d) = results_dir {
-        config.results_dir = d;
+    if let Some(d) = parsed.get("--cache") {
+        config.cache_dir = PathBuf::from(d);
     }
-    if let Some(d) = cache_dir {
-        config.cache_dir = d;
+    if let Some(a) = parsed.get("--admin") {
+        config.admin_addr = a.to_string();
     }
-    if let Some(a) = admin_addr {
-        config.admin_addr = a;
-    }
-    config.serve_addr = serve_addr;
-    config.config_path = config_path;
+    config.serve_addr = parsed.get("--serve").map(String::from);
+    config.config_path = parsed.get("--config").map(PathBuf::from);
     if let Some(k) = library {
         config.library = k;
     }
     if let Some(n) = every {
         config.checkpoint_every = n;
     }
-    config.once = once;
-    config.quick = quick;
+    config.once = parsed.has("--once");
+    config.quick = parsed.has("--quick");
     // The config file participates at startup too, not just on SIGHUP.
     config.apply_file()?;
-    Ok(Cli { config, operands })
+    Ok(Cli {
+        config,
+        operands: parsed.operands,
+    })
 }
 
 #[cfg(test)]
@@ -316,6 +292,21 @@ mod tests {
         assert!(parse_args(&args(&["--state", "s", "--bogus"]))
             .unwrap_err()
             .contains("--bogus"));
+    }
+
+    #[test]
+    fn a_flag_never_takes_the_next_flag_as_its_value() {
+        let err = parse_args(&args(&["--state", "--once"])).unwrap_err();
+        assert!(err.contains("--state needs a value"), "{err}");
+    }
+
+    #[test]
+    fn help_prints_the_full_usage() {
+        for flag in ["--help", "-h"] {
+            let usage = parse_args(&args(&["--state", "s", flag])).unwrap_err();
+            assert!(usage.starts_with("usage: racd"), "{usage}");
+            assert!(usage.contains("--library <kind>") && usage.contains("upgrade <snapshot"));
+        }
     }
 
     #[test]

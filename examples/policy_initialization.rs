@@ -81,7 +81,8 @@ fn main() {
         .with_warmup(SimDuration::from_secs(600))
         .then(context, 15);
 
-    let mut with_init = RacAgent::with_initial_policy(settings.clone(), &policy);
+    let mut with_init = RacAgent::with_initial_policy(settings.clone(), &policy)
+        .expect("policy trained on the agent's lattice");
     let with_series = experiment.run(&mut with_init);
     let mut without_init = RacAgent::new(settings);
     let without_series = experiment.run(&mut without_init);

@@ -61,7 +61,7 @@ fn offline_training_then_online_tuning_beats_default() {
     );
 
     let exp = quick_experiment(context, 15);
-    let mut agent = RacAgent::with_initial_policy(settings, &policy);
+    let mut agent = RacAgent::with_initial_policy(settings, &policy).expect("same lattice");
     let agent_series = exp.run(&mut agent);
     let mut baseline = StaticDefault::new();
     let baseline_series = exp.run(&mut baseline);
