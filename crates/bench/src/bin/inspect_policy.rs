@@ -36,9 +36,8 @@ fn main() {
     let console = Console::from_env(args.has("--quiet"));
     let _span = obs::Span::start("inspect_policy");
     let lattice = ConfigLattice::new(ONLINE_LEVELS);
-    for i in 1..=6 {
-        let path =
-            std::path::PathBuf::from(format!("results/cache/policy-ctx{i}-L{ONLINE_LEVELS}.bin"));
+    for (i, (_, file)) in (1..).zip(rac_bench::standard_policy_files()) {
+        let path = std::path::Path::new("results/cache").join(file);
         let Some(policy) = cache::load_policy(&path, &lattice) else {
             console.note(format!("ctx{i}: no cache"));
             continue;

@@ -26,7 +26,7 @@ use rac::{
     train_initial_policy, Action, ConfigLattice, ConfigMdp, Experiment, OfflineSettings,
     PolicyLibrary, RacAgent, Runner, SimMeasurer, SlaReward,
 };
-use rl::{batch_value_sweep_report, Backup, Environment, QLearning, QTable};
+use rl::{batch_value_sweep_report, Environment, QLearning, QTable};
 use scenario::Scenario;
 use simkernel::rng::Exponential;
 use simkernel::{EventQueue, HeapQueue, Pcg64, SimDuration, SimTime};
@@ -240,7 +240,7 @@ fn qsweep_updates_per_sec(mdp: &ConfigMdp) -> f64 {
     let mut q = QTable::new(mdp.num_states(), Action::COUNT);
     let learner = QLearning::new(0.1, 0.9);
     let started = Instant::now();
-    let report = batch_value_sweep_report(mdp, &mut q, &learner, Backup::Greedy, 0.0, SWEEP_PASSES);
+    let report = batch_value_sweep_report(mdp, &mut q, &learner, 0.0, SWEEP_PASSES);
     let elapsed = started.elapsed().as_secs_f64();
     std::hint::black_box(q.raw());
     report.updates as f64 / elapsed

@@ -5,7 +5,7 @@ use std::sync::OnceLock;
 
 use obs::Event;
 use rl::{
-    batch_value_sweep_report, Backup, Environment, ExperienceLog, QLearning, QTable, SweepReport,
+    batch_value_sweep_report, Environment, ExperienceLog, QLearning, QTable, SweepReport,
     Transition,
 };
 use simkernel::Pcg64;
@@ -859,7 +859,6 @@ impl Tuner for RacAgent {
                 &self.mdp,
                 &mut self.qtable,
                 &self.learner,
-                Backup::Greedy,
                 self.settings.batch_theta,
                 self.settings.batch_passes,
             );

@@ -99,4 +99,4 @@ pub use persist::{
 pub use reward::SlaReward;
 pub use runner::{Measure, MeasureJob, Runner, SimMeasurer};
 pub use sensitivity::{analyze_sensitivity, select_parameters, ParamSensitivity};
-pub use training::{build_policy_library, TrainingOptions};
+pub use training::{build_policy_library, build_policy_library_on, TrainingOptions};

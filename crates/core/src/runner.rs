@@ -306,7 +306,9 @@ impl Runner {
     /// (e.g. whole figures) that are not single measurements.
     ///
     /// `task` must be deterministic in its index for the parallel ≡
-    /// serial guarantee to extend to the caller.
+    /// serial guarantee to extend to the caller. A task's profiler
+    /// frames fold under the submitting thread's innermost frame,
+    /// whether the task runs on a worker or inline.
     pub fn run_tasks<R, F>(&self, n: usize, task: F) -> Vec<R>
     where
         R: Send,
@@ -321,15 +323,18 @@ impl Runner {
         }
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let root = obs::profile::current_path();
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result = task(i);
-                    *slots[i].lock().unwrap() = Some(result);
+                scope.spawn(|| {
+                    obs::profile::with_root(root.clone(), || loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let result = task(i);
+                        *slots[i].lock().unwrap() = Some(result);
+                    })
                 });
             }
         });
@@ -370,8 +375,7 @@ impl Runner {
         let m = RunnerMetrics::get();
         m.queue_depth.add(pending.len() as i64);
         self.run_tasks(pending.len(), |i| {
-            // One profiler frame per queue job; worker threads root
-            // their own stacks, so the path stays "runner_job".
+            // One profiler frame per queue job, under the submitter's.
             let _span = obs::Span::start("runner_job");
             let started = std::time::Instant::now();
             let sample = pending[i].1.execute();

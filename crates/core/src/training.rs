@@ -29,9 +29,12 @@ pub struct TrainingOptions {
 }
 
 impl Default for TrainingOptions {
+    /// The standard offline sampling: 240 s measured after a 120 s
+    /// warm-up, the settling time of every simulator transient that
+    /// ends, rounded up to a whole minute (DESIGN.md, "Offline warm-up").
     fn default() -> Self {
         TrainingOptions {
-            warmup: SimDuration::from_secs(600),
+            warmup: SimDuration::from_secs(120),
             measure: SimDuration::from_secs(240),
             settings: OfflineSettings::default(),
         }
@@ -83,6 +86,26 @@ pub fn build_policy_library(
     reward: SlaReward,
     options: TrainingOptions,
 ) -> PolicyLibrary {
+    build_policy_library_on(
+        Runner::global(),
+        spec_base,
+        contexts,
+        lattice,
+        reward,
+        options,
+    )
+}
+
+/// [`build_policy_library`] on an explicit runner (its worker count and
+/// measurement cache); the library is the same at any thread count.
+pub fn build_policy_library_on(
+    runner: &Runner,
+    spec_base: &SystemSpec,
+    contexts: &[SystemContext],
+    lattice: &ConfigLattice,
+    reward: SlaReward,
+    options: TrainingOptions,
+) -> PolicyLibrary {
     let mut library = PolicyLibrary::new();
     if contexts.is_empty() {
         return library;
@@ -101,7 +124,6 @@ pub fn build_policy_library(
             })
         })
         .collect();
-    let runner = Runner::global();
     let measured: Vec<f64> = runner
         .run(&jobs)
         .iter()

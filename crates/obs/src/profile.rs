@@ -117,6 +117,36 @@ pub(crate) fn exit_frame(depth: usize, elapsed_us: u64) {
     });
 }
 
+/// The path of the current thread's innermost open frame, or `None`
+/// when profiling is off or no frame is open. An executor captures it
+/// on the thread that submits work and passes it to [`with_root`] on
+/// each worker thread.
+pub fn current_path() -> Option<String> {
+    if !enabled() {
+        return None;
+    }
+    STACK.with(|stack| stack.borrow().last().map(|frame| frame.path.clone()))
+}
+
+/// Runs `f` with the current thread's frames rooted under `path`, so a
+/// span started on a worker folds at `path;name` as it would on the
+/// submitting thread. The root itself folds nothing: its time belongs
+/// to the submitting frame, on its own thread. A `None` path roots
+/// nothing.
+pub fn with_root<R>(path: Option<String>, f: impl FnOnce() -> R) -> R {
+    let Some(path) = path else {
+        return f();
+    };
+    let depth = STACK.with(|stack| {
+        let mut stack = stack.borrow_mut();
+        stack.push(Frame { path, child_us: 0 });
+        stack.len() - 1
+    });
+    let result = f();
+    STACK.with(|stack| stack.borrow_mut().truncate(depth));
+    result
+}
+
 /// A copy of the aggregated call tree, sorted by name path.
 pub fn snapshot() -> Vec<(String, NodeStats)> {
     tree()
@@ -225,6 +255,35 @@ mod tests {
         assert_eq!(stats_for("outer").self_us, 400);
         assert!(snapshot().iter().all(|(p, _)| !p.contains("leaked")));
         assert_eq!(stack_depth(), 0);
+    }
+
+    #[test]
+    fn with_root_prefixes_paths_and_folds_nothing_itself() {
+        let _g = guard();
+        reset();
+        set_enabled(true);
+        let submit = enter_frame("submit").unwrap();
+        let root = current_path();
+        assert_eq!(root.as_deref(), Some("submit"));
+        let worker = std::thread::spawn(move || {
+            with_root(root, || {
+                let job = enter_frame("job").unwrap();
+                exit_frame(job, 70);
+            });
+            stack_depth()
+        });
+        assert_eq!(worker.join().unwrap(), 0, "the root is popped");
+        exit_frame(submit, 100);
+        set_enabled(false);
+
+        assert_eq!(stats_for("submit;job").total_us, 70);
+        assert_eq!(
+            stats_for("submit").self_us,
+            100,
+            "worker time is not credited across threads"
+        );
+        assert_eq!(stats_for("submit").count, 1, "the root folds nothing");
+        assert!(current_path().is_none(), "profiling off: no path");
     }
 
     #[test]

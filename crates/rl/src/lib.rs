@@ -55,7 +55,4 @@ pub use double_q::DoubleQ;
 pub use experience::{ExperienceLog, Transition};
 pub use qtable::{QLearning, QTable};
 pub use space::IndexSpace;
-pub use sweep::{
-    batch_value_sweep, batch_value_sweep_report, batch_value_sweep_with, Backup, Environment,
-    SweepReport,
-};
+pub use sweep::{batch_value_sweep, batch_value_sweep_report, Environment, SweepReport};

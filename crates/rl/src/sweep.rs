@@ -26,33 +26,6 @@ pub trait Environment {
     fn reward(&self, s: usize, a: usize, s2: usize) -> f64;
 }
 
-/// How a sweep values the successor state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Backup {
-    /// Off-policy Q-learning: `V(s') = max_a Q(s', a)`.
-    Greedy,
-    /// Expected SARSA under an ε-greedy behaviour policy:
-    /// `V(s') = (1 − ε)·max_a Q(s', a) + ε·mean_a Q(s', a)`.
-    ///
-    /// Valuing successors the way the *online* agent will actually act
-    /// (it explores!) yields slightly more conservative policies; the
-    /// paper uses plain Q-learning, this variant exists for ablation.
-    EpsilonGreedy(f64),
-}
-
-impl Backup {
-    fn state_value(self, q: &QTable, s: usize) -> f64 {
-        match self {
-            Backup::Greedy => q.max_q(s),
-            Backup::EpsilonGreedy(epsilon) => {
-                let n = q.actions();
-                let mean: f64 = (0..n).map(|a| q.get(s, a)).sum::<f64>() / n as f64;
-                (1.0 - epsilon) * q.max_q(s) + epsilon * mean
-            }
-        }
-    }
-}
-
 /// What a batch retraining sweep did — the observability payload the
 /// online agent reports per iteration (passes run, largest Q-entry
 /// change, total updates applied).
@@ -88,39 +61,20 @@ pub fn batch_value_sweep(
     theta: f64,
     max_passes: usize,
 ) -> usize {
-    batch_value_sweep_report(env, q, learner, Backup::Greedy, theta, max_passes).passes
+    batch_value_sweep_report(env, q, learner, theta, max_passes).passes
 }
 
-/// [`batch_value_sweep`] with an explicit successor-state [`Backup`]
-/// rule.
-///
-/// # Panics
-///
-/// Same as [`batch_value_sweep`]; additionally panics if an
-/// [`Backup::EpsilonGreedy`] ε is outside `[0, 1]`.
-pub fn batch_value_sweep_with(
-    env: &impl Environment,
-    q: &mut QTable,
-    learner: &QLearning,
-    backup: Backup,
-    theta: f64,
-    max_passes: usize,
-) -> usize {
-    batch_value_sweep_report(env, q, learner, backup, theta, max_passes).passes
-}
-
-/// The fully instrumented sweep: like [`batch_value_sweep_with`] but
+/// The fully instrumented sweep: like [`batch_value_sweep`] but
 /// returning the [`SweepReport`] (passes, residual max |ΔQ|, update
 /// count) instead of just the pass count.
 ///
 /// # Panics
 ///
-/// Same as [`batch_value_sweep_with`].
+/// Same as [`batch_value_sweep`].
 pub fn batch_value_sweep_report(
     env: &impl Environment,
     q: &mut QTable,
     learner: &QLearning,
-    backup: Backup,
     theta: f64,
     max_passes: usize,
 ) -> SweepReport {
@@ -128,9 +82,6 @@ pub fn batch_value_sweep_report(
     assert_eq!(q.actions(), env.num_actions(), "action count mismatch");
     assert!(theta >= 0.0, "theta must be non-negative");
     assert!(max_passes > 0, "need at least one pass");
-    if let Backup::EpsilonGreedy(e) = backup {
-        assert!((0.0..=1.0).contains(&e), "epsilon must be in [0, 1]");
-    }
 
     let states = env.num_states();
     let actions = env.num_actions();
@@ -146,75 +97,47 @@ pub fn batch_value_sweep_report(
     };
 
     let mut report = SweepReport::default();
-    match backup {
-        Backup::Greedy => {
-            // The greedy backup only ever needs `max_a Q(s', a)`, so the
-            // per-state row maximum is tracked incrementally: an update
-            // raises it directly, and only demoting the current maximum
-            // forces an O(actions) rescan. f32 `max` over a row is
-            // order-independent, so the cached value is always exactly
-            // `QTable::max_q` — the sweep stays a Gauss-Seidel pass
-            // (successor values are read mid-pass, as written).
-            let alpha = learner.alpha();
-            let gamma = learner.gamma();
-            let row_max_of = |row: &[f32]| row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let values = q.raw_mut();
-            let mut row_max: Vec<f32> = (0..states)
-                .map(|s| row_max_of(&values[s * actions..(s + 1) * actions]))
-                .collect();
-            for pass in 1..=max_passes {
-                let mut error: f64 = 0.0;
-                for s in 0..states {
-                    let base = s * actions;
-                    for a in 0..actions {
-                        let s2 = successor(s, a);
-                        // Same arithmetic as `QLearning::update_toward`:
-                        // f64 target, f32 store, f64 delta.
-                        let old32 = values[base + a];
-                        let old = old32 as f64;
-                        let target = env.reward(s, a, s2) + gamma * row_max[s2] as f64;
-                        let new = old + alpha * (target - old);
-                        let new32 = new as f32;
-                        values[base + a] = new32;
-                        if new32 >= row_max[s] {
-                            row_max[s] = new32;
-                        } else if old32 == row_max[s] {
-                            row_max[s] = row_max_of(&values[base..base + actions]);
-                        }
-                        error = error.max((new - old).abs());
-                    }
+    // Off-policy Q-learning values a successor by `max_a Q(s', a)`, so
+    // the per-state row maximum is tracked incrementally: an update
+    // raises it directly, and only demoting the current maximum forces
+    // an O(actions) rescan. f32 `max` over a row is order-independent,
+    // so the cached value is always exactly `QTable::max_q` — the sweep
+    // stays a Gauss-Seidel pass (successor values are read mid-pass, as
+    // written).
+    let alpha = learner.alpha();
+    let gamma = learner.gamma();
+    let row_max_of = |row: &[f32]| row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let values = q.raw_mut();
+    let mut row_max: Vec<f32> = (0..states)
+        .map(|s| row_max_of(&values[s * actions..(s + 1) * actions]))
+        .collect();
+    for pass in 1..=max_passes {
+        let mut error: f64 = 0.0;
+        for s in 0..states {
+            let base = s * actions;
+            for a in 0..actions {
+                let s2 = successor(s, a);
+                // Same arithmetic as `QLearning::update_toward`:
+                // f64 target, f32 store, f64 delta.
+                let old32 = values[base + a];
+                let old = old32 as f64;
+                let target = env.reward(s, a, s2) + gamma * row_max[s2] as f64;
+                let new = old + alpha * (target - old);
+                let new32 = new as f32;
+                values[base + a] = new32;
+                if new32 >= row_max[s] {
+                    row_max[s] = new32;
+                } else if old32 == row_max[s] {
+                    row_max[s] = row_max_of(&values[base..base + actions]);
                 }
-                report.passes = pass;
-                report.max_delta = error;
-                report.updates += (states * actions) as u64;
-                if error < theta {
-                    break;
-                }
+                error = error.max((new - old).abs());
             }
         }
-        Backup::EpsilonGreedy(_) => {
-            // The ε-greedy backup folds an order-dependent f64 mean over
-            // the successor row, which every write invalidates — no
-            // cache can reproduce it bit-exactly, so this ablation
-            // variant keeps the straightforward loop.
-            for pass in 1..=max_passes {
-                let mut error: f64 = 0.0;
-                for s in 0..states {
-                    for a in 0..actions {
-                        let s2 = successor(s, a);
-                        let next_value = backup.state_value(q, s2);
-                        let delta =
-                            learner.update_toward(q, s, a, env.reward(s, a, s2), next_value);
-                        error = error.max(delta);
-                    }
-                }
-                report.passes = pass;
-                report.max_delta = error;
-                report.updates += (states * actions) as u64;
-                if error < theta {
-                    break;
-                }
-            }
+        report.passes = pass;
+        report.max_delta = error;
+        report.updates += (states * actions) as u64;
+        if error < theta {
+            break;
         }
     }
     report
@@ -317,79 +240,13 @@ mod tests {
     }
 
     #[test]
-    fn expected_sarsa_backup_is_more_conservative() {
-        // With exploration, successor values are averaged down, so the
-        // converged Q-values are bounded above by the greedy ones.
-        let env = Ridge { n: 15, peak: 7 };
-        let learner = QLearning::new(0.5, 0.9);
-        let mut greedy = QTable::new(15, 3);
-        batch_value_sweep_with(&env, &mut greedy, &learner, Backup::Greedy, 1e-4, 5_000);
-        let mut sarsa = QTable::new(15, 3);
-        batch_value_sweep_with(
-            &env,
-            &mut sarsa,
-            &learner,
-            Backup::EpsilonGreedy(0.3),
-            1e-4,
-            5_000,
-        );
-        for s in 0..15 {
-            assert!(
-                sarsa.max_q(s) <= greedy.max_q(s) + 1e-3,
-                "state {s}: sarsa {} > greedy {}",
-                sarsa.max_q(s),
-                greedy.max_q(s)
-            );
-        }
-        // Both still find the same greedy policy at the peak's neighbours.
-        assert_eq!(sarsa.best_action(3), greedy.best_action(3));
-    }
-
-    #[test]
-    fn epsilon_zero_backup_equals_greedy() {
-        let env = Ridge { n: 9, peak: 4 };
-        let learner = QLearning::new(1.0, 0.5);
-        let mut a = QTable::new(9, 3);
-        let mut b = QTable::new(9, 3);
-        batch_value_sweep_with(&env, &mut a, &learner, Backup::Greedy, 1e-6, 200);
-        batch_value_sweep_with(
-            &env,
-            &mut b,
-            &learner,
-            Backup::EpsilonGreedy(0.0),
-            1e-6,
-            200,
-        );
-        for s in 0..9 {
-            for act in 0..3 {
-                assert!((a.get(s, act) - b.get(s, act)).abs() < 1e-6);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "epsilon must be in [0, 1]")]
-    fn bad_backup_epsilon_panics() {
-        let env = Ridge { n: 5, peak: 2 };
-        let mut q = QTable::new(5, 3);
-        batch_value_sweep_with(
-            &env,
-            &mut q,
-            &QLearning::new(0.5, 0.5),
-            Backup::EpsilonGreedy(1.5),
-            1e-3,
-            10,
-        );
-    }
-
-    #[test]
     fn report_matches_pass_count_and_counts_updates() {
         let env = Ridge { n: 21, peak: 13 };
         let learner = QLearning::new(1.0, 0.9);
         let mut q1 = QTable::new(21, 3);
         let passes = batch_value_sweep(&env, &mut q1, &learner, 1e-4, 1000);
         let mut q2 = QTable::new(21, 3);
-        let report = batch_value_sweep_report(&env, &mut q2, &learner, Backup::Greedy, 1e-4, 1000);
+        let report = batch_value_sweep_report(&env, &mut q2, &learner, 1e-4, 1000);
         assert_eq!(report.passes, passes);
         assert_eq!(report.updates, (passes * 21 * 3) as u64);
         assert!(report.max_delta < 1e-4, "residual {}", report.max_delta);
@@ -402,13 +259,12 @@ mod tests {
     }
 
     /// The pre-optimization sweep loop, verbatim: queries the model per
-    /// update and recomputes `state_value` from the live table. The
-    /// optimized sweep must reproduce it bit-for-bit.
+    /// update and recomputes `max_q` from the live table. The optimized
+    /// sweep must reproduce it bit-for-bit.
     fn naive_sweep_report(
         env: &impl Environment,
         q: &mut QTable,
         learner: &QLearning,
-        backup: Backup,
         theta: f64,
         max_passes: usize,
     ) -> SweepReport {
@@ -419,7 +275,7 @@ mod tests {
                 for a in 0..env.num_actions() {
                     let s2 = env.transition(s, a);
                     let r = env.reward(s, a, s2);
-                    let next_value = backup.state_value(q, s2);
+                    let next_value = q.max_q(s2);
                     let delta = learner.update_toward(q, s, a, r, next_value);
                     error = error.max(delta);
                 }
@@ -458,24 +314,19 @@ mod tests {
 
     #[test]
     fn optimized_sweep_is_bit_identical_to_naive_loop() {
-        for (backup, theta, passes) in [
-            (Backup::Greedy, 1e-6, 400),
-            (Backup::Greedy, 0.0, 50),
-            (Backup::EpsilonGreedy(0.2), 1e-6, 400),
-        ] {
+        for (theta, passes) in [(1e-6, 400), (0.0, 50)] {
             for learner in [QLearning::new(0.1, 0.9), QLearning::new(1.0, 0.5)] {
                 for env_n in [7usize, 64] {
                     let env = Scramble { n: env_n };
                     let mut fast = QTable::new(env_n, 5);
                     let report_fast =
-                        batch_value_sweep_report(&env, &mut fast, &learner, backup, theta, passes);
+                        batch_value_sweep_report(&env, &mut fast, &learner, theta, passes);
                     let mut slow = QTable::new(env_n, 5);
-                    let report_slow =
-                        naive_sweep_report(&env, &mut slow, &learner, backup, theta, passes);
-                    assert_eq!(report_fast, report_slow, "{backup:?} n={env_n}");
+                    let report_slow = naive_sweep_report(&env, &mut slow, &learner, theta, passes);
+                    assert_eq!(report_fast, report_slow, "theta={theta} n={env_n}");
                     let fast_bits: Vec<u32> = fast.raw().iter().map(|v| v.to_bits()).collect();
                     let slow_bits: Vec<u32> = slow.raw().iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(fast_bits, slow_bits, "{backup:?} n={env_n}");
+                    assert_eq!(fast_bits, slow_bits, "theta={theta} n={env_n}");
                 }
             }
         }
@@ -496,8 +347,8 @@ mod tests {
         }
         let mut fast = seed.clone();
         let mut slow = seed;
-        let rf = batch_value_sweep_report(&env, &mut fast, &learner, Backup::Greedy, 1e-7, 300);
-        let rs = naive_sweep_report(&env, &mut slow, &learner, Backup::Greedy, 1e-7, 300);
+        let rf = batch_value_sweep_report(&env, &mut fast, &learner, 1e-7, 300);
+        let rs = naive_sweep_report(&env, &mut slow, &learner, 1e-7, 300);
         assert_eq!(rf, rs);
         assert_eq!(fast.raw(), slow.raw());
     }

@@ -14,8 +14,8 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use obs::trace::{self, TraceWriter};
 use rac::runner::Runner;
 use rac::{
-    paper_contexts, train_initial_policy, ConfigLattice, OfflineSettings, PolicyLibrary,
-    SimMeasurer, SlaReward,
+    build_policy_library_on, paper_contexts, train_initial_policy, ConfigLattice, OfflineSettings,
+    PolicyLibrary, SimMeasurer, SlaReward, TrainingOptions,
 };
 use rac_bench::checkpoint::{run_tuners_checkpointed, CheckpointOptions, LineupOutcome};
 use rac_bench::scenario::{resolve, run_tuners, scenario_table};
@@ -223,5 +223,56 @@ fn folded_profile_covers_pipeline_phases() {
     assert!(
         folded.lines().any(|l| l.starts_with("tuner;")),
         "sweep/guardrail must nest under the tuner:\n{folded}"
+    );
+}
+
+/// Runner work folds under the frame that submitted it: a profiled
+/// two-context library trained on a 2-thread runner lists its coarse
+/// samples and fits under `build_policy_library`, the paths an inline
+/// (one-thread) run gives, and no worker frame at the root.
+#[test]
+fn runner_work_folds_under_the_submitting_frame() {
+    let _profiler = profiler_lock();
+    static RUNNER: OnceLock<Runner> = OnceLock::new();
+    let runner = RUNNER.get_or_init(|| Runner::new(2));
+    let options = TrainingOptions {
+        warmup: SimDuration::from_secs(10),
+        measure: SimDuration::from_secs(20),
+        settings: OfflineSettings {
+            group_levels: 2,
+            ..OfflineSettings::default()
+        },
+    };
+    obs::profile::set_enabled(true);
+    obs::profile::reset();
+    let library = build_policy_library_on(
+        runner,
+        &paper_system_spec().with_clients(30),
+        &paper_contexts()[..2],
+        &ConfigLattice::new(3),
+        SlaReward::new(SLA_MS),
+        options,
+    );
+    obs::profile::set_enabled(false);
+    assert_eq!(library.len(), 2);
+
+    let paths: Vec<String> = obs::profile::snapshot()
+        .into_iter()
+        .map(|(path, _)| path)
+        .collect();
+    for want in [
+        "build_policy_library;runner_job",
+        "build_policy_library;fit_initial_policy",
+    ] {
+        assert!(
+            paths.iter().any(|p| p == want),
+            "missing {want} in {paths:?}"
+        );
+    }
+    assert!(
+        !paths
+            .iter()
+            .any(|p| p == "runner_job" || p == "fit_initial_policy"),
+        "worker frames at the root: {paths:?}"
     );
 }
