@@ -14,7 +14,7 @@
 //! cargo run --release -p rac-bench --bin figures -- chaos 7 --iterations 36
 //! cargo run --release -p rac-bench --bin figures -- crashdrill       # default drill seeds
 //! cargo run --release -p rac-bench --bin figures -- crashdrill 7 --iterations 36
-//! cargo run --release -p rac-bench --bin figures -- bench            # writes BENCH_9.json
+//! cargo run --release -p rac-bench --bin figures -- bench            # writes BENCH_18.json
 //! cargo run --release -p rac-bench --bin figures -- bench --quick --check BENCH_9.json
 //! cargo run --release -p rac-bench --bin figures -- tournament       # 200 generated scenarios
 //! cargo run --release -p rac-bench --bin figures -- tournament 24 --quick --seed 7
@@ -69,8 +69,9 @@ use std::time::Instant;
 use obs::{Console, TraceWriter};
 
 use rac::{
-    grouping, maxclients_sweep, paper_contexts, series_mean, Experiment, IterationRecord,
-    MeasureJob, PolicyLibrary, RacAgent, RacSettings, Runner, SimMeasurer,
+    convergence_iteration, grouping, maxclients_sweep, paper_contexts, response_series,
+    series_mean, Experiment, IterationRecord, MeasureJob, PolicyLibrary, RacAgent, RacSettings,
+    Runner, SimMeasurer,
 };
 use rac_bench::checkpoint::{
     lineup_arms, run_lineup, CheckpointOptions, LineupCommand, LineupOutcome,
@@ -434,7 +435,10 @@ fn run_bench_suite(args: &Args, opts: &Options, console: &Console) -> Result<(),
     if let Some(op) = args.operands.first() {
         return Err(format!("bench takes no operands, got `{op}`"));
     }
-    let out = Path::new(args.get("--out").unwrap_or(perfsuite::DEFAULT_OUTPUT));
+    let out = args.get("--out").map_or_else(
+        || PathBuf::from(format!("BENCH_{}.json", perfsuite::BENCH_VERSION)),
+        PathBuf::from,
+    );
     // Read the committed report before the suite runs, so a mistyped
     // path costs nothing.
     let check = args.get("--check").map(|path| {
@@ -463,12 +467,6 @@ fn run_bench_suite(args: &Args, opts: &Options, console: &Console) -> Result<(),
         "bench: suite finished in {:.1}s",
         started.elapsed().as_secs_f64()
     ));
-    if let Some(s) = report.event_queue_speedup() {
-        console.note(format!("bench: calendar queue {s:.2}x over heap baseline"));
-    }
-    if let Some(s) = report.qsweep_speedup() {
-        console.note(format!("bench: optimized sweep {s:.2}x over naive loop"));
-    }
     match check {
         Some((path, medians)) => {
             let failures =
@@ -494,7 +492,7 @@ fn run_bench_suite(args: &Args, opts: &Options, console: &Console) -> Result<(),
                     std::fs::create_dir_all(dir).ok();
                 }
             }
-            std::fs::write(out, report.to_json()).unwrap_or_else(|e| {
+            std::fs::write(&out, report.to_json()).unwrap_or_else(|e| {
                 eprintln!("cannot write {}: {e}", out.display());
                 std::process::exit(2);
             });
@@ -883,32 +881,6 @@ fn fig4(opts: &Options, out: &mut String) {
 // Online-learning figures (Section 5)
 // --------------------------------------------------------------------
 
-fn response_series(records: &[IterationRecord]) -> Vec<f64> {
-    records.iter().map(|r| r.response_ms).collect()
-}
-
-/// The iteration after which the series stays within 20% of its final
-/// plateau (mean of the last 5 samples) — "driven to a stable state".
-fn convergence_iteration(series: &[f64]) -> Option<usize> {
-    if series.len() < 6 {
-        return None;
-    }
-    let tail: f64 = series[series.len() - 5..].iter().sum::<f64>() / 5.0;
-    if !tail.is_finite() {
-        return None;
-    }
-    let ok = |v: f64| v.is_finite() && (v - tail).abs() <= 0.2 * tail.abs().max(1.0);
-    let mut candidate = None;
-    for (i, &v) in series.iter().enumerate() {
-        if ok(v) {
-            candidate.get_or_insert(i);
-        } else {
-            candidate = None;
-        }
-    }
-    candidate
-}
-
 fn experiment_123(opts: &Options) -> Experiment {
     let contexts = paper_contexts();
     let n = opts.iters(30);
@@ -987,7 +959,7 @@ fn fig5(opts: &Options, library: &PolicyLibrary, out: &mut String) {
     let n = exp.total_iterations() / 3;
     for (phase, label) in [(0, "context-1"), (1, "context-2"), (2, "context-3")] {
         let slice = &response_series(&rac_series)[phase * n..(phase + 1) * n];
-        match convergence_iteration(slice) {
+        match convergence_iteration(slice, 0.2) {
             Some(it) => {
                 let _ = writeln!(out, "  RAC stabilized in {label} after {it} iterations");
             }
@@ -1083,7 +1055,7 @@ fn fig7(opts: &Options, library: &PolicyLibrary, out: &mut String) {
             "  mean: w/ init {:.0} ms | w/o init {:.0} ms | stable-after: {:?}",
             series_mean(&with_series),
             series_mean(&without_series),
-            convergence_iteration(&response_series(&with_series))
+            convergence_iteration(&response_series(&with_series), 0.2)
         );
     }
 }
@@ -1171,7 +1143,7 @@ fn fig9(opts: &Options, library: &PolicyLibrary, out: &mut String) {
             "  mean: adaptive {:.0} ms | static {:.0} ms | static stable-after {:?}",
             series_mean(&adaptive_series),
             series_mean(&static_series),
-            convergence_iteration(&response_series(&static_series))
+            convergence_iteration(&response_series(&static_series), 0.2)
         );
     }
 }

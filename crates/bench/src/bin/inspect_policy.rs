@@ -4,9 +4,12 @@
 //!
 //! Output goes through the obs console exporter; `--quiet` (or
 //! `RAC_OBS=off`) suppresses it, which makes the bin usable as a pure
-//! cache-validity check via its exit status.
+//! cache-validity check via its exit status: 0 when all six standard
+//! policies load, 1 when any is missing or unreadable (after reporting
+//! the others).
 
 use std::fmt::Write as _;
+use std::process::ExitCode;
 
 use obs::Console;
 use rac::{Action, ConfigLattice, ConfigMdp, SlaReward};
@@ -22,7 +25,7 @@ const GRAMMAR: Grammar = Grammar {
     notes: "reads the cached policies under results/cache/",
 };
 
-fn main() {
+fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = cli::parse(&argv, &[&GRAMMAR]).and_then(|args| match args.operands.first() {
         Some(op) => Err(format!("inspect_policy takes no operands, got `{op}`")),
@@ -36,10 +39,12 @@ fn main() {
     let console = Console::from_env(args.has("--quiet"));
     let _span = obs::Span::start("inspect_policy");
     let lattice = ConfigLattice::new(ONLINE_LEVELS);
+    let mut missing = 0;
     for (i, (_, file)) in (1..).zip(rac_bench::standard_policy_files()) {
         let path = std::path::Path::new("results/cache").join(file);
         let Some(policy) = cache::load_policy(&path, &lattice) else {
             console.note(format!("ctx{i}: no cache"));
+            missing += 1;
             continue;
         };
         let (argmin, min) = policy
@@ -84,5 +89,10 @@ fn main() {
             "       predicted perf at end: {:.0}ms",
             policy.predicted_perf(s)
         ));
+    }
+    if missing == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

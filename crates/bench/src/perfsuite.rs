@@ -1,22 +1,20 @@
 //! The perf-trajectory suite behind `figures bench`.
 //!
-//! Measures the numbers every future PR is judged against —
-//! events/sec through [`simkernel::EventQueue`], iterations/sec through
-//! [`rac::Experiment::run_scenario`] on the bundled scenarios, Q-sweep
-//! updates/sec through [`rl::batch_value_sweep_report`], and fleet
+//! Measures the numbers every future PR is judged against, each on a
+//! path users run: Q-sweep updates/sec through
+//! [`rl::batch_value_sweep_report`] (the agent's per-interval
+//! retraining), iterations/sec through
+//! [`rac::Experiment::run_scenario`] on the bundled scenarios, fleet
 //! throughput (tenants/sec through [`fleet::FleetRun`] at a fixed
 //! roster size), tournament throughput (generated scenarios/sec
 //! through the three-arm line-up of [`crate::tournament`]), and daemon
 //! crash-recovery throughput (recoveries/sec through the
-//! snapshot-restore-replay path `racd` takes after a kill) — plus
-//! in-file baselines (the retained [`simkernel::HeapQueue`] and a
-//! replica of the pre-optimization sweep loop), so each
-//! `BENCH_<n>.json` carries its own before/after comparison.
+//! snapshot-restore-replay path `racd` takes after a kill).
 //!
 //! Problem sizes are identical in quick and full mode; quick only
 //! reduces the repeat count. Throughputs are therefore comparable
 //! across modes, which is what lets CI run the quick suite and check it
-//! against the committed full-mode `BENCH_9.json` with a generous
+//! against a committed full-mode `BENCH_<n>.json` with a generous
 //! regression floor.
 
 use std::path::Path;
@@ -28,27 +26,19 @@ use rac::{
 };
 use rl::{batch_value_sweep_report, Environment, QLearning, QTable};
 use scenario::Scenario;
-use simkernel::rng::Exponential;
-use simkernel::{EventQueue, HeapQueue, Pcg64, SimDuration, SimTime};
+use simkernel::SimDuration;
 
 use crate::{paper_system_spec, standard_settings, ONLINE_LEVELS, SLA_MS};
 
-/// The perf-trajectory file this PR emits; the `<n>` tracks the PR
-/// sequence (see DESIGN.md).
-pub const BENCH_VERSION: u32 = 9;
-
-/// Default output path, relative to the repository root.
-pub const DEFAULT_OUTPUT: &str = "BENCH_9.json";
+/// The perf-trajectory version this suite emits; the `<n>` of
+/// `BENCH_<n>.json` tracks the PR sequence (see DESIGN.md), and
+/// `figures bench` writes `BENCH_{BENCH_VERSION}.json` by default.
+pub const BENCH_VERSION: u32 = 18;
 
 /// CI regression floor: a quick-mode median below `floor × committed
 /// median` fails the build.
 pub const REGRESSION_FLOOR: f64 = 0.5;
 
-/// Pending events held in the event-queue benchmark (identical in quick
-/// and full mode, so throughputs are comparable).
-const QUEUE_HOLD_SIZE: usize = 1 << 22;
-/// Hold-model operations (one pop + one schedule each) per sample.
-const QUEUE_OPS: usize = 400_000;
 /// Full-table passes per Q-sweep sample at `ONLINE_LEVELS`.
 const SWEEP_PASSES: usize = 4;
 /// Roster size of the fleet-throughput benchmark (identical in quick
@@ -70,7 +60,7 @@ const RECOVERY_CYCLES: usize = 4;
 /// One benchmark's samples plus its summary statistics.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
-    /// Stable identifier, e.g. `event_queue.events_per_sec`.
+    /// Stable identifier, e.g. `qsweep.updates_per_sec`.
     pub name: String,
     /// Unit of every sample (throughputs: higher is better).
     pub unit: &'static str,
@@ -113,13 +103,6 @@ pub struct SuiteOptions {
 }
 
 impl SuiteOptions {
-    fn queue_repeats(&self) -> usize {
-        if self.quick {
-            3
-        } else {
-            9
-        }
-    }
     fn sweep_repeats(&self) -> usize {
         if self.quick {
             3
@@ -127,28 +110,9 @@ impl SuiteOptions {
             7
         }
     }
-    fn scenario_repeats(&self) -> usize {
-        if self.quick {
-            1
-        } else {
-            3
-        }
-    }
-    fn fleet_repeats(&self) -> usize {
-        if self.quick {
-            1
-        } else {
-            3
-        }
-    }
-    fn tournament_repeats(&self) -> usize {
-        if self.quick {
-            1
-        } else {
-            3
-        }
-    }
-    fn daemon_repeats(&self) -> usize {
+    /// Repeats of every end-to-end entry: scenario, fleet, tournament
+    /// and daemon recovery.
+    fn run_repeats(&self) -> usize {
         if self.quick {
             1
         } else {
@@ -164,62 +128,6 @@ pub struct SuiteReport {
     pub results: Vec<BenchResult>,
     /// Whether the suite ran in quick mode.
     pub quick: bool,
-}
-
-// ---------------------------------------------------------------------------
-// Event-queue benchmark (hold model)
-
-/// The future-event-list API surface the hold model exercises, so the
-/// calendar queue and the heap baseline run the identical workload.
-trait Fel {
-    fn schedule(&mut self, at: SimTime, ev: u64);
-    fn pop(&mut self) -> Option<(SimTime, u64)>;
-}
-
-impl Fel for EventQueue<u64> {
-    fn schedule(&mut self, at: SimTime, ev: u64) {
-        EventQueue::schedule(self, at, ev);
-    }
-    fn pop(&mut self) -> Option<(SimTime, u64)> {
-        EventQueue::pop(self)
-    }
-}
-
-impl Fel for HeapQueue<u64> {
-    fn schedule(&mut self, at: SimTime, ev: u64) {
-        HeapQueue::schedule(self, at, ev);
-    }
-    fn pop(&mut self) -> Option<(SimTime, u64)> {
-        HeapQueue::pop(self)
-    }
-}
-
-/// Classic hold model: prefill `QUEUE_HOLD_SIZE` events with
-/// exponentially distributed gaps (mean 500 µs — the simulator's
-/// sub-millisecond service-time regime), then repeatedly pop the
-/// earliest event and schedule a replacement one gap into the future.
-/// Steady-state size stays constant, so the measurement isolates queue
-/// operations at a fleet-representative backlog. Returns events/sec
-/// (one pop + one schedule counted as one event).
-fn hold_events_per_sec<Q: Fel>(q: &mut Q) -> f64 {
-    let mut rng = Pcg64::seed_from_u64(0x5EED_BE7C);
-    let gap = Exponential::with_mean(500.0); // mean gap in µs (sample_micros unit)
-    let mut t = SimTime::ZERO;
-    for i in 0..QUEUE_HOLD_SIZE as u64 {
-        t += SimDuration::from_micros(gap.sample_micros(&mut rng));
-        q.schedule(t, i);
-    }
-    let started = Instant::now();
-    let mut checksum = 0u64;
-    for i in 0..QUEUE_OPS as u64 {
-        let (at, ev) = q.pop().expect("hold model never empties");
-        checksum = checksum.wrapping_add(ev);
-        let next = at + SimDuration::from_micros(gap.sample_micros(&mut rng));
-        q.schedule(next, i);
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    std::hint::black_box(checksum);
-    QUEUE_OPS as f64 / elapsed
 }
 
 // ---------------------------------------------------------------------------
@@ -244,30 +152,6 @@ fn qsweep_updates_per_sec(mdp: &ConfigMdp) -> f64 {
     let elapsed = started.elapsed().as_secs_f64();
     std::hint::black_box(q.raw());
     report.updates as f64 / elapsed
-}
-
-/// Replica of the pre-optimization sweep loop (per-update model queries,
-/// `max_q` rescans): the in-file baseline the optimized sweep's
-/// trajectory is anchored to.
-fn qsweep_baseline_updates_per_sec(mdp: &ConfigMdp) -> f64 {
-    let mut q = QTable::new(mdp.num_states(), Action::COUNT);
-    let learner = QLearning::new(0.1, 0.9);
-    let started = Instant::now();
-    let mut updates = 0u64;
-    for _ in 0..SWEEP_PASSES {
-        for s in 0..mdp.num_states() {
-            for a in 0..mdp.num_actions() {
-                let s2 = mdp.transition(s, a);
-                let r = mdp.reward(s, a, s2);
-                let next_value = q.max_q(s2);
-                learner.update_toward(&mut q, s, a, r, next_value);
-                updates += 1;
-            }
-        }
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    std::hint::black_box(q.raw());
-    updates as f64 / elapsed
 }
 
 // ---------------------------------------------------------------------------
@@ -439,6 +323,18 @@ fn tournament_scenarios_per_sec() -> f64 {
 // ---------------------------------------------------------------------------
 // Suite driver
 
+/// Formats `x` with at least three significant digits: whole numbers
+/// from 100 up, more decimals below (`1.01`, `0.300`), so a
+/// tenants/sec median reads as precisely as an updates/sec one.
+fn sig3(x: f64) -> String {
+    let decimals = if x.is_finite() && x != 0.0 {
+        (2 - x.abs().log10().floor() as i32).max(0) as usize
+    } else {
+        0
+    };
+    format!("{x:.decimals$}")
+}
+
 fn run_samples(repeats: usize, mut f: impl FnMut() -> f64) -> Vec<f64> {
     (0..repeats).map(|_| f()).collect()
 }
@@ -454,44 +350,22 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteReport {
         };
         let (lo, hi) = r.iqr();
         eprintln!(
-            "  [bench] {:<40} median {:>12.0} {} (IQR {:.0}..{:.0}, {} samples)",
+            "  [bench] {:<40} median {:>12} {} (IQR {}..{}, {} samples)",
             r.name,
-            r.median(),
+            sig3(r.median()),
             r.unit,
-            lo,
-            hi,
+            sig3(lo),
+            sig3(hi),
             r.samples.len()
         );
         results.push(r);
     };
-
-    push(
-        "event_queue.events_per_sec",
-        "events/sec",
-        run_samples(opts.queue_repeats(), || {
-            hold_events_per_sec(&mut EventQueue::new())
-        }),
-    );
-    push(
-        "event_queue_baseline.events_per_sec",
-        "events/sec",
-        run_samples(opts.queue_repeats(), || {
-            hold_events_per_sec(&mut HeapQueue::new())
-        }),
-    );
 
     let mdp = sweep_mdp();
     push(
         "qsweep.updates_per_sec",
         "updates/sec",
         run_samples(opts.sweep_repeats(), || qsweep_updates_per_sec(&mdp)),
-    );
-    push(
-        "qsweep_baseline.updates_per_sec",
-        "updates/sec",
-        run_samples(opts.sweep_repeats(), || {
-            qsweep_baseline_updates_per_sec(&mdp)
-        }),
     );
 
     eprintln!("  [bench] training policy library for scenario runs (untimed)");
@@ -503,7 +377,7 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteReport {
         push(
             &format!("scenario_{}.iterations_per_sec", name.replace('-', "_")),
             "iterations/sec",
-            run_samples(opts.scenario_repeats(), || {
+            run_samples(opts.run_repeats(), || {
                 scenario_iterations_per_sec(&scn, &library)
             }),
         );
@@ -512,13 +386,13 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteReport {
     push(
         "fleet.tenants_per_sec",
         "tenants/sec",
-        run_samples(opts.fleet_repeats(), fleet_tenants_per_sec),
+        run_samples(opts.run_repeats(), fleet_tenants_per_sec),
     );
 
     push(
         "tournament.scenarios_per_sec",
         "scenarios/sec",
-        run_samples(opts.tournament_repeats(), tournament_scenarios_per_sec),
+        run_samples(opts.run_repeats(), tournament_scenarios_per_sec),
     );
 
     eprintln!("  [bench] preparing daemon-recovery snapshot (untimed)");
@@ -531,7 +405,7 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteReport {
     push(
         "daemon.recoveries_per_sec",
         "recoveries/sec",
-        run_samples(opts.daemon_repeats(), || {
+        run_samples(opts.run_repeats(), || {
             daemon_recoveries_per_sec(&recovery_scn, &library, &recovery_ckpt, &recovery_snapshot)
         }),
     );
@@ -550,21 +424,6 @@ impl SuiteReport {
             .iter()
             .find(|r| r.name == name)
             .map(|r| r.median())
-    }
-
-    /// Calendar-queue speedup over the retained heap baseline — the
-    /// acceptance number for this PR's trajectory (≥ 3×).
-    pub fn event_queue_speedup(&self) -> Option<f64> {
-        let new = self.median_of("event_queue.events_per_sec")?;
-        let old = self.median_of("event_queue_baseline.events_per_sec")?;
-        (old > 0.0).then(|| new / old)
-    }
-
-    /// Optimized-sweep speedup over the pre-optimization loop replica.
-    pub fn qsweep_speedup(&self) -> Option<f64> {
-        let new = self.median_of("qsweep.updates_per_sec")?;
-        let old = self.median_of("qsweep_baseline.updates_per_sec")?;
-        (old > 0.0).then(|| new / old)
     }
 
     /// Serializes the report as the `BENCH_<n>.json` document. Emitted
@@ -592,8 +451,6 @@ impl SuiteReport {
             "    \"pkg_version\": \"{}\",\n",
             env!("CARGO_PKG_VERSION")
         ));
-        out.push_str(&format!("    \"queue_hold_size\": {QUEUE_HOLD_SIZE},\n"));
-        out.push_str(&format!("    \"queue_ops\": {QUEUE_OPS},\n"));
         out.push_str(&format!("    \"sweep_passes\": {SWEEP_PASSES},\n"));
         out.push_str(&format!("    \"fleet_tenants\": {FLEET_TENANTS},\n"));
         out.push_str(&format!(
@@ -621,17 +478,7 @@ impl SuiteReport {
                 "    },\n"
             });
         }
-        out.push_str("  ],\n");
-        out.push_str("  \"derived\": {\n");
-        out.push_str(&format!(
-            "    \"event_queue_speedup_vs_baseline\": {},\n",
-            self.event_queue_speedup().unwrap_or(f64::NAN)
-        ));
-        out.push_str(&format!(
-            "    \"qsweep_speedup_vs_baseline\": {}\n",
-            self.qsweep_speedup().unwrap_or(f64::NAN)
-        ));
-        out.push_str("  }\n");
+        out.push_str("  ]\n");
         out.push_str("}\n");
         out
     }
@@ -701,8 +548,10 @@ pub fn check_regressions(
         let threshold = committed_median * floor;
         if current_median < threshold {
             failures.push(format!(
-                "{name}: current median {current_median:.0} < {floor}x committed {committed_median:.0} \
-                 (threshold {threshold:.0})"
+                "{name}: current median {} < {floor}x committed {} (threshold {})",
+                sig3(current_median),
+                sig3(*committed_median),
+                sig3(threshold)
             ));
         }
     }
@@ -749,15 +598,16 @@ mod tests {
     #[test]
     fn json_round_trips_through_parse_medians() {
         let report = report_of(&[
-            ("event_queue.events_per_sec", &[1.5e7, 1.6e7, 1.4e7]),
-            ("qsweep.updates_per_sec", &[2e8]),
+            ("qsweep.updates_per_sec", &[1.5e7, 1.6e7, 1.4e7]),
+            ("fleet.tenants_per_sec", &[0.744]),
         ]);
         let json = report.to_json();
+        assert!(json.contains(&format!("\"version\": {BENCH_VERSION},")));
         let medians = parse_medians(&json).expect("self-emitted JSON parses");
         assert_eq!(medians.len(), 2);
-        assert_eq!(medians[0].0, "event_queue.events_per_sec");
+        assert_eq!(medians[0].0, "qsweep.updates_per_sec");
         assert_eq!(medians[0].1, report.results[0].median());
-        assert_eq!(medians[1].1, 2e8);
+        assert_eq!(medians[1].1, 0.744);
     }
 
     #[test]
@@ -769,29 +619,44 @@ mod tests {
     #[test]
     fn regression_check_flags_only_real_regressions() {
         let committed = vec![
-            ("event_queue.events_per_sec".to_string(), 1000.0),
-            ("qsweep.updates_per_sec".to_string(), 500.0),
+            ("qsweep.updates_per_sec".to_string(), 1000.0),
+            ("daemon.recoveries_per_sec".to_string(), 500.0),
             ("retired_benchmark".to_string(), 9.0),
         ];
-        // Queue halved-minus-epsilon (fails at 0.5x floor), sweep fine,
-        // retired benchmark skipped.
+        // Sweep halved-minus-epsilon (fails at 0.5x floor), recovery
+        // fine, retired benchmark skipped.
         let current = report_of(&[
-            ("event_queue.events_per_sec", &[499.0]),
-            ("qsweep.updates_per_sec", &[495.0]),
+            ("qsweep.updates_per_sec", &[499.0]),
+            ("daemon.recoveries_per_sec", &[495.0]),
             ("brand_new_benchmark", &[1.0]),
         ]);
         let failures = check_regressions(&committed, &current, REGRESSION_FLOOR);
         assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].contains("event_queue.events_per_sec"));
+        assert!(failures[0].contains("qsweep.updates_per_sec"));
     }
 
     #[test]
-    fn speedup_reads_the_right_pair() {
-        let report = report_of(&[
-            ("event_queue.events_per_sec", &[3000.0]),
-            ("event_queue_baseline.events_per_sec", &[1000.0]),
-        ]);
-        assert_eq!(report.event_queue_speedup(), Some(3.0));
-        assert_eq!(report.qsweep_speedup(), None);
+    fn regression_message_keeps_small_medians_readable() {
+        let committed = vec![("fleet.tenants_per_sec".to_string(), 0.744)];
+        let current = report_of(&[("fleet.tenants_per_sec", &[0.30])]);
+        let failures = check_regressions(&committed, &current, REGRESSION_FLOOR);
+        assert_eq!(
+            failures,
+            vec![
+                "fleet.tenants_per_sec: current median 0.300 < 0.5x committed 0.744 \
+                 (threshold 0.372)"
+                    .to_string()
+            ]
+        );
+    }
+
+    #[test]
+    fn sig3_keeps_three_significant_digits() {
+        assert_eq!(sig3(1.013), "1.01");
+        assert_eq!(sig3(1.571), "1.57");
+        assert_eq!(sig3(0.3), "0.300");
+        assert_eq!(sig3(12.34), "12.3");
+        assert_eq!(sig3(123_456.7), "123457");
+        assert_eq!(sig3(0.0), "0");
     }
 }

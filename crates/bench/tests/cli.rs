@@ -2,7 +2,8 @@
 //! with a usage message on stderr — never a panic, never exit 0. These
 //! run the real binary (`CARGO_BIN_EXE_figures`) in an empty directory
 //! and stick to argument validation, so no simulation ever starts and
-//! the directory stays empty.
+//! the directory stays empty. The same harness checks `inspect_policy`'s
+//! exit status as a cache-validity check.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -177,4 +178,23 @@ fn usage_errors_name_the_offending_argument() {
         &["--max-idle-ms", "abc", "x"],
         "--max-idle-ms needs an unsigned integer, got `abc`",
     );
+}
+
+#[test]
+fn inspect_policy_without_a_cache_exits_1_quietly() {
+    let dir = scratch_dir();
+    let out = run_in(env!("CARGO_BIN_EXE_inspect_policy"), &dir, &["--quiet"]);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "an empty cache must fail the check, stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(out.stdout.is_empty() && out.stderr.is_empty(), "{out:?}");
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("scratch dir readable")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    assert!(left.is_empty(), "must write nothing, left {left:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,26 +1,8 @@
-//! Series analysis: convergence detection and summary statistics for
-//! experiment series (the numbers the paper reports about its figures —
-//! "stabilized in fewer than 25 iterations", "30% better than …",
-//! "4 spikes at rate 0.3").
+//! Series analysis: convergence detection for experiment series (the
+//! number the paper reports about its figures — "stabilized in fewer
+//! than 25 iterations").
 
 use crate::experiment::IterationRecord;
-
-/// Summary of one tuner's series.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeriesSummary {
-    /// Mean response time over finite samples (ms).
-    pub mean_ms: f64,
-    /// Median response time (ms).
-    pub median_ms: f64,
-    /// Mean over the final quarter of the series — the "stable state"
-    /// performance (ms).
-    pub stable_ms: f64,
-    /// Iteration after which the series stays within the stability band,
-    /// if it ever does.
-    pub converged_after: Option<usize>,
-    /// Number of spikes: samples exceeding twice the median.
-    pub spikes: usize,
-}
 
 /// Extracts the response-time series from records.
 pub fn response_series(records: &[IterationRecord]) -> Vec<f64> {
@@ -65,72 +47,6 @@ pub fn convergence_iteration(series: &[f64], band: f64) -> Option<usize> {
     candidate
 }
 
-/// Summarizes a series with a 20% stability band.
-///
-/// # Example
-///
-/// ```
-/// use rac::summarize_series;
-///
-/// let s = summarize_series(&[100.0, 100.0, 100.0, 100.0, 100.0, 100.0, 500.0, 100.0]);
-/// assert_eq!(s.spikes, 1);
-/// assert_eq!(s.median_ms, 100.0);
-/// ```
-pub fn summarize_series(series: &[f64]) -> SeriesSummary {
-    let finite: Vec<f64> = series.iter().copied().filter(|v| v.is_finite()).collect();
-    if finite.is_empty() {
-        return SeriesSummary {
-            mean_ms: f64::INFINITY,
-            median_ms: f64::INFINITY,
-            stable_ms: f64::INFINITY,
-            converged_after: None,
-            spikes: 0,
-        };
-    }
-    let mean_ms = finite.iter().sum::<f64>() / finite.len() as f64;
-    let median_ms = {
-        let mut v = finite.clone();
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let tail_start = series.len() - (series.len() / 4).max(1);
-    let tail: Vec<f64> = series[tail_start..]
-        .iter()
-        .copied()
-        .filter(|v| v.is_finite())
-        .collect();
-    let stable_ms = if tail.is_empty() {
-        f64::INFINITY
-    } else {
-        tail.iter().sum::<f64>() / tail.len() as f64
-    };
-    SeriesSummary {
-        mean_ms,
-        median_ms,
-        stable_ms,
-        converged_after: convergence_iteration(series, 0.2),
-        spikes: finite.iter().filter(|&&v| v > 2.0 * median_ms).count(),
-    }
-}
-
-/// Relative improvement of `ours` over `theirs` in percent, computed on
-/// means: `100 · (theirs − ours) / theirs`. Positive means `ours` is
-/// faster.
-///
-/// # Example
-///
-/// ```
-/// use rac::improvement_percent;
-///
-/// assert_eq!(improvement_percent(400.0, 1_000.0), 60.0);
-/// ```
-pub fn improvement_percent(ours: f64, theirs: f64) -> f64 {
-    if !theirs.is_finite() || theirs <= 0.0 {
-        return 0.0;
-    }
-    100.0 * (theirs - ours) / theirs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,35 +79,6 @@ mod tests {
         let mut series = vec![f64::INFINITY; 3];
         series.extend(vec![100.0; 12]);
         assert_eq!(convergence_iteration(&series, 0.2), Some(3));
-    }
-
-    #[test]
-    fn summary_counts_spikes_and_stable_tail() {
-        let mut series = vec![1_000.0, 800.0];
-        series.extend(vec![500.0; 16]);
-        series[10] = 2_000.0; // spike
-        let s = summarize_series(&series);
-        assert_eq!(s.spikes, 1);
-        assert!((s.median_ms - 500.0).abs() < 1e-9);
-        assert!(s.stable_ms < 600.0);
-        assert!(s.converged_after.is_some());
-    }
-
-    #[test]
-    fn summary_of_empty_and_infinite() {
-        let s = summarize_series(&[]);
-        assert!(s.mean_ms.is_infinite());
-        let s2 = summarize_series(&[f64::INFINITY; 10]);
-        assert!(s2.mean_ms.is_infinite());
-        assert_eq!(s2.spikes, 0);
-    }
-
-    #[test]
-    fn improvement_edge_cases() {
-        assert_eq!(improvement_percent(500.0, 1_000.0), 50.0);
-        assert!(improvement_percent(1_500.0, 1_000.0) < 0.0);
-        assert_eq!(improvement_percent(1.0, 0.0), 0.0);
-        assert_eq!(improvement_percent(1.0, f64::INFINITY), 0.0);
     }
 
     #[test]

@@ -70,14 +70,11 @@ mod param;
 mod persist;
 mod reward;
 pub mod runner;
-mod sensitivity;
 mod training;
 
 pub use action::Action;
 pub use agent::{AgentError, RacAgent, RacSettings, Tuner};
-pub use analysis::{
-    convergence_iteration, improvement_percent, response_series, summarize_series, SeriesSummary,
-};
+pub use analysis::{convergence_iteration, response_series};
 pub use baseline::{StaticDefault, TrialAndError};
 pub use checkpoint::{
     decode_series, encode_series, BoundaryAction, PersistTuner, ScenarioProgress,
@@ -98,5 +95,4 @@ pub use persist::{
 };
 pub use reward::SlaReward;
 pub use runner::{Measure, MeasureJob, Runner, SimMeasurer};
-pub use sensitivity::{analyze_sensitivity, select_parameters, ParamSensitivity};
 pub use training::{build_policy_library, build_policy_library_on, TrainingOptions};

@@ -1,7 +1,7 @@
 //! Deterministic parallel measurement engine.
 //!
 //! The costliest stage of everything in this crate — policy
-//! initialization, sensitivity ranking, figure sweeps — is measuring
+//! initialization, figure sweeps — is measuring
 //! many *independent* `(spec, config)` points, one full simulated
 //! interval each. Each measurement builds a fresh
 //! [`websim::ThreeTierSystem`] from the spec (whose seed pins the PCG
@@ -407,7 +407,7 @@ fn available_parallelism() -> usize {
 }
 
 /// A batched measurement source: the seam between the agent-side
-/// pipelines (policy initialization, sensitivity analysis) and however
+/// pipelines (policy initialization, figure sweeps) and however
 /// measurements are produced — live simulation through a [`Runner`], a
 /// closure over a synthetic landscape in tests, or a recorded trace.
 ///

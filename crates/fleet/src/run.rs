@@ -214,7 +214,8 @@ pub struct DonorRef {
     pub distance: f64,
 }
 
-/// A fleet run in progress (see the [module docs](self)).
+/// A fleet run in progress: a cold wave, then chunks of warm tenants,
+/// advanced one [`FleetRun::step`] at a time.
 #[derive(Debug)]
 pub struct FleetRun {
     config: FleetConfig,

@@ -6,7 +6,7 @@
 //! durable, machine-readable artifacts without pulling in a single
 //! external dependency:
 //!
-//! * a global metrics [`Registry`](registry::Registry) of counters,
+//! * a global metrics [`Registry`] of counters,
 //!   gauges and histograms — lock-free on the increment path (handles
 //!   are `Arc`-shared atomics), lock-taking only at registration and
 //!   snapshot time;
@@ -14,16 +14,16 @@
 //!   events with simulated-time stamps, serialized deterministically
 //!   (stable field order, `(run, sim-time, seq)` ordering) so traces
 //!   are byte-diffable across `RAC_THREADS` settings;
-//! * [`Span`](span::Span)s for wall-clock timing of coarse stages
+//! * [`Span`]s for wall-clock timing of coarse stages
 //!   (figure jobs, offline training), feeding duration histograms —
 //!   and, when the hierarchical [`profile`]r is enabled, a per-thread
 //!   call tree exported as flamegraph folded stacks;
 //! * exporters ([`export`]): Prometheus text exposition (plus a
 //!   [`export::validate_prometheus`] syntax checker) and CSV;
-//! * a live plane: the embedded [`ObsServer`](serve::ObsServer)
+//! * a live plane: the embedded [`ObsServer`]
 //!   answering `GET /metrics`, `/healthz` (backed by the [`health`]
 //!   run-state cell) and `/profile` over plain HTTP/1.0;
-//! * a [`Console`](console::Console) for `--quiet`-able human-readable
+//! * a [`Console`] for `--quiet`-able human-readable
 //!   progress output.
 //!
 //! # The `RAC_OBS` contract

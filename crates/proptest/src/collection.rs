@@ -5,7 +5,7 @@ use std::ops::{Range, RangeInclusive};
 use crate::rng::ShimRng;
 use crate::strategy::Strategy;
 
-/// Length specification for [`vec`]: a fixed size or a range of sizes,
+/// Length specification for [`vec()`]: a fixed size or a range of sizes,
 /// mirroring proptest's `SizeRange` conversions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SizeRange {

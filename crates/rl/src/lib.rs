@@ -9,8 +9,8 @@
 //! * [`IndexSpace`] — mixed-radix encoding of multi-dimensional discrete
 //!   state lattices into dense indices.
 //! * [`QTable`] — a dense `#states × #actions` table of action values.
-//! * [`policy`] — ε-greedy / greedy / softmax action selection.
-//! * [`QLearning`] — TD(0) updates (Q-learning and SARSA flavours).
+//! * [`QLearning`] — the TD(0) learning and discount rates, with the
+//!   scalar Q-learning backup the sweep is tested against.
 //! * [`Environment`] + [`batch_value_sweep`] — Algorithm 1: repeated
 //!   full-table sweeps against a (deterministic) model of the
 //!   environment until the largest Q change drops below θ.
@@ -44,14 +44,11 @@
 //! assert_eq!(q.best_action(9), 0);
 //! ```
 
-mod double_q;
 mod experience;
-pub mod policy;
 mod qtable;
 mod space;
 mod sweep;
 
-pub use double_q::DoubleQ;
 pub use experience::{ExperienceLog, Transition};
 pub use qtable::{QLearning, QTable};
 pub use space::IndexSpace;

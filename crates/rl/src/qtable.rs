@@ -92,11 +92,6 @@ impl QTable {
         row.iter().copied().fold(f32::NEG_INFINITY, f32::max) as f64
     }
 
-    /// Resets every entry to zero.
-    pub fn reset(&mut self) {
-        self.values.fill(0.0);
-    }
-
     /// The raw state-major value storage, for persistence. Row `s`
     /// occupies `raw()[s * actions .. (s + 1) * actions]`.
     pub fn raw(&self) -> &[f32] {
@@ -161,7 +156,8 @@ impl QTable {
 /// let mut q = QTable::new(2, 2);
 /// let td = QLearning::new(0.5, 0.9);
 /// // Take action 1 in state 0, land in state 1 with reward 1.0.
-/// let delta = td.update(&mut q, 0, 1, 1.0, 1);
+/// let next_value = q.max_q(1);
+/// let delta = td.update_toward(&mut q, 0, 1, 1.0, next_value);
 /// assert!((q.get(0, 1) - 0.5).abs() < 1e-6);
 /// assert!((delta - 0.5).abs() < 1e-6);
 /// ```
@@ -194,27 +190,14 @@ impl QLearning {
         self.gamma
     }
 
-    /// Off-policy Q-learning update:
-    /// `Q(s,a) += α · (r + γ · max_a' Q(s',a') − Q(s,a))`.
+    /// TD update toward an externally supplied successor value:
+    /// `Q(s,a) += α · (r + γ · next_value − Q(s,a))`. With `next_value =
+    /// max_a' Q(s',a')` this is the off-policy Q-learning backup — the
+    /// scalar reference [`batch_value_sweep`](crate::batch_value_sweep)'s
+    /// in-place loop is tested bit-identical against.
     ///
     /// Returns the absolute change, used for Algorithm 1's convergence
     /// test.
-    pub fn update(&self, q: &mut QTable, s: usize, a: usize, r: f64, s2: usize) -> f64 {
-        let old = q.get(s, a);
-        let target = r + self.gamma * q.max_q(s2);
-        let new = old + self.alpha * (target - old);
-        q.set(s, a, new);
-        (new - old).abs()
-    }
-
-    /// TD update toward an externally supplied successor value:
-    /// `Q(s,a) += α · (r + γ · next_value − Q(s,a))`.
-    ///
-    /// [`update`](QLearning::update) and
-    /// [`sarsa_update`](QLearning::sarsa_update) are the `max` and
-    /// `Q(s',a')` specializations of this.
-    ///
-    /// Returns the absolute change.
     pub fn update_toward(
         &self,
         q: &mut QTable,
@@ -225,26 +208,6 @@ impl QLearning {
     ) -> f64 {
         let old = q.get(s, a);
         let target = r + self.gamma * next_value;
-        let new = old + self.alpha * (target - old);
-        q.set(s, a, new);
-        (new - old).abs()
-    }
-
-    /// On-policy SARSA update:
-    /// `Q(s,a) += α · (r + γ · Q(s',a') − Q(s,a))`.
-    ///
-    /// Returns the absolute change.
-    pub fn sarsa_update(
-        &self,
-        q: &mut QTable,
-        s: usize,
-        a: usize,
-        r: f64,
-        s2: usize,
-        a2: usize,
-    ) -> f64 {
-        let old = q.get(s, a);
-        let target = r + self.gamma * q.get(s2, a2);
         let new = old + self.alpha * (target - old);
         q.set(s, a, new);
         (new - old).abs()
@@ -284,7 +247,8 @@ mod tests {
         let td = QLearning::new(0.1, 0.9);
         q.set(1, 0, 10.0);
         // target = 1 + 0.9*10 = 10; delta = 0.1 * 10 = 1
-        let delta = td.update(&mut q, 0, 0, 1.0, 1);
+        let next_value = q.max_q(1);
+        let delta = td.update_toward(&mut q, 0, 0, 1.0, next_value);
         assert!((delta - 1.0).abs() < 1e-6);
         assert!((q.get(0, 0) - 1.0).abs() < 1e-6);
     }
@@ -295,36 +259,20 @@ mod tests {
         let td = QLearning::new(0.5, 0.5);
         // Self-loop with reward 1: fixed point Q = 1 / (1 - γ) = 2.
         for _ in 0..100 {
-            td.update(&mut q, 0, 0, 1.0, 0);
+            let next_value = q.max_q(0);
+            td.update_toward(&mut q, 0, 0, 1.0, next_value);
         }
         assert!((q.get(0, 0) - 2.0).abs() < 1e-4);
     }
 
     #[test]
-    fn sarsa_uses_chosen_next_action() {
-        let mut q = QTable::new(2, 2);
-        q.set(1, 0, 0.0);
-        q.set(1, 1, 10.0);
-        let td = QLearning::new(1.0, 0.9);
-        td.sarsa_update(&mut q, 0, 0, 0.0, 1, 0);
-        assert_eq!(
-            q.get(0, 0),
-            0.0,
-            "SARSA follows the sampled action, not the max"
-        );
-        td.update(&mut q, 0, 1, 0.0, 1);
-        assert!((q.get(0, 1) - 9.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn reset_and_copy() {
+    fn copy_from_copies_every_value() {
         let mut a = QTable::new(2, 2);
         a.set(0, 0, 3.0);
+        a.set(1, 1, -2.0);
         let mut b = QTable::new(2, 2);
         b.copy_from(&a);
-        assert_eq!(b.get(0, 0), 3.0);
-        b.reset();
-        assert_eq!(b.get(0, 0), 0.0);
+        assert_eq!(b, a);
     }
 
     #[test]
@@ -359,7 +307,8 @@ mod tests {
                 let s = i % 3;
                 let a = i % 2;
                 let s2 = (i + 1) % 3;
-                td.update(&mut q, s, a, *r, s2);
+                let next_value = q.max_q(s2);
+                td.update_toward(&mut q, s, a, *r, next_value);
                 prop_assert!(q.get(s, a).abs() <= bound);
             }
         }

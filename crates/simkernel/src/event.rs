@@ -1,22 +1,15 @@
-//! Timestamped event queues with deterministic tie-breaking.
+//! The calendar-queue future-event list with deterministic
+//! tie-breaking.
 //!
-//! Two implementations share one contract ("pop in non-decreasing
-//! `(timestamp, schedule-order)` order"):
-//!
-//! * [`EventQueue`] — a calendar queue (Brown 1988): events hash into
-//!   time-sliced buckets, each held in sorted order, so both insert and
-//!   pop are O(1) amortized once the bucket width has adapted to the
-//!   event spacing. This is the production future-event list.
-//! * [`HeapQueue`] — the original `BinaryHeap` future-event list, kept
-//!   as the differential-testing oracle and the `figures bench`
-//!   baseline the calendar queue's speedup is measured against.
-//!
-//! Both break same-instant ties FIFO via a monotonic sequence number, so
-//! a simulation's event interleaving is a pure function of what was
-//! scheduled — never of queue internals.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! [`EventQueue`] is a calendar queue (Brown 1988): events hash into
+//! time-sliced buckets, each held in sorted order, so both insert and
+//! pop are O(1) amortized once the bucket width has adapted to the
+//! event spacing. It pops in non-decreasing `(timestamp,
+//! schedule-order)` order, breaking same-instant ties FIFO via a
+//! monotonic sequence number, so a simulation's event interleaving is a
+//! pure function of what was scheduled — never of queue internals. The
+//! test module keeps the original `BinaryHeap` queue as its
+//! differential oracle.
 
 use crate::time::SimTime;
 
@@ -33,9 +26,7 @@ use crate::time::SimTime;
 /// forward from the current day; inserts binary-search within one
 /// bucket. The bucket count doubles/halves with the queue length and the
 /// width re-adapts to the observed event spacing on each resize, so both
-/// operations stay O(1) amortized — unlike a binary heap's O(log n) —
-/// while popping the exact same `(time, schedule-order)` sequence as
-/// [`HeapQueue`].
+/// operations stay O(1) amortized — unlike a binary heap's O(log n).
 ///
 /// # Example
 ///
@@ -217,31 +208,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Pops *every* event sharing the earliest pending timestamp, in
-    /// FIFO order, appending them to `out`; returns that timestamp.
-    ///
-    /// Simultaneous events sit adjacent in one bucket, so draining the
-    /// batch costs one bucket lookup plus one `Vec::pop` per event —
-    /// dispatch loops that treat an instant as a unit (the common DES
-    /// "simultaneous event" pattern) skip per-event queue searches.
-    pub fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
-        let b = self.locate_min()?;
-        let at = self.buckets[b].last().expect("tail").at;
-        // Ties hash to the same bucket and sit at its tail in reverse
-        // FIFO order, so pop until the tail's timestamp changes.
-        while self.buckets[b].last().map(|s| s.at) == Some(at) {
-            let slot = self.buckets[b].pop().expect("tail checked");
-            self.len -= 1;
-            out.push(slot.event);
-        }
-        self.now = SimTime::from_micros(at);
-        if self.len < self.buckets.len() / 2 && self.buckets.len() > MIN_BUCKETS {
-            let n = (self.buckets.len() / 2).max(MIN_BUCKETS);
-            self.rebuild(n);
-        }
-        Some(self.now)
-    }
-
     /// Removes every pending event.
     pub fn clear(&mut self) {
         for bucket in &mut self.buckets {
@@ -289,132 +255,12 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// The original `BinaryHeap` future-event list, retained verbatim as the
-/// reference implementation: the differential property suite checks the
-/// calendar queue pops the identical `(time, event)` sequence, and
-/// `figures bench` reports the calendar queue's speedup over it (the
-/// `event_queue_baseline` entry in `BENCH_<n>.json`).
-///
-/// Same contract as [`EventQueue`]: non-decreasing timestamps, FIFO at
-/// equal instants, debug-panic on scheduling into the past.
-#[derive(Debug, Clone)]
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
-    now: SimTime,
-}
-
-#[derive(Debug, Clone)]
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse to get earliest-first, with the
-        // sequence number breaking ties FIFO.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<E> HeapQueue<E> {
-    /// Creates an empty queue with the clock at [`SimTime::ZERO`].
-    pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// The timestamp of the most recently popped event.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedules `event` at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `at` is earlier than [`HeapQueue::now`];
-    /// in release builds the event fires at the current time instead.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        debug_assert!(
-            at >= self.now,
-            "scheduled event in the past: {at} < {}",
-            self.now
-        );
-        let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { at, seq, event });
-    }
-
-    /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Pops the earliest event and advances the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        self.now = entry.at;
-        Some((entry.at, entry.event))
-    }
-
-    /// Pops the earliest event only if it is strictly before `horizon`.
-    pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? < horizon {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    /// Removes every pending event.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
 
     #[test]
     fn pops_in_time_order() {
@@ -509,24 +355,6 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
-    #[test]
-    fn pop_batch_drains_exactly_the_earliest_instant() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(2), "later");
-        q.schedule(SimTime::from_secs(1), "a");
-        q.schedule(SimTime::from_secs(1), "b");
-        q.schedule(SimTime::from_secs(1), "c");
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_batch(&mut batch), Some(SimTime::from_secs(1)));
-        assert_eq!(batch, vec!["a", "b", "c"], "FIFO within the instant");
-        assert_eq!(q.now(), SimTime::from_secs(1));
-        assert_eq!(q.len(), 1);
-        batch.clear();
-        assert_eq!(q.pop_batch(&mut batch), Some(SimTime::from_secs(2)));
-        assert_eq!(batch, vec!["later"]);
-        assert_eq!(q.pop_batch(&mut batch), None);
-    }
-
     /// Satellite fix: the past-scheduling contract. Debug builds must
     /// reject time travel loudly (the queue cannot pop it "before" events
     /// already emitted), release builds clamp to `now`.
@@ -558,6 +386,87 @@ mod tests {
         q.pop();
         q.schedule(SimTime::from_secs(5), "late");
         assert_eq!(q.pop(), Some((SimTime::from_secs(10), "late")));
+    }
+
+    /// The original `BinaryHeap` future-event list, kept as the
+    /// calendar queue's differential oracle: the property suite checks
+    /// both pop the identical `(time, event)` sequence. Same contract as
+    /// [`EventQueue`]: non-decreasing timestamps, FIFO at equal instants,
+    /// debug-panic on scheduling into the past.
+    struct HeapQueue<E> {
+        heap: BinaryHeap<Entry<E>>,
+        seq: u64,
+        now: SimTime,
+    }
+
+    struct Entry<E> {
+        at: SimTime,
+        seq: u64,
+        event: E,
+    }
+
+    impl<E> PartialEq for Entry<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.at == other.at && self.seq == other.seq
+        }
+    }
+    impl<E> Eq for Entry<E> {}
+
+    impl<E> PartialOrd for Entry<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl<E> Ord for Entry<E> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // BinaryHeap is a max-heap; reverse to get earliest-first, with
+            // the sequence number breaking ties FIFO.
+            other
+                .at
+                .cmp(&self.at)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
+    impl<E> HeapQueue<E> {
+        fn new() -> Self {
+            HeapQueue {
+                heap: BinaryHeap::new(),
+                seq: 0,
+                now: SimTime::ZERO,
+            }
+        }
+
+        fn schedule(&mut self, at: SimTime, event: E) {
+            debug_assert!(
+                at >= self.now,
+                "scheduled event in the past: {at} < {}",
+                self.now
+            );
+            let at = at.max(self.now);
+            let seq = self.seq;
+            self.seq += 1;
+            self.heap.push(Entry { at, seq, event });
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, E)> {
+            let entry = self.heap.pop()?;
+            self.now = entry.at;
+            Some((entry.at, entry.event))
+        }
+
+        fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+            if self.heap.peek()?.at < horizon {
+                self.pop()
+            } else {
+                None
+            }
+        }
+
+        fn clear(&mut self) {
+            self.heap.clear();
+        }
     }
 
     /// Reference model: a plain `Vec` of `(at, seq)` keys re-sorted after
@@ -688,25 +597,6 @@ mod tests {
             let mut seen: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
             seen.sort_unstable();
             prop_assert_eq!(seen, (0..times.len()).collect::<Vec<_>>());
-        }
-
-        /// `pop_batch` is equivalent to repeated `pop` at one instant.
-        #[test]
-        fn prop_pop_batch_equals_pop_loop(times in proptest::collection::vec(0u64..50, 1..120)) {
-            let mut a = EventQueue::new();
-            let mut b = EventQueue::new();
-            for (i, t) in times.iter().enumerate() {
-                a.schedule(SimTime::from_micros(*t), i);
-                b.schedule(SimTime::from_micros(*t), i);
-            }
-            let mut batch = Vec::new();
-            while let Some(at) = a.pop_batch(&mut batch) {
-                for e in batch.drain(..) {
-                    prop_assert_eq!(b.pop(), Some((at, e)));
-                }
-                prop_assert_eq!(a.now(), b.now());
-            }
-            prop_assert!(b.is_empty());
         }
     }
 }

@@ -10,10 +10,7 @@
 //!   clock with total ordering and saturating arithmetic.
 //! * [`EventQueue`] — a calendar-queue future-event list with
 //!   deterministic FIFO tie-breaking for events scheduled at the same
-//!   instant, which makes whole-simulation runs reproducible. The
-//!   original binary-heap implementation survives as
-//!   [`event::HeapQueue`], the differential-testing oracle and
-//!   `figures bench` baseline.
+//!   instant, which makes whole-simulation runs reproducible.
 //! * [`Pcg64`] — a small, fast, seedable PRNG (PCG XSH-RR variant) plus the
 //!   distributions simulation code needs ([`rng::Exponential`],
 //!   [`rng::Zipf`], …). Using an in-tree generator keeps results
@@ -68,6 +65,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::{EventQueue, HeapQueue};
+pub use event::EventQueue;
 pub use rng::Pcg64;
 pub use time::{SimDuration, SimTime};
