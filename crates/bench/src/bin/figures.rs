@@ -47,9 +47,16 @@
 //!
 //! With `RAC_OBS=trace`, each figure additionally drops a deterministic
 //! decision trace at `results/<cmd>.trace.jsonl` (replay it with the
-//! `inspect_trace` bin), and every run writes a metrics snapshot to
+//! `inspect_trace` bin).
+//!
+//! Every run that gets past its argument check ends the same way, on
+//! success, error or panic: it writes a metrics snapshot to
 //! `results/metrics.prom` + `results/metrics.csv` unless observability
-//! is off.
+//! is off, and finishes its `/healthz` job as done or failed. It exits
+//! 0 on success, 1 when a check it makes fails (`bench --check`,
+//! `chaos`, `crashdrill`), 2 when a file cannot be read or written or a
+//! checkpoint is rejected, and 101 on a panic. A malformed invocation
+//! exits 2 with the usage, having written nothing.
 //!
 //! Independent figure jobs run **concurrently** on the global parallel
 //! runner (`RAC_THREADS` workers; see `rac::runner`), each buffering its
@@ -63,7 +70,6 @@
 use std::fmt::Write as _;
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Instant;
 
 use obs::{Console, TraceWriter};
@@ -143,10 +149,45 @@ const GLOBAL: Grammar = Grammar {
     notes: "",
 };
 
-/// A subcommand's entry point. `Err` is a usage error, which `main`
-/// prints with the subcommand's usage before exiting 2; every entry
-/// checks its arguments before it simulates, trains or writes anything.
-type Entry = fn(&Args, &Options, &Console) -> Result<(), String>;
+/// Why a `figures` invocation ends nonzero.
+enum Exit {
+    /// A malformed invocation: `main` prints the message with the usage
+    /// and exits 2. Raised before any run starts, so nothing is written.
+    Usage(String),
+    /// `main` prints the message and exits with the code: 1 when a check
+    /// the run makes fails (a bench regression, a chaos invariant, a
+    /// crash drill), 2 when a file cannot be read or written or a
+    /// checkpoint is rejected.
+    Fail(i32, String),
+}
+
+impl From<String> for Exit {
+    fn from(msg: String) -> Exit {
+        Exit::Usage(msg)
+    }
+}
+
+/// A checked run: the job name `/healthz` shows, and the work.
+struct Job<'a> {
+    name: String,
+    work: Box<dyn FnOnce() -> Result<(), Exit> + 'a>,
+}
+
+/// What an entry point returns: the checked run, `None` when there is
+/// nothing to run (`--list`), or why the invocation cannot run.
+type Checked<'a> = Result<Option<Job<'a>>, Exit>;
+
+fn job<'a>(name: String, work: impl FnOnce() -> Result<(), Exit> + 'a) -> Checked<'a> {
+    Ok(Some(Job {
+        name,
+        work: Box::new(work),
+    }))
+}
+
+/// A subcommand's entry point. It checks its arguments and the files
+/// they name before it simulates, trains or writes anything, and hands
+/// the run back to `main`, which starts it under the [`Lifecycle`].
+type Entry = for<'a> fn(&'a Args, &'a Options, &'a Console) -> Checked<'a>;
 
 /// Every subcommand with its entry point. The first, unnamed one runs
 /// the paper's tables and figures and is the default.
@@ -171,7 +212,9 @@ const COMMANDS: [(Grammar, Entry); 8] = [
 --stop-after <N>               stop after N line-up iterations
 --resume <file>                finish the checkpointed run in <file>
 --warm-start <file>            seed RAC with the policy library a checkpoint names",
-            notes: "--stop-after needs --checkpoint or --resume; --resume takes one scenario",
+            notes: "\
+--stop-after needs --checkpoint or --resume; --resume takes one scenario and
+excludes --warm-start",
         },
         run_scenarios,
     ),
@@ -258,8 +301,32 @@ fn main() {
         .iter()
         .find(|(g, _)| !g.name.is_empty() && Some(g.name) == token)
         .unwrap_or(&COMMANDS[0]);
-    let mut args =
-        cli::parse(&argv, &[&GLOBAL, grammar]).unwrap_or_else(|e| usage_exit(grammar, &e));
+    let code = match run(&argv, grammar, *entry) {
+        Ok(()) => return,
+        Err(Exit::Usage(msg)) => {
+            eprintln!("{msg}");
+            if grammar.name.is_empty() {
+                // The figure list's usage names every subcommand.
+                let all: Vec<&Grammar> = COMMANDS.iter().map(|(g, _)| g).collect();
+                eprint!("{}{}", cli::synopses(&all), cli::usage(&[&GLOBAL]));
+            } else {
+                eprint!("{}", cli::usage(&[grammar, &GLOBAL]));
+            }
+            2
+        }
+        Err(Exit::Fail(code, msg)) => {
+            eprintln!("{msg}");
+            code
+        }
+    };
+    std::process::exit(code);
+}
+
+/// Parses `argv`, lets `entry` check it, and runs the checked job under
+/// the [`Lifecycle`]. A panic unwinds through the lifecycle, which still
+/// ends the run, and exits 101 as any Rust panic does.
+fn run(argv: &[String], grammar: &Grammar, entry: Entry) -> Result<(), Exit> {
+    let mut args = cli::parse(argv, &[&GLOBAL, grammar])?;
     if !grammar.name.is_empty() {
         // The subcommand token itself.
         args.operands.remove(0);
@@ -271,24 +338,81 @@ fn main() {
     let console = Console::from_env(args.has("--quiet"));
     // Started before the entry, so it already answers while the policy
     // library builds.
-    let _server = args.get("--serve").map(start_obs_server);
-    if let Err(e) = entry(&args, &opts, &console) {
-        usage_exit(grammar, &e);
+    let _server = args.get("--serve").map(start_obs_server).transpose()?;
+    let Some(job) = entry(&args, &opts, &console)? else {
+        return Ok(());
+    };
+    let mut lifecycle = Lifecycle::begin(&job.name, &opts, &console);
+    let result = (job.work)();
+    lifecycle.ok = result.is_ok();
+    result
+}
+
+/// The one way a checked run ends. Begun, it marks the `/healthz` job
+/// running; dropped — on success, error or panic alike — it writes the
+/// process-wide metrics next to the CSVs (`results/metrics.{prom,csv}`,
+/// unless observability is off or nothing was recorded) and finishes
+/// the job as done (`ok`) or failed.
+struct Lifecycle<'a> {
+    opts: &'a Options,
+    console: &'a Console,
+    ok: bool,
+}
+
+impl<'a> Lifecycle<'a> {
+    fn begin(job: &str, opts: &'a Options, console: &'a Console) -> Self {
+        if obs::enabled() {
+            obs::health::global().begin_job(job);
+        }
+        Lifecycle {
+            opts,
+            console,
+            ok: false,
+        }
     }
 }
 
-/// Prints `msg` and the usage of `grammar` — for the figure list, every
-/// subcommand's synopsis and the global flags — then exits 2, the exit
-/// of every malformed invocation.
-fn usage_exit(grammar: &Grammar, msg: &str) -> ! {
-    eprintln!("{msg}");
-    if grammar.name.is_empty() {
-        let all: Vec<&Grammar> = COMMANDS.iter().map(|(g, _)| g).collect();
-        eprint!("{}{}", cli::synopses(&all), cli::usage(&[&GLOBAL]));
-    } else {
-        eprint!("{}", cli::usage(&[grammar, &GLOBAL]));
+impl Drop for Lifecycle<'_> {
+    fn drop(&mut self) {
+        if !obs::enabled() {
+            return;
+        }
+        let snapshot = obs::Registry::global().snapshot();
+        if !snapshot.is_empty() {
+            let _ = std::fs::create_dir_all(&self.opts.results_dir);
+            for (file, text) in [
+                ("metrics.prom", obs::export::render_prometheus(&snapshot)),
+                ("metrics.csv", obs::export::render_csv(&snapshot)),
+            ] {
+                let path = self.opts.results_dir.join(file);
+                match std::fs::write(&path, text) {
+                    Ok(()) => self.console.note(format!("  -> {}", path.display())),
+                    Err(e) => eprintln!("  could not write {}: {e}", path.display()),
+                }
+            }
+        }
+        obs::health::global().finish_job(self.ok);
     }
-    std::process::exit(2);
+}
+
+/// Starts the embedded observability server (and switches the profiler
+/// on so `/profile` has data).
+fn start_obs_server(addr: &str) -> Result<obs::ObsServer, Exit> {
+    obs::profile::set_enabled(true);
+    let server = obs::ObsServer::start(addr)
+        .map_err(|e| Exit::Fail(2, format!("cannot serve on {addr}: {e}")))?;
+    // To stdout, not the console: scripts (and the CI live-endpoint job)
+    // grep this line for the bound port.
+    println!("obs: serving on http://{}", server.local_addr());
+    Ok(server)
+}
+
+/// Writes a captured decision trace to `path` and notes where it went.
+fn write_trace(writer: &TraceWriter, path: &Path, console: &Console) {
+    match writer.write_to(path) {
+        Ok(()) => console.note(format!("  -> {} ({} events)", path.display(), writer.len())),
+        Err(e) => eprintln!("  could not write {}: {e}", path.display()),
+    }
 }
 
 /// The optional single operand of `tournament` and `fleet`, a positive
@@ -323,7 +447,7 @@ fn scenario_operand(arg: &str, opts: &Options) -> Result<Scenario, String> {
 /// `figures [table1|…|fig10|all]...` — the paper's evaluation. Figure
 /// jobs run concurrently on the global runner; reports print in
 /// submission order.
-fn run_figures(args: &Args, opts: &Options, console: &Console) -> Result<(), String> {
+fn run_figures<'a>(args: &'a Args, opts: &'a Options, console: &'a Console) -> Checked<'a> {
     let named: Vec<&str> = args.operands.iter().map(String::as_str).collect();
     let selected = if named.is_empty() || named.contains(&"all") {
         ALL_CMDS.to_vec()
@@ -331,94 +455,54 @@ fn run_figures(args: &Args, opts: &Options, console: &Console) -> Result<(), Str
         named
     };
     if let Some(cmd) = selected.iter().find(|c| !ALL_CMDS.contains(c)) {
-        return Err(format!("unknown experiment: {cmd}"));
+        return Err(format!("unknown experiment: {cmd}").into());
     }
-
-    // The policy library feeds six figures; build it once before the
-    // fan-out so concurrent jobs share it (and the disk cache sees a
-    // single writer).
-    let library = if selected.iter().any(|c| needs_library(c)) {
-        Some(standard_policy_library(&opts.cache_dir()))
-    } else {
-        None
-    };
-
-    let runner = Runner::global();
-    if obs::enabled() {
-        obs::health::global().begin_job(&format!("figures {}", selected.join(" ")));
-    }
-    console.note(format!(
-        "figures: {} job(s) across {} worker thread(s) [RAC_THREADS]",
-        selected.len(),
-        runner.threads()
-    ));
-    let started = Instant::now();
-    let tracing = obs::tracing_enabled();
-    let reports = runner.run_tasks(selected.len(), |i| {
-        let cmd = selected[i];
-        let _span = obs::Span::start("figure");
-        let mut out = String::new();
-        let t0 = Instant::now();
-        // Each figure gets its own trace scope: the scope is
-        // thread-local and the figure job is single-threaded (its
-        // measurement fan-out happens in untraced workers), so the
-        // JSONL is deterministic per figure at any RAC_THREADS.
-        let trace = if tracing {
-            let writer = Arc::new(TraceWriter::new());
-            obs::trace::with_writer(&writer, || {
-                run_figure(cmd, opts, library.as_ref(), &mut out)
-            });
-            Some(writer)
-        } else {
-            run_figure(cmd, opts, library.as_ref(), &mut out);
-            None
-        };
-        (out, t0.elapsed().as_secs_f64(), trace)
-    });
-    for (cmd, (out, secs, trace)) in selected.iter().zip(&reports) {
-        print!("{out}");
-        if let Some(writer) = trace {
-            let path = opts.results_dir.join(format!("{cmd}.trace.jsonl"));
-            match writer.write_to(&path) {
-                Ok(()) => {
-                    console.note(format!("  -> {} ({} events)", path.display(), writer.len()))
-                }
-                Err(e) => eprintln!("  could not write {}: {e}", path.display()),
+    job(format!("figures {}", selected.join(" ")), move || {
+        // The policy library feeds six figures; build it once before the
+        // fan-out so concurrent jobs share it (and the disk cache sees a
+        // single writer).
+        let library = selected
+            .iter()
+            .any(|c| needs_library(c))
+            .then(|| standard_policy_library(&opts.cache_dir()));
+        let runner = Runner::global();
+        console.note(format!(
+            "figures: {} job(s) across {} worker thread(s) [RAC_THREADS]",
+            selected.len(),
+            runner.threads()
+        ));
+        let started = Instant::now();
+        let reports = runner.run_tasks(selected.len(), |i| {
+            let cmd = selected[i];
+            let _span = obs::Span::start("figure");
+            let mut out = String::new();
+            let t0 = Instant::now();
+            // Each figure gets its own trace scope: the scope is
+            // thread-local and the figure job is single-threaded (its
+            // measurement fan-out happens in untraced workers), so the
+            // JSONL is deterministic per figure at any RAC_THREADS.
+            let ((), trace) =
+                obs::trace::capture(|| run_figure(cmd, opts, library.as_ref(), &mut out));
+            (out, t0.elapsed().as_secs_f64(), trace)
+        });
+        for (cmd, (out, secs, trace)) in selected.iter().zip(&reports) {
+            print!("{out}");
+            if let Some(writer) = trace {
+                let path = opts.results_dir.join(format!("{cmd}.trace.jsonl"));
+                write_trace(writer, &path, console);
             }
+            console.note(format!("  [{cmd}: {secs:.1}s wall-clock]"));
         }
-        console.note(format!("  [{cmd}: {secs:.1}s wall-clock]"));
-    }
-    let stats = runner.cache_stats();
-    console.note(format!(
-        "\ntotal: {:.1}s wall-clock, {:.1}s summed over jobs ({} simulations, {} cache hits)",
-        started.elapsed().as_secs_f64(),
-        reports.iter().map(|(_, s, _)| s).sum::<f64>(),
-        stats.misses,
-        stats.hits
-    ));
-    write_metrics_snapshot(opts, console);
-    if obs::enabled() {
-        obs::health::global().finish_job(true);
-    }
-    Ok(())
-}
-
-/// Starts the embedded observability server (and switches the profiler
-/// on so `/profile` has data), or exits with a clear message.
-fn start_obs_server(addr: &str) -> obs::ObsServer {
-    obs::profile::set_enabled(true);
-    match obs::ObsServer::start(addr) {
-        Ok(server) => {
-            // To stdout, not the console: scripts (and the CI
-            // live-endpoint job) grep this line for the bound port.
-            println!("obs: serving on http://{}", server.local_addr());
-            server
-        }
-        Err(e) => {
-            eprintln!("cannot serve on {addr}: {e}");
-            std::process::exit(2);
-        }
-    }
+        let stats = runner.cache_stats();
+        console.note(format!(
+            "\ntotal: {:.1}s wall-clock, {:.1}s summed over jobs ({} simulations, {} cache hits)",
+            started.elapsed().as_secs_f64(),
+            reports.iter().map(|(_, s, _)| s).sum::<f64>(),
+            stats.misses,
+            stats.hits
+        ));
+        Ok(())
+    })
 }
 
 /// `figures bench [--out <path>] [--check <committed.json>]`.
@@ -431,9 +515,9 @@ fn start_obs_server(addr: &str) -> obs::ObsServer {
 /// stays the authoritative trajectory point. Quick and full mode use
 /// identical problem sizes (quick only repeats less), which is what
 /// makes a quick-mode check against a full-mode file meaningful.
-fn run_bench_suite(args: &Args, opts: &Options, console: &Console) -> Result<(), String> {
+fn run_bench_suite<'a>(args: &'a Args, opts: &'a Options, console: &'a Console) -> Checked<'a> {
     if let Some(op) = args.operands.first() {
-        return Err(format!("bench takes no operands, got `{op}`"));
+        return Err(format!("bench takes no operands, got `{op}`").into());
     }
     let out = args.get("--out").map_or_else(
         || PathBuf::from(format!("BENCH_{}.json", perfsuite::BENCH_VERSION)),
@@ -441,75 +525,65 @@ fn run_bench_suite(args: &Args, opts: &Options, console: &Console) -> Result<(),
     );
     // Read the committed report before the suite runs, so a mistyped
     // path costs nothing.
-    let check = args.get("--check").map(|path| {
-        let committed = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        let medians = perfsuite::parse_medians(&committed).unwrap_or_else(|e| {
-            eprintln!("cannot parse {path}: {e}");
-            std::process::exit(2);
-        });
-        (path, medians)
-    });
-    let quick = opts.quick;
-    console.note(format!(
-        "bench: perf-trajectory suite, {} mode, {} worker thread(s) [RAC_THREADS]",
-        if quick { "quick" } else { "full" },
-        Runner::global().threads()
-    ));
-    if obs::enabled() {
-        obs::health::global().begin_job("bench");
-    }
-    let started = Instant::now();
-    let report = perfsuite::run_suite(&perfsuite::SuiteOptions { quick });
-    console.note(format!(
-        "bench: suite finished in {:.1}s",
-        started.elapsed().as_secs_f64()
-    ));
-    match check {
-        Some((path, medians)) => {
-            let failures =
-                perfsuite::check_regressions(&medians, &report, perfsuite::REGRESSION_FLOOR);
-            if !failures.is_empty() {
-                eprintln!("bench regression vs {path}:");
-                for f in &failures {
-                    eprintln!("  {f}");
-                }
-                if obs::enabled() {
-                    obs::health::global().finish_job(false);
-                }
-                std::process::exit(1);
-            }
-            println!(
-                "bench check OK: all medians within {}x of {path}",
-                perfsuite::REGRESSION_FLOOR
-            );
+    let check = match args.get("--check") {
+        Some(path) => {
+            let committed = std::fs::read_to_string(path)
+                .map_err(|e| Exit::Fail(2, format!("cannot read {path}: {e}")))?;
+            let medians = perfsuite::parse_medians(&committed)
+                .map_err(|e| Exit::Fail(2, format!("cannot parse {path}: {e}")))?;
+            Some((path, medians))
         }
-        None => {
-            if let Some(dir) = out.parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir).ok();
+        None => None,
+    };
+    job("bench".to_string(), move || {
+        let quick = opts.quick;
+        console.note(format!(
+            "bench: perf-trajectory suite, {} mode, {} worker thread(s) [RAC_THREADS]",
+            if quick { "quick" } else { "full" },
+            Runner::global().threads()
+        ));
+        let started = Instant::now();
+        let report = perfsuite::run_suite(&perfsuite::SuiteOptions { quick });
+        console.note(format!(
+            "bench: suite finished in {:.1}s",
+            started.elapsed().as_secs_f64()
+        ));
+        match check {
+            Some((path, medians)) => {
+                let failures =
+                    perfsuite::check_regressions(&medians, &report, perfsuite::REGRESSION_FLOOR);
+                if !failures.is_empty() {
+                    let mut msg = format!("bench regression vs {path}:");
+                    for f in &failures {
+                        let _ = write!(msg, "\n  {f}");
+                    }
+                    return Err(Exit::Fail(1, msg));
                 }
+                println!(
+                    "bench check OK: all medians within {}x of {path}",
+                    perfsuite::REGRESSION_FLOOR
+                );
             }
-            std::fs::write(&out, report.to_json()).unwrap_or_else(|e| {
-                eprintln!("cannot write {}: {e}", out.display());
-                std::process::exit(2);
-            });
-            println!("wrote {}", out.display());
+            None => {
+                if let Some(dir) = out.parent() {
+                    if !dir.as_os_str().is_empty() {
+                        std::fs::create_dir_all(dir).ok();
+                    }
+                }
+                std::fs::write(&out, report.to_json())
+                    .map_err(|e| Exit::Fail(2, format!("cannot write {}: {e}", out.display())))?;
+                println!("wrote {}", out.display());
+            }
         }
-    }
-    if obs::enabled() {
-        obs::health::global().finish_job(true);
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// `figures tournament [N] [--seed S] [--quick] [--profile P] [--out D]`
 /// — RAC vs trial-and-error vs static default across N generated
 /// scenarios, sharded over the global runner. The scoreboard is a pure
 /// function of (seed, N): byte-identical CSVs at any `RAC_THREADS`.
-fn run_tournament(args: &Args, opts: &Options, console: &Console) -> Result<(), String> {
+fn run_tournament<'a>(args: &'a Args, opts: &'a Options, console: &'a Console) -> Checked<'a> {
     let defaults = rac_bench::tournament::TournamentOptions::default();
     let topts = rac_bench::tournament::TournamentOptions {
         scenarios: count_operand(args, "scenario-count")?.unwrap_or(defaults.scenarios),
@@ -525,79 +599,49 @@ fn run_tournament(args: &Args, opts: &Options, console: &Console) -> Result<(), 
         .get("--out")
         .map_or_else(|| opts.results_dir.clone(), PathBuf::from);
 
-    if obs::enabled() {
-        obs::health::global().begin_job(&format!("tournament {}", topts.scenarios));
-    }
-    let runner = Runner::global();
-    console.note(format!(
-        "tournament: {} scenarios from seed {}, {} difficulty, {} worker thread(s) [RAC_THREADS]",
-        topts.scenarios,
-        topts.seed,
-        topts
-            .profile
-            .map(|d| d.label())
-            .unwrap_or("cycling calm/brisk/stormy"),
-        runner.threads()
-    ));
-    let started = Instant::now();
-    let matchups = rac_bench::tournament::run(&topts);
-    let elapsed = started.elapsed().as_secs_f64();
-    let rows = rac_bench::tournament::scoreboard(&matchups);
-    let table = rac_bench::tournament::scoreboard_table(&rows);
-    println!(
-        "tournament: {} scenarios, seed {} — per-arm scoreboard",
-        topts.scenarios, topts.seed
-    );
-    print!("{table}");
-    std::fs::create_dir_all(&out_dir).ok();
-    for (file, t) in [
-        (
-            "tournament-matchups.csv",
-            rac_bench::tournament::matchups_table(&matchups),
-        ),
-        ("tournament-scoreboard.csv", table),
-    ] {
-        let path = out_dir.join(file);
-        match t.write_csv(&path) {
-            Ok(()) => println!("  -> {}", path.display()),
-            Err(e) => eprintln!("  could not write {}: {e}", path.display()),
+    job(format!("tournament {}", topts.scenarios), move || {
+        let runner = Runner::global();
+        console.note(format!(
+            "tournament: {} scenarios from seed {}, {} difficulty, {} worker thread(s) [RAC_THREADS]",
+            topts.scenarios,
+            topts.seed,
+            topts
+                .profile
+                .map(|d| d.label())
+                .unwrap_or("cycling calm/brisk/stormy"),
+            runner.threads()
+        ));
+        let started = Instant::now();
+        let matchups = rac_bench::tournament::run(&topts);
+        let elapsed = started.elapsed().as_secs_f64();
+        let rows = rac_bench::tournament::scoreboard(&matchups);
+        let table = rac_bench::tournament::scoreboard_table(&rows);
+        println!(
+            "tournament: {} scenarios, seed {} — per-arm scoreboard",
+            topts.scenarios, topts.seed
+        );
+        print!("{table}");
+        std::fs::create_dir_all(&out_dir).ok();
+        for (file, t) in [
+            (
+                "tournament-matchups.csv",
+                rac_bench::tournament::matchups_table(&matchups),
+            ),
+            ("tournament-scoreboard.csv", table),
+        ] {
+            let path = out_dir.join(file);
+            match t.write_csv(&path) {
+                Ok(()) => println!("  -> {}", path.display()),
+                Err(e) => eprintln!("  could not write {}: {e}", path.display()),
+            }
         }
-    }
-    console.note(format!(
-        "\ntotal: {elapsed:.1}s wall-clock over {} scenario(s) ({:.2} scenarios/s)",
-        topts.scenarios,
-        topts.scenarios as f64 / elapsed.max(1e-9)
-    ));
-    write_metrics_snapshot(opts, console);
-    if obs::enabled() {
-        obs::health::global().finish_job(true);
-    }
-    Ok(())
-}
-
-/// Drops the process-wide metrics next to the figure CSVs (Prometheus
-/// text + CSV), unless observability is off.
-fn write_metrics_snapshot(opts: &Options, console: &Console) {
-    if !obs::enabled() {
-        return;
-    }
-    let snapshot = obs::Registry::global().snapshot();
-    if snapshot.is_empty() {
-        return;
-    }
-    for (file, text) in [
-        ("metrics.prom", obs::export::render_prometheus(&snapshot)),
-        ("metrics.csv", obs::export::render_csv(&snapshot)),
-    ] {
-        let path = opts.results_dir.join(file);
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        match std::fs::write(&path, text) {
-            Ok(()) => console.note(format!("  -> {}", path.display())),
-            Err(e) => eprintln!("  could not write {}: {e}", path.display()),
-        }
-    }
+        console.note(format!(
+            "\ntotal: {elapsed:.1}s wall-clock over {} scenario(s) ({:.2} scenarios/s)",
+            topts.scenarios,
+            topts.scenarios as f64 / elapsed.max(1e-9)
+        ));
+        Ok(())
+    })
 }
 
 fn run_figure(cmd: &str, opts: &Options, library: Option<&PolicyLibrary>, out: &mut String) {
@@ -1194,36 +1238,52 @@ fn fig10(opts: &Options, library: &PolicyLibrary, out: &mut String) {
 // Scenario runs (time-varying workload & fault injection)
 // --------------------------------------------------------------------
 
-/// Loads and verifies a snapshot file, or exits with a clear message —
-/// a half-written, corrupt, or stale checkpoint must never panic.
-fn load_snapshot_or_exit(path: &Path, what: &str) -> ckpt::Snapshot {
-    match ckpt::Snapshot::load(path) {
-        Ok(snap) => snap,
-        Err(e) => {
-            eprintln!("cannot {what} from {}: {e}", path.display());
-            std::process::exit(2);
+/// The checkpoint flags `scenario` and `fleet` share, checked against
+/// each other. `fleet` declares no `--checkpoint-every`: it checkpoints
+/// after every step.
+struct CheckpointFlags {
+    dir: Option<PathBuf>,
+    every: usize,
+    stop_after: Option<usize>,
+    resume: Option<PathBuf>,
+    warm_start: Option<PathBuf>,
+}
+
+impl CheckpointFlags {
+    fn parse(args: &Args) -> Result<CheckpointFlags, String> {
+        let positive = |flag| args.value::<NonZeroUsize>(flag, POSITIVE);
+        let flags = CheckpointFlags {
+            dir: args.get("--checkpoint").map(PathBuf::from),
+            every: positive("--checkpoint-every")?.map_or(5, NonZeroUsize::get),
+            stop_after: positive("--stop-after")?.map(NonZeroUsize::get),
+            resume: args.get("--resume").map(PathBuf::from),
+            warm_start: args.get("--warm-start").map(PathBuf::from),
+        };
+        if flags.stop_after.is_some() && flags.dir.is_none() && flags.resume.is_none() {
+            return Err("--stop-after only makes sense with --checkpoint or --resume".into());
         }
+        if flags.resume.is_some() && flags.warm_start.is_some() {
+            return Err("--resume restores the run from its checkpoint; \
+                        --warm-start only applies to a fresh run"
+                .into());
+        }
+        Ok(flags)
+    }
+
+    /// Where the run checkpoints: the file it resumed from, or `file`
+    /// under `--checkpoint <dir>`.
+    fn path(&self, file: &str) -> Option<PathBuf> {
+        let fresh = || self.dir.as_ref().map(|dir| dir.join(file));
+        self.resume.clone().or_else(fresh)
     }
 }
 
-/// The policy-library sidecar of the line-up checkpoint at `path`,
-/// loaded for a warm start, or exits with a clear message.
-fn load_warm_start_or_exit(path: &Path) -> ckpt::Snapshot {
-    match rac_bench::checkpoint::library_sidecar(path) {
-        Ok(sidecar) => load_snapshot_or_exit(&sidecar, "warm-start"),
-        Err(e) => {
-            eprintln!("cannot warm-start from {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    }
-}
-
-/// [`load_snapshot_or_exit`] for resume paths: first sweeps away any
-/// `.tmp` file a crash left beside the checkpoint. The committed
-/// snapshot is always the one to resume from — the temp is a torn
-/// write by construction — so it must never shadow the real file or
-/// clutter the checkpoint directory.
-fn load_resume_snapshot_or_exit(path: &Path) -> ckpt::Snapshot {
+/// Loads the snapshot `--resume` names — a half-written, corrupt or
+/// stale checkpoint is an error, never a panic. First sweeps away any
+/// `.tmp` file a crash left beside it: the committed snapshot is always
+/// the one to resume from (the temp is a torn write by construction),
+/// so the temp must never shadow the real file or clutter the directory.
+fn load_resume(path: &Path) -> Result<ckpt::Snapshot, Exit> {
     match ckpt::remove_stale_temp(path) {
         Ok(true) => eprintln!(
             "note: removed stale temp checkpoint beside {} (crash mid-write)",
@@ -1231,11 +1291,21 @@ fn load_resume_snapshot_or_exit(path: &Path) -> ckpt::Snapshot {
         ),
         Ok(false) => {}
         Err(e) => {
-            eprintln!("cannot clean stale temp beside {}: {e}", path.display());
-            std::process::exit(2);
+            let msg = format!("cannot clean stale temp beside {}: {e}", path.display());
+            return Err(Exit::Fail(2, msg));
         }
     }
-    load_snapshot_or_exit(path, "resume")
+    ckpt::Snapshot::load(path)
+        .map_err(|e| Exit::Fail(2, format!("cannot resume from {}: {e}", path.display())))
+}
+
+/// Loads the policy-library sidecar of the line-up checkpoint
+/// `--warm-start` names.
+fn load_warm_start(path: &Path) -> Result<ckpt::Snapshot, Exit> {
+    let fail =
+        |path: &Path, e| Exit::Fail(2, format!("cannot warm-start from {}: {e}", path.display()));
+    let sidecar = rac_bench::checkpoint::library_sidecar(path).map_err(|e| fail(path, e))?;
+    ckpt::Snapshot::load(&sidecar).map_err(|e| fail(&sidecar, e))
 }
 
 /// Entry point for `figures scenario ...`: lists the bundled scenarios
@@ -1248,24 +1318,16 @@ fn load_resume_snapshot_or_exit(path: &Path) -> ckpt::Snapshot {
 /// function of (spec, scenario, seed), bit-identical at any
 /// `RAC_THREADS` — so unlike the figure jobs there is no fan-out here.
 ///
-/// With `live` (a `--serve` run), the growing trace is additionally
-/// flushed to its final path as each tuner session completes, so
-/// `inspect_trace --follow` can tail the run; the flushes are prefixes
-/// of the final byte-identical file.
-fn run_scenarios(args: &Args, opts: &Options, console: &Console) -> Result<(), String> {
-    let checkpoint_dir = args.get("--checkpoint").map(PathBuf::from);
-    let every = args
-        .value::<NonZeroUsize>("--checkpoint-every", POSITIVE)?
-        .map_or(5, NonZeroUsize::get);
-    let stop_after = args
-        .value::<NonZeroUsize>("--stop-after", POSITIVE)?
-        .map(NonZeroUsize::get);
-    let resume_path = args.get("--resume").map(PathBuf::from);
-    if stop_after.is_some() && checkpoint_dir.is_none() && resume_path.is_none() {
-        return Err("--stop-after only makes sense with --checkpoint or --resume".into());
-    }
-    if resume_path.is_some() && args.operands.len() != 1 {
-        return Err("--resume continues exactly one scenario run".into());
+/// With `--serve`, the growing trace is additionally flushed to its
+/// final path as each tuner session completes, so `inspect_trace
+/// --follow` can tail the run; the flushes are prefixes of the final
+/// byte-identical file.
+fn run_scenarios<'a>(args: &'a Args, opts: &'a Options, console: &'a Console) -> Checked<'a> {
+    let flags = CheckpointFlags::parse(args)?;
+    if flags.resume.is_some() && args.operands.len() != 1 {
+        return Err(Exit::Usage(
+            "--resume continues exactly one scenario run".into(),
+        ));
     }
     if args.has("--list") {
         println!("bundled scenarios:");
@@ -1278,197 +1340,139 @@ fn run_scenarios(args: &Args, opts: &Options, console: &Console) -> Result<(), S
                 scn.directives.len()
             );
         }
-        return Ok(());
+        return Ok(None);
     }
     if args.operands.is_empty() {
-        return Err("scenario needs a <name|file.scn> operand".into());
+        return Err(Exit::Usage(
+            "scenario needs a <name|file.scn> operand".into(),
+        ));
     }
     let scenarios: Vec<Scenario> = args
         .operands
         .iter()
         .map(|arg| scenario_operand(arg, opts))
         .collect::<Result<_, _>>()?;
-
-    // Mark the job running before the (potentially long) library build
-    // so live /healthz readers see it immediately.
-    if obs::enabled() {
-        obs::health::global().begin_job(&format!("scenario {}", args.operands.join(" ")));
-    }
-    let library = match args.get("--warm-start").map(Path::new) {
+    let resume = flags.resume.as_deref().map(load_resume).transpose()?;
+    let warm_start = match flags.warm_start.as_deref() {
         Some(path) => {
-            let snap = load_warm_start_or_exit(path);
             // The checked variant turns a snapshot trained on a
             // different lattice into a typed mismatch here, at the
             // seeding boundary, instead of a panic mid-run.
-            match rac::library_from_snapshot_checked(
-                &snap,
+            let lib = rac::library_from_snapshot_checked(
+                &load_warm_start(path)?,
                 rac_bench::standard_lattice().num_states(),
                 rac::Action::COUNT,
-            ) {
-                Ok(lib) => {
-                    console.note(format!(
-                        "  warm start: {} policies from {}",
-                        lib.len(),
-                        path.display()
-                    ));
-                    lib
-                }
-                Err(e) => {
-                    eprintln!("cannot warm-start from {}: {e}", path.display());
-                    std::process::exit(2);
-                }
-            }
+            )
+            .map_err(|e| {
+                Exit::Fail(2, format!("cannot warm-start from {}: {e}", path.display()))
+            })?;
+            console.note(format!(
+                "  warm start: {} policies from {}",
+                lib.len(),
+                path.display()
+            ));
+            Some(lib)
         }
-        None => standard_policy_library(&opts.cache_dir()),
+        None => None,
     };
-    let resume = resume_path
-        .as_ref()
-        .map(|path| load_resume_snapshot_or_exit(path));
-    let live = args.has("--serve");
-    let tracing = obs::tracing_enabled();
-    let started = Instant::now();
-    for scn in &scenarios {
-        // Resume continues the checkpoint file it came from; a fresh
-        // checkpointed run gets one file per scenario under the dir.
-        let ckpt_plan = match (&resume_path, &checkpoint_dir) {
-            (Some(path), _) => Some(CheckpointOptions {
-                path: path.clone(),
-                every,
-                stop_after,
-            }),
-            (None, Some(dir)) => Some(CheckpointOptions {
-                path: dir.join(format!("scenario-{}.ckpt", scn.name)),
-                every,
-                stop_after,
-            }),
-            (None, None) => None,
+
+    job(format!("scenario {}", args.operands.join(" ")), move || {
+        // A resumed line-up runs on the library its snapshot names.
+        let library = match (warm_start, &resume) {
+            (Some(lib), _) => Some(lib),
+            (None, Some(_)) => None,
+            (None, None) => Some(standard_policy_library(&opts.cache_dir())),
         };
-        let trace_path = opts
-            .results_dir
-            .join(format!("scenario-{}.trace.jsonl", scn.name));
-        // Live runs flush the growing trace between tuner sessions so
-        // followers see events mid-run (never for checkpointed runs,
-        // whose stop-after contract is "no trace file").
-        let live_trace = if live && tracing && ckpt_plan.is_none() {
-            Some(trace_path.clone())
-        } else {
-            None
-        };
-        let mut out = String::new();
-        let t0 = Instant::now();
-        // Failures must still flush telemetry — the failed run is
-        // exactly the one you want data from — so panics are caught,
-        // metrics/trace written, and only then does the process die.
-        let mut writer = None;
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if tracing {
-                let w = Arc::new(TraceWriter::new());
-                writer = Some(Arc::clone(&w));
-                obs::trace::with_writer(&w, || {
+        let live = args.has("--serve");
+        let started = Instant::now();
+        for scn in &scenarios {
+            let ckpt_plan = flags
+                .path(&format!("scenario-{}.ckpt", scn.name))
+                .map(|path| CheckpointOptions {
+                    path,
+                    every: flags.every,
+                    stop_after: flags.stop_after,
+                });
+            let trace_path = opts
+                .results_dir
+                .join(format!("scenario-{}.trace.jsonl", scn.name));
+            // Live runs flush the growing trace between tuner sessions so
+            // followers see events mid-run (never for checkpointed runs,
+            // whose stop-after contract is "no trace file"; an untraced
+            // run has no trace scope, so it flushes nothing).
+            let live_trace = (live && ckpt_plan.is_none()).then_some(trace_path.as_path());
+            let mut out = String::new();
+            let t0 = Instant::now();
+            // The failed run is exactly the one you want data from, so a
+            // panic is caught inside the trace scope and the partial trace
+            // written before it unwinds on.
+            let (outcome, trace) = obs::trace::capture(|| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     scenario_figure(
                         scn,
-                        &library,
+                        library.as_ref(),
                         opts,
                         ckpt_plan.as_ref(),
                         resume.as_ref(),
-                        live_trace.as_deref(),
+                        live_trace,
                         &mut out,
                     )
-                })
-            } else {
-                scenario_figure(
-                    scn,
-                    &library,
-                    opts,
-                    ckpt_plan.as_ref(),
-                    resume.as_ref(),
-                    None,
-                    &mut out,
-                )
+                }))
+            });
+            print!("{out}");
+            // Partial output goes under a `.failed.` name, so it can never
+            // masquerade as a completed run's artifact.
+            let failed_trace = || {
+                if let Some(writer) = &trace {
+                    let path = opts
+                        .results_dir
+                        .join(format!("scenario-{}.failed.trace.jsonl", scn.name));
+                    write_trace(writer, &path, console);
+                }
+            };
+            let completed = match outcome {
+                Ok(Ok(completed)) => completed,
+                Ok(Err(e)) => {
+                    failed_trace();
+                    let msg = format!("scenario {}: checkpoint error: {e}", scn.name);
+                    return Err(Exit::Fail(2, msg));
+                }
+                Err(payload) => {
+                    eprintln!("scenario {}: run panicked", scn.name);
+                    failed_trace();
+                    std::panic::resume_unwind(payload);
+                }
+            };
+            // An interrupted (`--stop-after`) run writes neither CSV nor
+            // trace: its outputs exist only to be byte-compared against an
+            // uninterrupted run once resumed to completion.
+            if let (true, Some(writer)) = (completed, &trace) {
+                write_trace(writer, &trace_path, console);
             }
-        }));
-        print!("{out}");
-        let completed = match outcome {
-            Ok(Ok(completed)) => completed,
-            Ok(Err(e)) => {
-                eprintln!("scenario {}: checkpoint error: {e}", scn.name);
-                flush_failure_telemetry(scn, writer.as_deref(), opts, console);
-                std::process::exit(2);
-            }
-            Err(payload) => {
-                eprintln!("scenario {}: run panicked; flushing telemetry", scn.name);
-                flush_failure_telemetry(scn, writer.as_deref(), opts, console);
-                std::panic::resume_unwind(payload);
-            }
-        };
-        // An interrupted (`--stop-after`) run writes neither CSV nor
-        // trace: its outputs exist only to be byte-compared against an
-        // uninterrupted run once resumed to completion.
-        if let (true, Some(writer)) = (completed, &writer) {
-            match writer.write_to(&trace_path) {
-                Ok(()) => console.note(format!(
-                    "  -> {} ({} events)",
-                    trace_path.display(),
-                    writer.len()
-                )),
-                Err(e) => eprintln!("  could not write {}: {e}", trace_path.display()),
-            }
+            console.note(format!(
+                "  [scenario {}: {:.1}s wall-clock]",
+                scn.name,
+                t0.elapsed().as_secs_f64()
+            ));
         }
         console.note(format!(
-            "  [scenario {}: {:.1}s wall-clock]",
-            scn.name,
-            t0.elapsed().as_secs_f64()
+            "\ntotal: {:.1}s wall-clock over {} scenario(s)",
+            started.elapsed().as_secs_f64(),
+            scenarios.len()
         ));
-    }
-    console.note(format!(
-        "\ntotal: {:.1}s wall-clock over {} scenario(s)",
-        started.elapsed().as_secs_f64(),
-        scenarios.len()
-    ));
-    write_metrics_snapshot(opts, console);
-    if obs::enabled() {
-        obs::health::global().finish_job(true);
-    }
-    Ok(())
-}
-
-/// Flush-on-failure: a failing scenario run still writes the metrics
-/// snapshot and the buffered trace (under a `.failed.` name so partial
-/// output can never masquerade as a completed run's artifact).
-fn flush_failure_telemetry(
-    scn: &Scenario,
-    writer: Option<&TraceWriter>,
-    opts: &Options,
-    console: &Console,
-) {
-    if let Some(writer) = writer {
-        let path = opts
-            .results_dir
-            .join(format!("scenario-{}.failed.trace.jsonl", scn.name));
-        match writer.write_to(&path) {
-            Ok(()) => console.note(format!(
-                "  -> {} ({} events, partial)",
-                path.display(),
-                writer.len()
-            )),
-            Err(e) => eprintln!("  could not write {}: {e}", path.display()),
-        }
-    }
-    write_metrics_snapshot(opts, console);
-    if obs::enabled() {
-        obs::health::global().finish_job(false);
-    }
+        Ok(())
+    })
 }
 
 /// Runs one scenario through RAC, trial-and-error, and the static
 /// default, then reports the series table, chart, and summary stats.
-/// Returns `Ok(false)` when a checkpointed run stopped early
-/// (`--stop-after`) — the caller then skips the CSV and trace artifacts
-/// — and `Err` on checkpoint I/O or validation failures, so the caller
-/// can flush telemetry before exiting.
+/// `library` is `None` only for a resumed run, which takes the library
+/// its snapshot names. Returns `Ok(false)` when a checkpointed run
+/// stopped early (`--stop-after`) — the caller then skips the CSV and
+/// trace artifacts — and `Err` on checkpoint I/O or validation failures.
 fn scenario_figure(
     scn: &Scenario,
-    library: &PolicyLibrary,
+    library: Option<&PolicyLibrary>,
     opts: &Options,
     ckpt_plan: Option<&CheckpointOptions>,
     resume: Option<&ckpt::Snapshot>,
@@ -1485,7 +1489,7 @@ fn scenario_figure(
             scn.compile().len()
         ),
     );
-    let outcome = run_lineup(scn, Some(library), ckpt_plan, resume, |status| {
+    let outcome = run_lineup(scn, library, ckpt_plan, resume, |status| {
         // Live run: flush the (prefix-stable) trace as each tuner
         // session ends so followers see it grow mid-run.
         if let Some(path) = live_trace.filter(|_| status.tuner_iteration == scn.iterations()) {
@@ -1546,71 +1550,61 @@ fn scenario_figure(
 /// (into a throwaway directory, snapshot and library sidecar both
 /// deleted afterwards) so the `checkpoint` phase shows up in the
 /// attribution alongside measure/tuner/sweep.
-fn run_profile(args: &Args, opts: &Options, console: &Console) -> Result<(), String> {
+fn run_profile<'a>(args: &'a Args, opts: &'a Options, console: &'a Console) -> Checked<'a> {
     let [arg] = args.operands.as_slice() else {
-        return Err("profile takes exactly one <name|file.scn> operand".into());
+        return Err(Exit::Usage(
+            "profile takes exactly one <name|file.scn> operand".into(),
+        ));
     };
     let scn = scenario_operand(arg, opts)?;
 
-    obs::profile::set_enabled(true);
-    obs::profile::reset();
-    if obs::enabled() {
-        obs::health::global().begin_job(&format!("profile {}", scn.name));
-    }
-    let library = standard_policy_library(&opts.cache_dir());
-    let ckpt_dir = opts.results_dir.join(format!("profile-{}-ckpt", scn.name));
-    let plan = CheckpointOptions {
-        path: ckpt_dir.join("lineup.ckpt"),
-        every: 5,
-        stop_after: None,
-    };
-    console.note(format!(
-        "profiling scenario {}: {} iterations of {:.0}s per tuner",
-        scn.name,
-        scn.iterations(),
-        scn.interval.as_secs_f64()
-    ));
-    let t0 = Instant::now();
-    let outcome = rac_bench::checkpoint::run_tuners_checkpointed(&scn, &library, &plan, None);
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
-    match outcome {
-        Ok(LineupOutcome::Complete(_)) => {}
-        Ok(LineupOutcome::Interrupted { .. }) => unreachable!("stop_after is None"),
-        Err(e) => {
-            eprintln!("profile {}: checkpoint error: {e}", scn.name);
-            if obs::enabled() {
-                obs::health::global().finish_job(false);
+    job(format!("profile {}", scn.name), move || {
+        obs::profile::set_enabled(true);
+        obs::profile::reset();
+        let library = standard_policy_library(&opts.cache_dir());
+        let ckpt_dir = opts.results_dir.join(format!("profile-{}-ckpt", scn.name));
+        let plan = CheckpointOptions {
+            path: ckpt_dir.join("lineup.ckpt"),
+            every: 5,
+            stop_after: None,
+        };
+        console.note(format!(
+            "profiling scenario {}: {} iterations of {:.0}s per tuner",
+            scn.name,
+            scn.iterations(),
+            scn.interval.as_secs_f64()
+        ));
+        let t0 = Instant::now();
+        let outcome = rac_bench::checkpoint::run_tuners_checkpointed(&scn, &library, &plan, None);
+        let _ = std::fs::remove_dir_all(&ckpt_dir);
+        match outcome {
+            Ok(LineupOutcome::Complete(_)) => {}
+            Ok(LineupOutcome::Interrupted { .. }) => unreachable!("stop_after is None"),
+            Err(e) => {
+                let msg = format!("profile {}: checkpoint error: {e}", scn.name);
+                return Err(Exit::Fail(2, msg));
             }
-            std::process::exit(2);
         }
-    }
-    console.note(format!(
-        "  [profile {}: {:.1}s wall-clock]",
-        scn.name,
-        t0.elapsed().as_secs_f64()
-    ));
+        console.note(format!(
+            "  [profile {}: {:.1}s wall-clock]",
+            scn.name,
+            t0.elapsed().as_secs_f64()
+        ));
 
-    let snapshot = obs::profile::snapshot();
-    print!("{}", rac_bench::profile::self_time_table(&snapshot));
-    let folded_path = opts
-        .results_dir
-        .join(format!("profile-{}.folded", scn.name));
-    match rac_bench::profile::write_folded(&folded_path) {
-        Ok(()) => println!(
+        let snapshot = obs::profile::snapshot();
+        print!("{}", rac_bench::profile::self_time_table(&snapshot));
+        let folded_path = opts
+            .results_dir
+            .join(format!("profile-{}.folded", scn.name));
+        rac_bench::profile::write_folded(&folded_path)
+            .map_err(|e| Exit::Fail(2, format!("cannot write {}: {e}", folded_path.display())))?;
+        println!(
             "wrote {} ({} call paths)",
             folded_path.display(),
             snapshot.len()
-        ),
-        Err(e) => {
-            eprintln!("cannot write {}: {e}", folded_path.display());
-            std::process::exit(2);
-        }
-    }
-    write_metrics_snapshot(opts, console);
-    if obs::enabled() {
-        obs::health::global().finish_job(true);
-    }
-    Ok(())
+        );
+        Ok(())
+    })
 }
 
 /// `figures chaos` — the deterministic chaos harness: for each seed,
@@ -1618,160 +1612,141 @@ fn run_profile(args: &Args, opts: &Options, console: &Console) -> Result<(), Str
 /// through it, write `results/chaos-<seed>.csv` (and a trace under
 /// `RAC_OBS=trace`), and check the guardrail invariants. Exits nonzero
 /// if any invariant is violated, so CI can gate on it.
-fn run_chaos_harness(args: &Args, opts: &Options, console: &Console) -> Result<(), String> {
+fn run_chaos_harness<'a>(args: &'a Args, opts: &'a Options, console: &'a Console) -> Checked<'a> {
     let seeds = seed_operands(args, &rac_bench::chaos::PINNED_SEEDS)?;
     let iterations = args
         .value("--iterations", UNSIGNED)?
         .unwrap_or(rac_bench::chaos::DEFAULT_ITERATIONS);
 
-    let tracing = obs::tracing_enabled();
-    if obs::enabled() {
-        let names: Vec<String> = seeds.iter().map(|s| s.to_string()).collect();
-        obs::health::global().begin_job(&format!("chaos {}", names.join(" ")));
-    }
-    let started = Instant::now();
-    let mut violation_count = 0usize;
-    for &seed in &seeds {
-        let scn = rac_bench::chaos::chaos_scenario(seed, iterations);
-        let t0 = Instant::now();
-        let mut series = Vec::new();
-        let trace = if tracing {
-            let writer = Arc::new(TraceWriter::new());
-            obs::trace::with_writer(&writer, || series = rac_bench::chaos::run_chaos(&scn));
-            Some(writer)
-        } else {
-            series = rac_bench::chaos::run_chaos(&scn);
-            None
-        };
-        let mut out = String::new();
-        banner(
-            &mut out,
-            &format!(
-                "Chaos seed {seed}: {} iterations of {:.0}s, {} directives",
-                scn.iterations(),
-                scn.interval.as_secs_f64(),
-                scn.directives.len()
-            ),
-        );
-        let t = rac_bench::chaos::chaos_table(&series);
-        let _ = write!(out, "{t}");
-        let finite: Vec<f64> = series
-            .iter()
-            .map(|r| r.response_ms)
-            .filter(|x| x.is_finite())
-            .collect();
-        let worst = finite.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let sla_misses = finite.iter().filter(|&&rt| rt > SLA_MS).count();
-        let _ = writeln!(
-            out,
-            "  worst {worst:.0} ms, SLA misses {sla_misses}/{}, lost intervals {}",
-            series.len(),
-            series.len() - finite.len()
-        );
-        let violations = rac_bench::chaos::check_invariants(&scn, &series);
-        if violations.is_empty() {
-            let _ = writeln!(out, "  invariants hold");
-        }
-        for v in &violations {
-            let _ = writeln!(out, "  INVARIANT VIOLATED: {v}");
-        }
-        violation_count += violations.len();
-        save(&t, opts, &format!("chaos-{seed}.csv"), &mut out);
-        print!("{out}");
-        if let Some(writer) = &trace {
-            let path = opts.results_dir.join(format!("chaos-{seed}.trace.jsonl"));
-            match writer.write_to(&path) {
-                Ok(()) => {
-                    console.note(format!("  -> {} ({} events)", path.display(), writer.len()))
-                }
-                Err(e) => eprintln!("  could not write {}: {e}", path.display()),
+    let names: Vec<String> = seeds.iter().map(|s| s.to_string()).collect();
+    job(format!("chaos {}", names.join(" ")), move || {
+        let started = Instant::now();
+        let mut violation_count = 0usize;
+        for &seed in &seeds {
+            let scn = rac_bench::chaos::chaos_scenario(seed, iterations);
+            let t0 = Instant::now();
+            let (series, trace) = obs::trace::capture(|| rac_bench::chaos::run_chaos(&scn));
+            let mut out = String::new();
+            banner(
+                &mut out,
+                &format!(
+                    "Chaos seed {seed}: {} iterations of {:.0}s, {} directives",
+                    scn.iterations(),
+                    scn.interval.as_secs_f64(),
+                    scn.directives.len()
+                ),
+            );
+            let t = rac_bench::chaos::chaos_table(&series);
+            let _ = write!(out, "{t}");
+            let finite: Vec<f64> = series
+                .iter()
+                .map(|r| r.response_ms)
+                .filter(|x| x.is_finite())
+                .collect();
+            let worst = finite.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let sla_misses = finite.iter().filter(|&&rt| rt > SLA_MS).count();
+            let _ = writeln!(
+                out,
+                "  worst {worst:.0} ms, SLA misses {sla_misses}/{}, lost intervals {}",
+                series.len(),
+                series.len() - finite.len()
+            );
+            let violations = rac_bench::chaos::check_invariants(&scn, &series);
+            if violations.is_empty() {
+                let _ = writeln!(out, "  invariants hold");
             }
+            for v in &violations {
+                let _ = writeln!(out, "  INVARIANT VIOLATED: {v}");
+            }
+            violation_count += violations.len();
+            save(&t, opts, &format!("chaos-{seed}.csv"), &mut out);
+            print!("{out}");
+            if let Some(writer) = &trace {
+                let path = opts.results_dir.join(format!("chaos-{seed}.trace.jsonl"));
+                write_trace(writer, &path, console);
+            }
+            console.note(format!(
+                "  [chaos {seed}: {:.1}s wall-clock]",
+                t0.elapsed().as_secs_f64()
+            ));
         }
         console.note(format!(
-            "  [chaos {seed}: {:.1}s wall-clock]",
-            t0.elapsed().as_secs_f64()
+            "\ntotal: {:.1}s wall-clock over {} seed(s)",
+            started.elapsed().as_secs_f64(),
+            seeds.len()
         ));
-    }
-    console.note(format!(
-        "\ntotal: {:.1}s wall-clock over {} seed(s)",
-        started.elapsed().as_secs_f64(),
-        seeds.len()
-    ));
-    write_metrics_snapshot(opts, console);
-    if obs::enabled() {
-        obs::health::global().finish_job(violation_count == 0);
-    }
-    if violation_count > 0 {
-        eprintln!("chaos: {violation_count} invariant violation(s)");
-        std::process::exit(1);
-    }
-    Ok(())
+        if violation_count > 0 {
+            let msg = format!("chaos: {violation_count} invariant violation(s)");
+            return Err(Exit::Fail(1, msg));
+        }
+        Ok(())
+    })
 }
 
 // --------------------------------------------------------------------
 // `figures crashdrill`: SIGKILL a live racd daemon at seeded points and
 // assert byte-identical convergence after recovery.
 
-fn run_crashdrill(args: &Args, opts: &Options, console: &Console) -> Result<(), String> {
+fn run_crashdrill<'a>(args: &'a Args, opts: &'a Options, console: &'a Console) -> Checked<'a> {
     let seeds = seed_operands(args, &rac_bench::crashdrill::DEFAULT_SEEDS)?;
     let iterations = args
         .value("--iterations", UNSIGNED)?
         .unwrap_or(rac_bench::chaos::DEFAULT_ITERATIONS);
+    let racd = rac_bench::crashdrill::find_racd()
+        .map_err(|e| Exit::Fail(2, format!("crashdrill: {e}")))?;
 
-    let racd = match rac_bench::crashdrill::find_racd() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("crashdrill: {e}");
-            std::process::exit(2);
-        }
-    };
-    console.note(format!("crashdrill: daemon binary {}", racd.display()));
-    let drill_opts = rac_bench::crashdrill::DrillOptions {
-        out_dir: opts.results_dir.clone(),
-        iterations,
-    };
-    let started = Instant::now();
-    let mut failure_count = 0usize;
-    for &seed in &seeds {
-        let t0 = Instant::now();
-        match rac_bench::crashdrill::run_drill(&racd, seed, &drill_opts) {
-            Ok(report) => {
-                println!("crashdrill seed {seed}:");
-                for k in &report.kills {
-                    println!("  {k}");
-                }
-                if report.failures.is_empty() {
-                    println!(
-                        "  converged byte-identically after {} kill(s)",
-                        report.kills.len()
-                    );
-                } else {
-                    for f in &report.failures {
-                        println!("  FAILED: {f}");
+    let names: Vec<String> = seeds.iter().map(|s| s.to_string()).collect();
+    job(format!("crashdrill {}", names.join(" ")), move || {
+        console.note(format!("crashdrill: daemon binary {}", racd.display()));
+        let drill_opts = rac_bench::crashdrill::DrillOptions {
+            out_dir: opts.results_dir.clone(),
+            iterations,
+        };
+        let failures = obs::Registry::global().counter("rac_crashdrill_failures_total");
+        let started = Instant::now();
+        for &seed in &seeds {
+            // The drill's daemons are other processes: this span is what
+            // the run's own metrics snapshot shows of each seed.
+            let _span = obs::Span::start("crashdrill");
+            let t0 = Instant::now();
+            match rac_bench::crashdrill::run_drill(&racd, seed, &drill_opts) {
+                Ok(report) => {
+                    println!("crashdrill seed {seed}:");
+                    for k in &report.kills {
+                        println!("  {k}");
                     }
-                    failure_count += report.failures.len();
+                    if report.failures.is_empty() {
+                        println!(
+                            "  converged byte-identically after {} kill(s)",
+                            report.kills.len()
+                        );
+                    } else {
+                        for f in &report.failures {
+                            println!("  FAILED: {f}");
+                        }
+                        failures.add(report.failures.len() as u64);
+                    }
+                    console.note(format!(
+                        "  [crashdrill {seed}: {:.1}s wall-clock]",
+                        t0.elapsed().as_secs_f64()
+                    ));
                 }
-                console.note(format!(
-                    "  [crashdrill {seed}: {:.1}s wall-clock]",
-                    t0.elapsed().as_secs_f64()
-                ));
-            }
-            Err(e) => {
-                eprintln!("crashdrill seed {seed}: {e}");
-                failure_count += 1;
+                Err(e) => {
+                    eprintln!("crashdrill seed {seed}: {e}");
+                    failures.inc();
+                }
             }
         }
-    }
-    console.note(format!(
-        "\ntotal: {:.1}s wall-clock over {} seed(s)",
-        started.elapsed().as_secs_f64(),
-        seeds.len()
-    ));
-    if failure_count > 0 {
-        eprintln!("crashdrill: {failure_count} failure(s)");
-        std::process::exit(1);
-    }
-    Ok(())
+        console.note(format!(
+            "\ntotal: {:.1}s wall-clock over {} seed(s)",
+            started.elapsed().as_secs_f64(),
+            seeds.len()
+        ));
+        match failures.get() {
+            0 => Ok(()),
+            n => Err(Exit::Fail(1, format!("crashdrill: {n} failure(s)"))),
+        }
+    })
 }
 
 // --------------------------------------------------------------------
@@ -1793,26 +1768,15 @@ fn save(t: &TextTable, opts: &Options, file: &str, out: &mut String) {
 /// runs every tenant's RAC experiment sharded over the global runner
 /// with nearest-neighbor policy transfer, and writes the per-tenant,
 /// aggregate, and scaling CSVs under `results/`.
-fn run_fleet(args: &Args, opts: &Options, console: &Console) -> Result<(), String> {
+fn run_fleet<'a>(args: &'a Args, opts: &'a Options, console: &'a Console) -> Checked<'a> {
     let tenants = count_operand(args, "tenant-count")?.unwrap_or(200);
+    let flags = CheckpointFlags::parse(args)?;
     let positive = |flag| args.value::<NonZeroUsize>(flag, POSITIVE);
     let cold = positive("--cold")?.map_or((tenants / 4).max(1), NonZeroUsize::get);
     let chunk = positive("--chunk")?.map_or(25, NonZeroUsize::get);
-    let stop_after = positive("--stop-after")?.map(NonZeroUsize::get);
     let radius = args.value_by("--radius", "a positive number", |v| {
         v.parse::<f64>().ok().filter(|d| *d > 0.0)
     })?;
-    let checkpoint_dir = args.get("--checkpoint").map(PathBuf::from);
-    let resume = args.get("--resume").map(PathBuf::from);
-    let warm_start = args.get("--warm-start").map(PathBuf::from);
-    if stop_after.is_some() && checkpoint_dir.is_none() && resume.is_none() {
-        return Err("--stop-after only makes sense with --checkpoint or --resume".into());
-    }
-    if resume.is_some() && warm_start.is_some() {
-        return Err("--resume restores the transfer store from the checkpoint; \
-                    --warm-start only applies to a fresh fleet"
-            .into());
-    }
     let config = fleet::FleetConfig {
         tenants,
         seed: args.value("--seed", UNSIGNED)?.unwrap_or(42),
@@ -1834,64 +1798,51 @@ fn run_fleet(args: &Args, opts: &Options, console: &Console) -> Result<(), Strin
             config.tenants, config.seed
         );
         print!("{}", rac_bench::fleet::roster_table(&roster));
-        return Ok(());
+        return Ok(None);
     }
 
-    if obs::enabled() {
-        obs::health::global().begin_job(&format!("fleet {tenants}"));
-    }
-    let fail = |msg: String| -> ! {
-        eprintln!("{msg}");
-        if obs::enabled() {
-            obs::health::global().finish_job(false);
-        }
-        std::process::exit(2);
-    };
-
-    let mut run = if let Some(path) = &resume {
-        let snap = load_resume_snapshot_or_exit(path);
-        match fleet::FleetRun::resume(config.clone(), &snap) {
-            Ok(run) => {
-                console.note(format!(
-                    "  resume: {}/{} tenants already finished ({} donors)",
-                    run.done(),
-                    tenants,
-                    run.store().len()
-                ));
-                run
-            }
-            Err(e) => fail(format!("cannot resume from {}: {e}", path.display())),
-        }
-    } else if let Some(path) = &warm_start {
-        let snap = load_warm_start_or_exit(path);
-        match fleet::FleetRun::with_library(config.clone(), &snap) {
-            Ok(run) => {
-                console.note(format!(
-                    "  warm start: {} library donor(s) from {}",
-                    run.store().len(),
-                    path.display()
-                ));
-                run
-            }
-            Err(e) => fail(format!("cannot warm-start from {}: {e}", path.display())),
-        }
+    let run = if let Some(path) = &flags.resume {
+        let run = fleet::FleetRun::resume(config.clone(), &load_resume(path)?)
+            .map_err(|e| Exit::Fail(2, format!("cannot resume from {}: {e}", path.display())))?;
+        console.note(format!(
+            "  resume: {}/{} tenants already finished ({} donors)",
+            run.done(),
+            tenants,
+            run.store().len()
+        ));
+        run
+    } else if let Some(path) = &flags.warm_start {
+        let run = fleet::FleetRun::with_library(config.clone(), &load_warm_start(path)?).map_err(
+            |e| Exit::Fail(2, format!("cannot warm-start from {}: {e}", path.display())),
+        )?;
+        console.note(format!(
+            "  warm start: {} library donor(s) from {}",
+            run.store().len(),
+            path.display()
+        ));
+        run
     } else {
-        match fleet::FleetRun::new(config.clone()) {
-            Ok(run) => run,
-            Err(e) => fail(format!("{e}")),
-        }
+        fleet::FleetRun::new(config.clone()).map_err(|e| Exit::Fail(2, e.to_string()))?
     };
+    job(format!("fleet {tenants}"), move || {
+        fleet_job(run, &config, &flags, opts, console)
+    })
+}
 
-    let ckpt_path = match (&resume, &checkpoint_dir) {
-        (Some(path), _) => Some(path.clone()),
-        (None, Some(dir)) => Some(dir.join("fleet.ckpt")),
-        (None, None) => None,
-    };
-
+/// Runs a checked fleet to completion (or to `--stop-after`),
+/// checkpointing after every step when asked to.
+fn fleet_job(
+    mut run: fleet::FleetRun,
+    config: &fleet::FleetConfig,
+    flags: &CheckpointFlags,
+    opts: &Options,
+    console: &Console,
+) -> Result<(), Exit> {
+    let ckpt_path = flags.path("fleet.ckpt");
     let runner = Runner::global();
     console.note(format!(
         "fleet: {} tenants (cold wave {}, chunks of {}), seed {}, {} worker thread(s) [RAC_THREADS]",
-        tenants,
+        config.tenants,
         config.cold,
         config.chunk,
         config.seed,
@@ -1900,15 +1851,13 @@ fn run_fleet(args: &Args, opts: &Options, console: &Console) -> Result<(), Strin
     let started = Instant::now();
     let mut milestones: Vec<(usize, f64)> = Vec::new();
     while !run.is_complete() {
-        match run.step(runner) {
-            Ok(_) => {}
-            Err(e) => fail(format!("fleet step failed: {e}")),
-        }
+        run.step(runner)
+            .map_err(|e| Exit::Fail(2, format!("fleet step failed: {e}")))?;
         milestones.push((run.done(), started.elapsed().as_secs_f64()));
         console.note(format!(
             "  fleet: {}/{} tenants, {} donor(s), {:.1}s",
             run.done(),
-            tenants,
+            config.tenants,
             run.store().len(),
             started.elapsed().as_secs_f64()
         ));
@@ -1920,23 +1869,21 @@ fn run_fleet(args: &Args, opts: &Options, console: &Console) -> Result<(), Strin
             }
             let mut snap = ckpt::SnapshotWriter::new();
             run.save(&mut snap);
-            if let Err(e) = snap.write_atomic(path) {
-                fail(format!("cannot checkpoint to {}: {e}", path.display()));
-            }
+            snap.write_atomic(path).map_err(|e| {
+                Exit::Fail(2, format!("cannot checkpoint to {}: {e}", path.display()))
+            })?;
         }
-        if let Some(stop) = stop_after {
-            if run.done() >= stop && !run.is_complete() {
-                // Interrupted runs write no CSVs: their outputs exist to
-                // be byte-compared once resumed to completion.
-                console.note(format!(
-                    "  fleet: stopping after {} tenants (checkpointed; resume with --resume)",
-                    run.done()
-                ));
-                if obs::enabled() {
-                    obs::health::global().finish_job(true);
-                }
-                return Ok(());
-            }
+        if flags
+            .stop_after
+            .is_some_and(|stop| run.done() >= stop && !run.is_complete())
+        {
+            // Interrupted runs write no CSVs: their outputs exist to be
+            // byte-compared once resumed to completion.
+            console.note(format!(
+                "  fleet: stopping after {} tenants (checkpointed; resume with --resume)",
+                run.done()
+            ));
+            return Ok(());
         }
     }
 
@@ -1944,7 +1891,7 @@ fn run_fleet(args: &Args, opts: &Options, console: &Console) -> Result<(), Strin
     let table = rac_bench::fleet::aggregate_table(&stats);
     println!(
         "fleet: {} tenants, seed {} — SLA attainment by cohort",
-        tenants, config.seed
+        config.tenants, config.seed
     );
     print!("{table}");
     let [cold_stats, warm_stats, control_stats, _] = &stats;
@@ -1985,12 +1932,8 @@ fn run_fleet(args: &Args, opts: &Options, console: &Console) -> Result<(), Strin
     console.note(format!(
         "\ntotal: {:.1}s wall-clock over {} tenants ({:.2} tenants/s)",
         started.elapsed().as_secs_f64(),
-        tenants,
-        tenants as f64 / started.elapsed().as_secs_f64().max(1e-9)
+        config.tenants,
+        config.tenants as f64 / started.elapsed().as_secs_f64().max(1e-9)
     ));
-    write_metrics_snapshot(opts, console);
-    if obs::enabled() {
-        obs::health::global().finish_job(true);
-    }
     Ok(())
 }

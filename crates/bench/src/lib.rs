@@ -23,7 +23,7 @@ use rac::{
     build_policy_library, paper_contexts, ConfigLattice, InitialPolicy, PolicyLibrary, RacSettings,
     SlaReward, SystemContext, TrainingOptions,
 };
-use simkernel::SimDuration;
+use simkernel::{Fnv1a, SimDuration};
 use websim::SystemSpec;
 
 /// Lattice resolution used by all reproduction experiments.
@@ -99,11 +99,9 @@ fn policy_file(
     options: TrainingOptions,
 ) -> String {
     let spec = spec.clone().with_mix(context.mix).with_level(context.level);
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{spec:?}{options:?}").bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let hash = Fnv1a::new()
+        .write(format!("{spec:?}{options:?}").as_bytes())
+        .finish();
     format!("{stem}-L{ONLINE_LEVELS}-{hash:016x}.bin")
 }
 
@@ -191,6 +189,54 @@ mod tests {
     use super::*;
     use websim::pool::WorkerPool;
     use websim::Param;
+
+    /// Cache file names, checkpoint metadata and sidecar names are
+    /// derived from these fingerprints, so each must keep the value it
+    /// has always had.
+    #[test]
+    fn fingerprints_keep_their_persisted_values() {
+        assert_eq!(paper_system_spec().fingerprint(), 0x264f_3eee_a0e7_727d);
+        for (name, fp) in [
+            ("flash-crowd", 0xf1e1_b04f_93b0_5f8b),
+            ("diurnal", 0xdb7f_1171_e03e_327e),
+            ("degrade", 0x4a89_8118_72a9_afb7),
+        ] {
+            assert_eq!(scenario::resolve(name).unwrap().fingerprint(), fp, "{name}");
+        }
+        let roster = ::fleet::generate(12, 42);
+        assert_eq!(::fleet::roster_fingerprint(&roster), 0x34ec_79ca_7738_9044);
+        let mut lib = PolicyLibrary::new();
+        lib.insert(
+            SystemContext::new(tpcw::Mix::Shopping, vmstack::ResourceLevel::Level2),
+            InitialPolicy {
+                qtable: rl::QTable::from_raw(2, 2, vec![0.5, -1.0, 2.25, 0.0]),
+                perf_ms: vec![410.0, 395.5],
+                fit: numerics::FitQuality {
+                    r_squared: 0.9,
+                    rmse: 12.5,
+                    samples: 7,
+                },
+                samples: 7,
+                passes: 3,
+            },
+        );
+        assert_eq!(lib.fingerprint(), 0x787d_35a2_d203_bbaa);
+        let files: Vec<String> = standard_policy_files()
+            .into_iter()
+            .map(|(_, f)| f)
+            .collect();
+        assert_eq!(
+            files,
+            [
+                "policy-ctx1-L4-7f43d23f97feaee2.bin",
+                "policy-ctx2-L4-d828267b019d0796.bin",
+                "policy-ctx3-L4-0b22948cfb1832ec.bin",
+                "policy-ctx4-L4-4bdc040bd5db3493.bin",
+                "policy-ctx5-L4-41cda4d54b612053.bin",
+                "policy-ctx6-L4-6e4757e5279d6215.bin",
+            ]
+        );
+    }
 
     #[test]
     fn spec_and_settings_consistent() {

@@ -2,12 +2,15 @@
 //! with a usage message on stderr — never a panic, never exit 0. These
 //! run the real binary (`CARGO_BIN_EXE_figures`) in an empty directory
 //! and stick to argument validation, so no simulation ever starts and
-//! the directory stays empty. The same harness checks `inspect_policy`'s
-//! exit status as a cache-validity check.
+//! the directory stays empty; the one exception runs a one-tenant fleet
+//! into a failure to show that a failed run still writes its metrics.
+//! The same harness checks `inspect_policy`'s exit status as a
+//! cache-validity check.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 /// A fresh empty directory per invocation, so a stray write shows up.
 fn scratch_dir() -> PathBuf {
@@ -178,6 +181,70 @@ fn usage_errors_name_the_offending_argument() {
         &["--max-idle-ms", "abc", "x"],
         "--max-idle-ms needs an unsigned integer, got `abc`",
     );
+}
+
+#[test]
+fn scenario_resume_reads_its_snapshot_before_anything_else() {
+    let dir = scratch_dir();
+    let started = Instant::now();
+    let out = run_in(
+        env!("CARGO_BIN_EXE_figures"),
+        &dir,
+        &[
+            "scenario",
+            "flash-crowd",
+            "--quick",
+            "--resume",
+            "missing.ckpt",
+        ],
+    );
+    let waited = started.elapsed();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("missing.ckpt"), "stderr: {stderr}");
+    assert!(
+        waited < Duration::from_secs(5),
+        "a missing snapshot took {waited:?} to report"
+    );
+    assert!(
+        !dir.join("results/cache").exists(),
+        "a resume must not train a policy library"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_usage_exit(
+        &[
+            "scenario",
+            "flash-crowd",
+            "--resume",
+            "a.ckpt",
+            "--warm-start",
+            "b.ckpt",
+        ],
+        "--warm-start only applies to a fresh run",
+    );
+}
+
+#[test]
+fn a_run_that_fails_still_writes_its_metrics() {
+    let dir = scratch_dir();
+    // A file where the checkpoint directory should be: the first
+    // checkpoint write fails after one tenant has run.
+    std::fs::write(dir.join("ck"), b"").expect("plant a file");
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["fleet", "1", "--quick", "--checkpoint", "ck"])
+        .current_dir(&dir)
+        .env_remove("RAC_OBS")
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("cannot checkpoint to"), "stderr: {stderr}");
+    for file in ["metrics.prom", "metrics.csv"] {
+        let path = dir.join("results").join(file);
+        let text = std::fs::read_to_string(&path).unwrap_or_default();
+        assert!(text.contains("rac_fleet"), "{file}: {text:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -56,11 +56,6 @@ impl Writer {
         self.put_u64(v as u64);
     }
 
-    /// Appends an `i64` as its two's-complement bit pattern.
-    pub fn put_i64(&mut self, v: i64) {
-        self.put_u64(v as u64);
-    }
-
     /// Appends an `f32` as its exact bit pattern.
     pub fn put_f32(&mut self, v: f32) {
         self.put_u32(v.to_bits());
@@ -153,11 +148,6 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// Reads an `i64` from its two's-complement bit pattern.
-    pub fn get_i64(&mut self) -> Result<i64, CkptError> {
-        Ok(self.get_u64()? as i64)
-    }
-
     /// Reads an `f32` from its bit pattern.
     pub fn get_f32(&mut self) -> Result<f32, CkptError> {
         Ok(f32::from_bits(self.get_u32()?))
@@ -214,7 +204,6 @@ mod tests {
         w.put_u8(7);
         w.put_u32(0xdead_beef);
         w.put_u64(u64::MAX - 1);
-        w.put_i64(-42);
         w.put_f32(-0.0);
         w.put_f64(f64::NAN);
         w.put_bool(true);
@@ -225,7 +214,6 @@ mod tests {
         assert_eq!(r.get_u8().unwrap(), 7);
         assert_eq!(r.get_u32().unwrap(), 0xdead_beef);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.get_i64().unwrap(), -42);
         assert_eq!(r.get_f32().unwrap().to_bits(), (-0.0f32).to_bits());
         assert!(r.get_f64().unwrap().is_nan());
         assert!(r.get_bool().unwrap());

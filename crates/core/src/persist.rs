@@ -189,12 +189,7 @@ pub(crate) fn decode_library(
 pub(crate) fn library_fingerprint(lib: &PolicyLibrary) -> u64 {
     let mut w = Writer::new();
     encode_library(&mut w, lib);
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in &w.into_bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    simkernel::Fnv1a::new().write(&w.into_bytes()).finish()
 }
 
 /// Writes a policy library into a snapshot as its `rac.library`

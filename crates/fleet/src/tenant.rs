@@ -10,7 +10,7 @@
 //! tenant's draws come from a dedicated forked RNG stream.
 
 use scenario::bundled;
-use simkernel::Pcg64;
+use simkernel::{Fnv1a, Pcg64};
 use tpcw::Mix;
 use vmstack::ResourceLevel;
 use websim::SystemSpec;
@@ -116,26 +116,21 @@ pub fn generate(count: usize, seed: u64) -> Vec<TenantSpec> {
 /// resume under a drifted generator (or different count/seed) is
 /// rejected as a mismatch instead of silently mixing fleets.
 pub fn roster_fingerprint(roster: &[TenantSpec]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = Fnv1a::new();
     for t in roster {
-        eat(&(t.id as u64).to_le_bytes());
-        eat(&(t.clients as u64).to_le_bytes());
-        eat(&[Mix::ALL.iter().position(|&m| m == t.mix).unwrap_or(0) as u8]);
-        eat(&[ResourceLevel::ALL
+        let mix = Mix::ALL.iter().position(|&m| m == t.mix).unwrap_or(0) as u8;
+        let level = ResourceLevel::ALL
             .iter()
             .position(|&l| l == t.level)
-            .unwrap_or(0) as u8]);
-        eat(&t.sla_ms.to_bits().to_le_bytes());
-        eat(t.scenario.as_bytes());
-        eat(&t.seed.to_le_bytes());
+            .unwrap_or(0) as u8;
+        hash.write(&(t.id as u64).to_le_bytes())
+            .write(&(t.clients as u64).to_le_bytes())
+            .write(&[mix, level])
+            .write(&t.sla_ms.to_bits().to_le_bytes())
+            .write(t.scenario.as_bytes())
+            .write(&t.seed.to_le_bytes());
     }
-    hash
+    hash.finish()
 }
 
 #[cfg(test)]

@@ -18,6 +18,10 @@
 //! Serving is read-only over metrics/health/profile state. None of
 //! those feed the decision trace, so running with or without a server
 //! cannot change CSV/trace/checkpoint bytes.
+//!
+//! The socket plumbing is [`serve`], which `racd`'s admin listener runs
+//! on too: a non-blocking accept polled every 10 ms, one connection at a
+//! time, one request per connection read under an overall deadline.
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -31,50 +35,46 @@ use crate::{export, health, profile};
 
 /// How long the accept loop sleeps when no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
-/// Per-connection *overall* IO deadline; a stalled or trickling client
-/// cannot wedge the accept loop for longer than this. This bounds the
-/// whole connection, not each read: a client feeding one byte per read
-/// timeout would otherwise keep the single-threaded server busy
-/// forever.
-const IO_TIMEOUT: Duration = Duration::from_millis(500);
-/// Upper bound on the request head we are willing to buffer.
-const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
-/// Handle to a running observability server; dropping it stops the
-/// background thread.
+/// How [`serve`] reads a request: up to and including `terminator`, or
+/// `cap` bytes, whichever comes first, all within `timeout` of accepting
+/// the connection. The timeout bounds the whole connection, not each
+/// read: a client feeding one byte per read timeout would otherwise
+/// keep the single-threaded server busy forever.
+#[derive(Debug, Clone, Copy)]
+pub struct Framing {
+    /// The bytes that end a request.
+    pub terminator: &'static [u8],
+    /// Upper bound on the request bytes buffered.
+    pub cap: usize,
+    /// Overall per-connection IO deadline.
+    pub timeout: Duration,
+}
+
+/// An HTTP request head.
+const HTTP: Framing = Framing {
+    terminator: b"\r\n\r\n",
+    cap: 8 * 1024,
+    timeout: Duration::from_millis(500),
+};
+
+/// A listener running [`serve`]'s accept loop; dropping it stops and
+/// joins the background thread, which releases the port.
 #[derive(Debug)]
-pub struct ObsServer {
+pub struct Listener {
     local: SocketAddr,
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
 
-impl ObsServer {
-    /// Binds `addr` (e.g. `127.0.0.1:9898`, or port `0` to let the OS
-    /// pick) and starts serving on a background thread.
-    pub fn start(addr: &str) -> io::Result<ObsServer> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("obs-serve".into())
-            .spawn(move || accept_loop(listener, &stop_flag))?;
-        Ok(ObsServer {
-            local,
-            stop,
-            handle: Some(handle),
-        })
-    }
-
+impl Listener {
     /// The actually-bound address (resolves port `0` requests).
     pub fn local_addr(&self) -> SocketAddr {
         self.local
     }
 }
 
-impl Drop for ObsServer {
+impl Drop for Listener {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(handle) = self.handle.take() {
@@ -83,53 +83,67 @@ impl Drop for ObsServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, stop: &AtomicBool) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Served inline: responses are tiny and the snapshot
-                // renders are cheap, so one connection at a time keeps
-                // the server single-threaded and unkillable by load.
-                let _ = handle_connection(stream);
+/// Binds `addr` (port `0` lets the OS pick) and answers connections on
+/// a background thread named `thread`, one at a time: each request is
+/// read as `framing` says, lossily decoded as UTF-8, and answered with
+/// `reply(request)` before the connection closes. Serving inline keeps
+/// the server single-threaded and unkillable by load; replies must be
+/// cheap.
+///
+/// # Errors
+///
+/// Any I/O error binding the listener or spawning its thread.
+pub fn serve(
+    addr: &str,
+    thread: &str,
+    framing: Framing,
+    reply: impl Fn(&str) -> String + Send + 'static,
+) -> io::Result<Listener> {
+    let listener = TcpListener::bind(addr)?;
+    listener.set_nonblocking(true)?;
+    let local = listener.local_addr()?;
+    let stop = Arc::new(AtomicBool::new(false));
+    let stop_flag = Arc::clone(&stop);
+    let handle = std::thread::Builder::new()
+        .name(thread.into())
+        .spawn(move || {
+            while !stop_flag.load(Ordering::Relaxed) {
+                match listener.accept() {
+                    Ok((stream, _peer)) => {
+                        let _ = answer(stream, framing, &reply);
+                    }
+                    Err(_) => std::thread::sleep(ACCEPT_POLL),
+                }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
+        })?;
+    Ok(Listener {
+        local,
+        stop,
+        handle: Some(handle),
+    })
 }
 
-fn handle_connection(mut stream: TcpStream) -> io::Result<()> {
-    // Timeouts are armed before the request line is touched, and every
-    // read below re-arms against the remaining budget of one overall
+fn answer(
+    mut stream: TcpStream,
+    framing: Framing,
+    reply: &impl Fn(&str) -> String,
+) -> io::Result<()> {
+    // Timeouts are armed before the request is touched, and every read
+    // below re-arms against the remaining budget of one overall
     // deadline started here.
     stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let deadline = Instant::now() + IO_TIMEOUT;
-    let head = read_request_head(&mut stream, deadline)?;
-    let (status, reason, content_type, body) = match parse_get_path(&head) {
-        Some(path) => respond(&path),
-        None => (
-            405,
-            "Method Not Allowed",
-            "text/plain; charset=utf-8",
-            "only GET is supported\n".to_string(),
-        ),
-    };
-    let response = format!(
-        "HTTP/1.0 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    );
-    stream.write_all(response.as_bytes())?;
+    stream.set_write_timeout(Some(framing.timeout))?;
+    let deadline = Instant::now() + framing.timeout;
+    let request = read_request(&mut stream, framing, deadline)?;
+    stream.write_all(reply(&request).as_bytes())?;
     stream.flush()
 }
 
-/// Reads until the end of the request head (`\r\n\r\n`), the size cap,
-/// or `deadline` — whichever comes first. The read timeout shrinks to
-/// the remaining budget before every read, so a client trickling bytes
-/// just under the per-read timeout still gets cut off at the deadline.
-fn read_request_head(stream: &mut TcpStream, deadline: Instant) -> io::Result<String> {
+/// Reads until the end of `framing.terminator`, the size cap, or
+/// `deadline` — whichever comes first. The read timeout shrinks to the
+/// remaining budget before every read, so a client trickling bytes just
+/// under the per-read timeout still gets cut off at the deadline.
+fn read_request(stream: &mut TcpStream, framing: Framing, deadline: Instant) -> io::Result<String> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 512];
     loop {
@@ -144,12 +158,57 @@ fn read_request_head(stream: &mut TcpStream, deadline: Instant) -> io::Result<St
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => break,
             Err(e) => return Err(e),
         };
+        // The terminator may straddle the previous read.
+        let from = buf.len().saturating_sub(framing.terminator.len() - 1);
         buf.extend_from_slice(&chunk[..n]);
-        if buf.len() >= MAX_REQUEST_BYTES || buf.windows(4).any(|w| w == b"\r\n\r\n") {
+        if let Some(at) = buf[from..]
+            .windows(framing.terminator.len())
+            .position(|w| w == framing.terminator)
+        {
+            buf.truncate(from + at + framing.terminator.len());
+            break;
+        }
+        if buf.len() >= framing.cap {
             break;
         }
     }
     Ok(String::from_utf8_lossy(&buf).into_owned())
+}
+
+/// Handle to a running observability server; dropping it stops the
+/// background thread.
+#[derive(Debug)]
+pub struct ObsServer(Listener);
+
+impl ObsServer {
+    /// Binds `addr` (e.g. `127.0.0.1:9898`, or port `0` to let the OS
+    /// pick) and starts serving on a background thread.
+    pub fn start(addr: &str) -> io::Result<ObsServer> {
+        serve(addr, "obs-serve", HTTP, http_reply).map(ObsServer)
+    }
+
+    /// The actually-bound address (resolves port `0` requests).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.0.local_addr()
+    }
+}
+
+/// The whole HTTP/1.0 response to the request head `head`.
+fn http_reply(head: &str) -> String {
+    let (status, reason, content_type, body) = match parse_get_path(head) {
+        Some(path) => respond(&path),
+        None => (
+            405,
+            "Method Not Allowed",
+            "text/plain; charset=utf-8",
+            "only GET is supported\n".to_string(),
+        ),
+    };
+    format!(
+        "HTTP/1.0 {status} {reason}\r\nContent-Type: {content_type}\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len(),
+    )
 }
 
 /// Extracts the path of a `GET <path> ...` request line, if that is

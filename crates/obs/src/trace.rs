@@ -140,6 +140,19 @@ pub fn with_writer<R>(writer: &Arc<TraceWriter>, f: impl FnOnce() -> R) -> R {
     result
 }
 
+/// Runs `f` in a fresh trace scope under `RAC_OBS=trace` and returns
+/// its result with the writer that captured its events; otherwise runs
+/// `f` bare and returns no writer. This is how harnesses trace one job:
+/// the writer then goes to the job's `.trace.jsonl`.
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Option<Arc<TraceWriter>>) {
+    if crate::tracing_enabled() {
+        let writer = Arc::new(TraceWriter::new());
+        (with_writer(&writer, f), Some(writer))
+    } else {
+        (f(), None)
+    }
+}
+
 /// `true` when a trace scope is installed on this thread —
 /// instrumented code uses this to skip event construction entirely
 /// when nobody is listening.

@@ -19,20 +19,20 @@
 //! command word, trimmed, is the argument.
 
 use std::fmt;
-use std::io::{self, BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::io;
+use std::net::SocketAddr;
+use std::time::Duration;
 
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
-/// Overall per-connection deadline (same rationale as the ObsServer:
-/// a slow client must not wedge the single-threaded accept loop).
-const IO_TIMEOUT: Duration = Duration::from_millis(2000);
-/// Upper bound on a command line.
-const MAX_LINE_BYTES: usize = 4 * 1024;
+use obs::serve::{Framing, Listener};
+
+/// One command line. The deadline is longer than the ObsServer's, but
+/// it bounds the whole connection just the same: a slow client must not
+/// wedge the single-threaded accept loop.
+const LINE: Framing = Framing {
+    terminator: b"\n",
+    cap: 4 * 1024,
+    timeout: Duration::from_millis(2000),
+};
 
 /// A parsed admin command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,11 +132,7 @@ pub fn parse_command(line: &str) -> Result<AdminCmd, AdminError> {
 /// The admin listener: accepts one command per connection and replies
 /// with a single line. Dropping the handle stops the thread.
 #[derive(Debug)]
-pub struct AdminServer {
-    local: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
+pub struct AdminServer(Listener);
 
 impl AdminServer {
     /// Binds `addr` (port 0 lets the OS pick) and dispatches parsed
@@ -149,105 +145,27 @@ impl AdminServer {
         addr: &str,
         handler: impl Fn(AdminCmd) -> String + Send + Sync + 'static,
     ) -> io::Result<AdminServer> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("racd-admin".into())
-            .spawn(move || accept_loop(listener, &stop_flag, &handler))?;
-        Ok(AdminServer {
-            local,
-            stop,
-            handle: Some(handle),
+        obs::serve::serve(addr, "racd-admin", LINE, move |line| {
+            let reply = match parse_command(line) {
+                Ok(cmd) => handler(cmd),
+                Err(e) => format!("err {} {e}", e.code()),
+            };
+            reply + "\n"
         })
+        .map(AdminServer)
     }
 
     /// The actually-bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local
+        self.0.local_addr()
     }
-}
-
-impl Drop for AdminServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    stop: &AtomicBool,
-    handler: &(impl Fn(AdminCmd) -> String + Send + Sync),
-) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = handle_connection(stream, handler);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    handler: &(impl Fn(AdminCmd) -> String + Send + Sync),
-) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let deadline = Instant::now() + IO_TIMEOUT;
-    let line = read_line(&stream, deadline)?;
-    let reply = match parse_command(&line) {
-        Ok(cmd) => handler(cmd),
-        Err(e) => format!("err {} {e}", e.code()),
-    };
-    let mut stream = stream;
-    stream.write_all(reply.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
-}
-
-/// Reads one `\n`-terminated line within the remaining deadline budget,
-/// shrinking the read timeout before each read exactly like the
-/// ObsServer request reader.
-fn read_line(stream: &TcpStream, deadline: Instant) -> io::Result<String> {
-    let mut reader = BufReader::new(stream);
-    let mut buf = Vec::new();
-    loop {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() || buf.len() >= MAX_LINE_BYTES {
-            break;
-        }
-        stream.set_read_timeout(Some(remaining))?;
-        let chunk = match reader.fill_buf() {
-            Ok([]) => break,
-            Ok(chunk) => chunk,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => break,
-            Err(e) => return Err(e),
-        };
-        let (take, done) = match chunk.iter().position(|&b| b == b'\n') {
-            Some(at) => (at + 1, true),
-            None => (chunk.len(), false),
-        };
-        buf.extend_from_slice(&chunk[..take]);
-        reader.consume(take);
-        if done {
-            break;
-        }
-    }
-    Ok(String::from_utf8_lossy(&buf).into_owned())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
 
     #[test]
     fn grammar_round_trips() {

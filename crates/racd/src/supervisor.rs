@@ -593,7 +593,7 @@ fn run_attempt(
     let hooks = TestHooks::from_env();
     let first_attempt_window = state.restarts_total.load(Ordering::Relaxed) == 0;
 
-    let run = |writer: Option<&Arc<obs::TraceWriter>>| -> AttemptOutcome {
+    let run = || -> AttemptOutcome {
         let control = |status: &rac_bench::checkpoint::LineupStatus| -> LineupCommand {
             if state.attempt.load(Ordering::SeqCst) != attempt_id {
                 return LineupCommand::Abort;
@@ -639,7 +639,7 @@ fn run_attempt(
         };
         match run_tuners_checkpointed_with(scn, &library, &options, resume.as_ref(), control) {
             Ok(LineupOutcome::Complete(series)) => {
-                let trace = writer.and_then(|_| obs::trace::snapshot_serialized());
+                let trace = obs::trace::snapshot_serialized();
                 health.finish_job(true);
                 AttemptOutcome::Complete { series, trace }
             }
@@ -661,14 +661,8 @@ fn run_attempt(
         }
     };
 
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if obs::tracing_enabled() {
-            let writer = Arc::new(obs::TraceWriter::new());
-            obs::trace::with_writer(&writer, || run(Some(&writer)))
-        } else {
-            run(None)
-        }
-    }));
+    let result =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| obs::trace::capture(run).0));
     match result {
         Ok(outcome) => outcome,
         Err(payload) => {

@@ -362,12 +362,9 @@ impl Scenario {
     /// assert_ne!(a.fingerprint(), a.scaled(1, 2).fingerprint());
     /// ```
     pub fn fingerprint(&self) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for byte in self.to_string().bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        simkernel::Fnv1a::new()
+            .write(self.to_string().as_bytes())
+            .finish()
     }
 
     /// The client population offered during each measurement iteration,

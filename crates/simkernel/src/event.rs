@@ -182,12 +182,6 @@ impl<E> EventQueue<E> {
         (self.now, slot.event)
     }
 
-    /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.locate_min()
-            .map(|b| SimTime::from_micros(self.buckets[b].last().expect("tail").at))
-    }
-
     /// Pops the earliest event and advances the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let b = self.locate_min()?;
@@ -559,7 +553,6 @@ mod tests {
                 }
                 prop_assert_eq!(q.len(), model.pending.len());
                 prop_assert_eq!(q.is_empty(), model.pending.is_empty());
-                prop_assert_eq!(q.peek_time(), model.pending.first().map(|&(at, _)| at));
             }
             // Drain whatever is left: full agreement to the end.
             loop {

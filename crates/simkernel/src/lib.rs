@@ -13,11 +13,12 @@
 //!   instant, which makes whole-simulation runs reproducible.
 //! * [`Pcg64`] — a small, fast, seedable PRNG (PCG XSH-RR variant) plus the
 //!   distributions simulation code needs ([`rng::Exponential`],
-//!   [`rng::Zipf`], …). Using an in-tree generator keeps results
+//!   [`rng::LogNormal`]). Using an in-tree generator keeps results
 //!   bit-for-bit stable across dependency upgrades.
-//! * [`stats`] — online statistics: Welford mean/variance, fixed-layout
-//!   histograms with percentile queries, sliding windows and time-weighted
-//!   averages.
+//! * [`stats`] — online statistics: fixed-layout duration histograms with
+//!   percentile queries, and sliding windows.
+//! * [`Fnv1a`] — the byte-fed 64-bit hash behind every persisted
+//!   fingerprint.
 //!
 //! # Example
 //!
@@ -26,7 +27,7 @@
 //! ```
 //! use simkernel::{EventQueue, Pcg64, SimDuration, SimTime};
 //! use simkernel::rng::Exponential;
-//! use simkernel::stats::Welford;
+//! use simkernel::stats::SlidingWindow;
 //!
 //! #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 //! enum Ev { Arrival, Departure }
@@ -38,7 +39,8 @@
 //!
 //! q.schedule(SimTime::ZERO, Ev::Arrival);
 //! let mut in_system = 0u32;
-//! let mut seen = Welford::new();
+//! // Queue lengths seen by the last 100 arrivals.
+//! let mut seen = SlidingWindow::new(100);
 //! while let Some((now, ev)) = q.pop_before(SimTime::from_secs(60)) {
 //!     match ev {
 //!         Ev::Arrival => {
@@ -57,14 +59,16 @@
 //!         }
 //!     }
 //! }
-//! assert!(seen.mean() > 0.0);
+//! assert!(seen.mean().unwrap() >= 1.0);
 //! ```
 
 pub mod event;
+pub mod hash;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use event::EventQueue;
+pub use hash::Fnv1a;
 pub use rng::Pcg64;
 pub use time::{SimDuration, SimTime};

@@ -223,42 +223,6 @@ impl Exponential {
     }
 }
 
-/// Truncated normal distribution (samples outside `[min, max]` are
-/// clamped), via the Box–Muller transform.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    std_dev: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Normal {
-    /// Creates a normal distribution clamped to `[min, max]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_dev` is negative or `min > max`.
-    pub fn clamped(mean: f64, std_dev: f64, min: f64, max: f64) -> Self {
-        assert!(std_dev >= 0.0, "std_dev must be non-negative");
-        assert!(min <= max, "min must not exceed max");
-        Normal {
-            mean,
-            std_dev,
-            min,
-            max,
-        }
-    }
-
-    /// Draws a sample.
-    pub fn sample(&self, rng: &mut Pcg64) -> f64 {
-        let u1 = (1.0 - rng.f64()).max(f64::MIN_POSITIVE);
-        let u2 = rng.f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        (self.mean + z * self.std_dev).clamp(self.min, self.max)
-    }
-}
-
 /// Log-normal distribution parameterized by its **linear-space mean** and
 /// the shape σ of the underlying normal, for heavy-tailed think and
 /// service times: σ controls tail weight while the mean stays fixed, so
@@ -316,77 +280,6 @@ impl LogNormal {
         let u2 = rng.f64();
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         (self.mu + self.sigma * z).exp()
-    }
-}
-
-/// Zipf distribution over `{1, …, n}` with exponent `s`, for skewed
-/// popularity (e.g. which catalogue item a browsing session touches).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Zipf {
-    /// Cumulative probabilities, one per rank.
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// Creates a Zipf distribution over `n` ranks with exponent `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `s` is negative or non-finite.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf needs at least one rank");
-        assert!(s.is_finite() && s >= 0.0, "exponent must be non-negative");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for c in &mut cdf {
-            *c /= total;
-        }
-        Zipf { cdf }
-    }
-
-    /// Draws a rank in `1..=n`.
-    pub fn sample(&self, rng: &mut Pcg64) -> usize {
-        let x = rng.f64();
-        match self.cdf.binary_search_by(|c| c.partial_cmp(&x).unwrap()) {
-            Ok(i) | Err(i) => (i + 1).min(self.cdf.len()),
-        }
-    }
-}
-
-/// Bounded Pareto distribution for heavy-tailed service demands.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundedPareto {
-    alpha: f64,
-    lo: f64,
-    hi: f64,
-}
-
-impl BoundedPareto {
-    /// Creates a bounded Pareto distribution on `[lo, hi]` with shape
-    /// `alpha`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bounds are not `0 < lo < hi` or `alpha` is not
-    /// positive.
-    pub fn new(alpha: f64, lo: f64, hi: f64) -> Self {
-        assert!(alpha > 0.0 && alpha.is_finite(), "alpha must be positive");
-        assert!(lo > 0.0 && lo < hi, "need 0 < lo < hi");
-        BoundedPareto { alpha, lo, hi }
-    }
-
-    /// Draws a sample in `[lo, hi]`.
-    pub fn sample(&self, rng: &mut Pcg64) -> f64 {
-        let u = rng.f64();
-        let la = self.lo.powf(self.alpha);
-        let ha = self.hi.powf(self.alpha);
-        let x = (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / self.alpha);
-        x.clamp(self.lo, self.hi)
     }
 }
 
@@ -503,16 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_clamped_stays_in_bounds() {
-        let mut rng = Pcg64::seed_from_u64(8);
-        let d = Normal::clamped(10.0, 100.0, 0.0, 20.0);
-        for _ in 0..10_000 {
-            let x = d.sample(&mut rng);
-            assert!((0.0..=20.0).contains(&x));
-        }
-    }
-
-    #[test]
     fn lognormal_mean_matches() {
         let mut rng = Pcg64::seed_from_u64(37);
         let d = LogNormal::with_mean(7.0, 1.0);
@@ -568,44 +451,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn zipf_rank_one_most_popular() {
-        let mut rng = Pcg64::seed_from_u64(13);
-        let d = Zipf::new(50, 1.0);
-        let mut counts = [0u32; 50];
-        for _ in 0..50_000 {
-            counts[d.sample(&mut rng) - 1] += 1;
-        }
-        assert!(counts[0] > counts[10]);
-        assert!(counts[10] > counts[40]);
-    }
-
-    #[test]
-    fn bounded_pareto_in_bounds() {
-        let mut rng = Pcg64::seed_from_u64(29);
-        let d = BoundedPareto::new(1.5, 1.0, 100.0);
-        for _ in 0..10_000 {
-            let x = d.sample(&mut rng);
-            assert!((1.0..=100.0).contains(&x), "{x}");
-        }
-    }
-
     proptest! {
         #[test]
         fn prop_below_always_in_range(seed: u64, bound in 1u64..1_000_000) {
             let mut rng = Pcg64::seed_from_u64(seed);
             for _ in 0..32 {
                 prop_assert!(rng.below(bound) < bound);
-            }
-        }
-
-        #[test]
-        fn prop_zipf_in_range(seed: u64, n in 1usize..200, s in 0.0f64..3.0) {
-            let mut rng = Pcg64::seed_from_u64(seed);
-            let d = Zipf::new(n, s);
-            for _ in 0..16 {
-                let k = d.sample(&mut rng);
-                prop_assert!((1..=n).contains(&k));
             }
         }
 

@@ -4,111 +4,7 @@
 //! application-level performance sampled over an interval. These
 //! accumulators compute those samples without storing raw observations.
 
-use crate::time::{SimDuration, SimTime};
-
-/// Numerically stable running mean / variance (Welford's algorithm).
-///
-/// # Example
-///
-/// ```
-/// use simkernel::stats::Welford;
-///
-/// let mut w = Welford::new();
-/// for x in [2.0, 4.0, 6.0] {
-///     w.push(x);
-/// }
-/// assert_eq!(w.mean(), 4.0);
-/// assert_eq!(w.count(), 3);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Welford {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the observations, or `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample variance (n − 1 denominator), or `0.0` with fewer than two
-    /// observations.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+use crate::time::SimDuration;
 
 /// Histogram of durations with exponentially growing bucket widths,
 /// supporting approximate percentile queries.
@@ -211,20 +107,6 @@ impl DurationHistogram {
         self.sum_micros += sum;
     }
 
-    /// Records `n` copies of the same duration in O(1).
-    ///
-    /// Exactly equivalent to calling [`record`](Self::record) `n`
-    /// times: one bucket increment by `n`, integer total/sum bumps.
-    pub fn record_n(&mut self, d: SimDuration, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let us = d.as_micros();
-        self.counts[Self::index_of(us)] += n;
-        self.total += n;
-        self.sum_micros += us as u128 * n as u128;
-    }
-
     /// Number of recorded durations.
     pub fn count(&self) -> u64 {
         self.total
@@ -282,77 +164,6 @@ impl Default for DurationHistogram {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal, e.g. "mean number
-/// of busy Apache workers over the interval".
-///
-/// # Example
-///
-/// ```
-/// use simkernel::SimTime;
-/// use simkernel::stats::TimeWeighted;
-///
-/// let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-/// tw.set(SimTime::from_secs(10), 4.0);  // 0.0 held for 10 s
-/// tw.set(SimTime::from_secs(30), 0.0);  // 4.0 held for 20 s
-/// let avg = tw.average(SimTime::from_secs(40)); // 4*20/40
-/// assert!((avg - 2.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimeWeighted {
-    last_change: SimTime,
-    value: f64,
-    weighted_sum: f64,
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Starts tracking a signal whose value is `initial` at time `start`.
-    pub fn new(start: SimTime, initial: f64) -> Self {
-        TimeWeighted {
-            last_change: start,
-            value: initial,
-            weighted_sum: 0.0,
-            start,
-        }
-    }
-
-    /// Updates the signal value at time `now`.
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        let dt = now.saturating_since(self.last_change).as_secs_f64();
-        self.weighted_sum += self.value * dt;
-        self.last_change = now;
-        self.value = value;
-    }
-
-    /// Adds `delta` to the current value at time `now`.
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        let v = self.value + delta;
-        self.set(now, v);
-    }
-
-    /// Current (instantaneous) value.
-    pub fn current(&self) -> f64 {
-        self.value
-    }
-
-    /// Time-weighted average over `[start, now]`; `0.0` for an empty span.
-    pub fn average(&self, now: SimTime) -> f64 {
-        let span = now.saturating_since(self.start).as_secs_f64();
-        if span <= 0.0 {
-            return self.value;
-        }
-        let pending = self.value * now.saturating_since(self.last_change).as_secs_f64();
-        (self.weighted_sum + pending) / span
-    }
-
-    /// Restarts the averaging window at `now`, keeping the current value.
-    pub fn reset(&mut self, now: SimTime) {
-        self.weighted_sum = 0.0;
-        self.start = now;
-        self.last_change = now;
-    }
-}
-
 /// Fixed-capacity sliding window over the most recent observations.
 ///
 /// Used by the RAC agent's context-change detector, which compares the
@@ -407,11 +218,6 @@ impl SlidingWindow {
         self.len == 0
     }
 
-    /// Returns `true` once the window has wrapped at least once.
-    pub fn is_full(&self) -> bool {
-        self.len == self.buf.len()
-    }
-
     /// Pushes a value, evicting the oldest when full.
     pub fn push(&mut self, x: f64) {
         self.buf[self.head] = x;
@@ -462,47 +268,6 @@ impl SlidingWindow {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn welford_mean_and_variance() {
-        let mut w = Welford::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            w.push(x);
-        }
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(w.min(), Some(2.0));
-        assert_eq!(w.max(), Some(9.0));
-    }
-
-    #[test]
-    fn welford_empty_is_zero() {
-        let w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.min(), None);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = Welford::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut left = Welford::new();
-        let mut right = Welford::new();
-        for &x in &xs[..37] {
-            left.push(x);
-        }
-        for &x in &xs[37..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert!((left.mean() - all.mean()).abs() < 1e-9);
-        assert!((left.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(left.count(), all.count());
-    }
 
     #[test]
     fn histogram_mean_is_exact() {
@@ -557,24 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 2.0);
-        tw.set(SimTime::from_secs(5), 4.0);
-        // 2.0 for 5 s, 4.0 for 5 s → 3.0
-        assert!((tw.average(SimTime::from_secs(10)) - 3.0).abs() < 1e-9);
-        assert_eq!(tw.current(), 4.0);
-    }
-
-    #[test]
-    fn time_weighted_add_and_reset() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 1.0);
-        tw.add(SimTime::from_secs(1), 1.0);
-        assert_eq!(tw.current(), 2.0);
-        tw.reset(SimTime::from_secs(1));
-        assert!((tw.average(SimTime::from_secs(2)) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn sliding_window_evicts_oldest() {
         let mut w = SlidingWindow::new(2);
         w.push(1.0);
@@ -582,7 +329,7 @@ mod tests {
         w.push(3.0);
         let vals: Vec<f64> = w.iter().collect();
         assert_eq!(vals, vec![2.0, 3.0]);
-        assert!(w.is_full());
+        assert_eq!(w.len(), w.capacity());
     }
 
     #[test]
@@ -610,16 +357,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_welford_matches_naive(xs in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
-            let mut w = Welford::new();
-            for &x in &xs {
-                w.push(x);
-            }
-            let naive_mean = xs.iter().sum::<f64>() / xs.len() as f64;
-            prop_assert!((w.mean() - naive_mean).abs() < 1e-6 * (1.0 + naive_mean.abs()));
-        }
-
         /// Satellite property: the batched recording path is *exactly*
         /// the one-at-a-time path — identical bucket counts (so every
         /// bucket edge), identical totals, identical exact sum, and
@@ -647,19 +384,6 @@ mod tests {
             }
             prop_assert_eq!(one.mean(), batched.mean());
             prop_assert_eq!(one.count(), batched.count());
-        }
-
-        /// `record_n` is exactly n repeated `record`s.
-        #[test]
-        fn prop_histogram_record_n_equals_repeats(u in 0u64..u64::MAX, n in 0u64..500) {
-            let d = SimDuration::from_micros(u);
-            let mut repeats = DurationHistogram::new();
-            for _ in 0..n {
-                repeats.record(d);
-            }
-            let mut bulk = DurationHistogram::new();
-            bulk.record_n(d, n);
-            prop_assert_eq!(repeats, bulk);
         }
 
         #[test]

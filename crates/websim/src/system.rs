@@ -141,12 +141,9 @@ impl SystemSpec {
     /// assert_ne!(a.fingerprint(), a.clone().with_clients(10).fingerprint());
     /// ```
     pub fn fingerprint(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in format!("{self:?}").bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        simkernel::Fnv1a::new()
+            .write(format!("{self:?}").as_bytes())
+            .finish()
     }
 }
 
