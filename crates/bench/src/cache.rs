@@ -111,7 +111,7 @@ mod tests {
         assert_eq!(loaded.passes, policy.passes);
         assert_eq!(loaded.perf_ms, policy.perf_ms);
         assert_eq!(loaded.fit, policy.fit);
-        let bits = |q: &QTable| q.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let bits = |q: &QTable| q.values().map(f32::to_bits).collect::<Vec<_>>();
         assert_eq!(bits(&loaded.qtable), bits(&policy.qtable));
         let _ = fs::remove_dir_all(dir);
     }

@@ -150,7 +150,7 @@ fn qsweep_updates_per_sec(mdp: &ConfigMdp) -> f64 {
     let started = Instant::now();
     let report = batch_value_sweep_report(mdp, &mut q, &learner, 0.0, SWEEP_PASSES);
     let elapsed = started.elapsed().as_secs_f64();
-    std::hint::black_box(q.raw());
+    std::hint::black_box(&q);
     report.updates as f64 / elapsed
 }
 

@@ -1,6 +1,8 @@
 //! The configuration MDP the RAC agent plans against.
 
-use rl::Environment;
+use std::sync::{Arc, Mutex};
+
+use rl::{Environment, SweepPlan};
 
 use crate::action::Action;
 use crate::param::ConfigLattice;
@@ -11,9 +13,10 @@ use crate::reward::SlaReward;
 /// steps, and the reward of a transition is the SLA reward of the
 /// *destination* configuration's (measured or predicted) response time.
 ///
-/// Transitions are precomputed into a dense table and rewards into a
-/// per-destination table, which batch retraining sweeps
-/// ([`rl::batch_value_sweep`]) read in place.
+/// Transitions live in the lattice's [`SweepPlan`], built once per
+/// lattice size and shared by every MDP on it; rewards are kept per
+/// destination. Batch retraining sweeps
+/// ([`rl::batch_value_sweep`]) read both in place.
 ///
 /// The performance map is kept in `f64`: the agent multiplies predicted
 /// response times by a calibration factor every interval, and rounding
@@ -32,22 +35,50 @@ use crate::reward::SlaReward;
 /// mdp.set_perf(0, 500.0);
 /// let keep = Action::Keep.index();
 /// assert_eq!(mdp.transition(0, keep), 0);
-/// assert_eq!(mdp.reward(0, keep, 0), 0.5);
+/// assert_eq!(mdp.reward(0), 0.5);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConfigMdp {
-    levels: usize,
-    states: usize,
-    transitions: Vec<u32>,
+    plan: Arc<SweepPlan>,
     perf_ms: Vec<f64>,
     /// `reward.of_response_ms(perf_ms[s])` per state, refreshed whenever
     /// the performance map changes: the reward of a transition depends
-    /// only on the destination state, and sweeps query it `states ×
-    /// actions × passes` times per retrain, so the division/clamp is
-    /// paid once per map write instead of once per query. Computed by
-    /// the same call, so cached and recomputed values are bit-identical.
+    /// only on the destination state, so the division/clamp is paid once
+    /// per map write instead of once per query. Computed by the same
+    /// call, so cached and recomputed values are bit-identical.
     reward_of: Vec<f64>,
     reward: SlaReward,
+}
+
+/// The plan of a lattice, built on first use and kept for the process:
+/// it depends only on the lattice size, and every fit and agent on that
+/// size shares it instead of holding its own 4.4 MB successor table.
+fn lattice_plan(lattice: &ConfigLattice) -> Arc<SweepPlan> {
+    static PLANS: Mutex<Vec<(usize, Arc<SweepPlan>)>> = Mutex::new(Vec::new());
+    let levels = lattice.levels();
+    let mut plans = PLANS
+        .lock()
+        .expect("a thread panicked while building a lattice plan");
+    if let Some((_, plan)) = plans.iter().find(|(l, _)| *l == levels) {
+        return Arc::clone(plan);
+    }
+    let space = lattice.space();
+    let mut coords = [0usize; 8];
+    let mut moved = [0usize; 8];
+    let plan = Arc::new(SweepPlan::new(
+        lattice.num_states(),
+        Action::COUNT,
+        |s, a| {
+            if a == 0 {
+                space.decode_into(s, &mut coords);
+            }
+            moved = coords;
+            Action::from_index(a).apply(&mut moved, levels);
+            space.encode(&moved)
+        },
+    ));
+    plans.push((levels, Arc::clone(&plan)));
+    plan
 }
 
 impl ConfigMdp {
@@ -55,22 +86,8 @@ impl ConfigMdp {
     /// initialized to the SLA reference (neutral reward).
     pub fn new(lattice: &ConfigLattice, reward: SlaReward) -> Self {
         let states = lattice.num_states();
-        let levels = lattice.levels();
-        let mut transitions = Vec::with_capacity(states * Action::COUNT);
-        let mut coords = vec![0usize; 8];
-        let mut scratch = vec![0usize; 8];
-        for s in 0..states {
-            lattice.space().decode_into(s, &mut coords);
-            for a in 0..Action::COUNT {
-                scratch.copy_from_slice(&coords);
-                Action::from_index(a).apply(&mut scratch, levels);
-                transitions.push(lattice.space().encode(&scratch) as u32);
-            }
-        }
         ConfigMdp {
-            levels,
-            states,
-            transitions,
+            plan: lattice_plan(lattice),
             perf_ms: vec![reward.sla_ms(); states],
             reward_of: vec![reward.of_response_ms(reward.sla_ms()); states],
             reward,
@@ -104,7 +121,11 @@ impl ConfigMdp {
     ///
     /// Panics if `perf_ms.len()` differs from the state count.
     pub fn set_perf_map(&mut self, perf_ms: Vec<f64>) {
-        assert_eq!(perf_ms.len(), self.states, "performance map size mismatch");
+        assert_eq!(
+            perf_ms.len(),
+            self.perf_ms.len(),
+            "performance map size mismatch"
+        );
         self.reward_of.clear();
         self.reward_of
             .extend(perf_ms.iter().map(|&p| self.reward.of_response_ms(p)));
@@ -131,7 +152,7 @@ impl ConfigMdp {
 
 impl Environment for ConfigMdp {
     fn num_states(&self) -> usize {
-        self.states
+        self.perf_ms.len()
     }
 
     fn num_actions(&self) -> usize {
@@ -139,11 +160,15 @@ impl Environment for ConfigMdp {
     }
 
     fn transition(&self, s: usize, a: usize) -> usize {
-        self.transitions[s * Action::COUNT + a] as usize
+        self.plan.successor(s, a)
     }
 
-    fn reward(&self, _s: usize, _a: usize, s2: usize) -> f64 {
+    fn reward(&self, s2: usize) -> f64 {
         self.reward_of[s2]
+    }
+
+    fn plan(&self) -> Arc<SweepPlan> {
+        Arc::clone(&self.plan)
     }
 }
 
@@ -187,7 +212,7 @@ mod tests {
         let s0 = l.space().encode(&[0; 8]);
         let s1 = mdp.transition(s0, Action::increase(Param::MaxClients).index());
         mdp.set_perf(s1, 200.0);
-        let r = mdp.reward(s0, Action::increase(Param::MaxClients).index(), s1);
+        let r = mdp.reward(s1);
         assert!((r - 0.8).abs() < 1e-6);
     }
 
@@ -195,7 +220,7 @@ mod tests {
     fn default_perf_is_neutral() {
         let l = lattice();
         let mdp = ConfigMdp::new(&l, SlaReward::new(500.0));
-        assert_eq!(mdp.reward(0, 0, 0), 0.0);
+        assert_eq!(mdp.reward(0), 0.0);
     }
 
     #[test]
@@ -286,6 +311,95 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn lattice_levels_are_coordinate_sums() {
+        let l = ConfigLattice::new(4);
+        let plan = ConfigMdp::new(&l, SlaReward::new(1_000.0)).plan();
+        let sizes: Vec<usize> = (0..plan.levels()).map(|i| plan.level(i).len()).collect();
+        let rising = [
+            1, 8, 36, 120, 322, 728, 1_428, 2_472, 3_823, 5_328, 6_728, 7_728,
+        ];
+        let mut expected = rising.to_vec();
+        expected.push(8_092);
+        expected.extend(rising.iter().rev());
+        assert_eq!(sizes, expected);
+        let mut coords = vec![0usize; 8];
+        for level in 0..plan.levels() {
+            for &s in plan.level(level) {
+                l.space().decode_into(s as usize, &mut coords);
+                assert_eq!(coords.iter().sum::<usize>(), level, "state {s}");
+            }
+        }
+    }
+
+    /// Algorithm 1 in index order, one `QLearning::update_toward` per
+    /// entry: the reference the sweep must equal bit for bit.
+    fn scalar_sweep(
+        mdp: &ConfigMdp,
+        q: &mut QTable,
+        learner: &QLearning,
+        theta: f64,
+        max_passes: usize,
+    ) -> rl::SweepReport {
+        let mut report = rl::SweepReport::default();
+        for pass in 1..=max_passes {
+            let mut error: f64 = 0.0;
+            for s in 0..mdp.num_states() {
+                for a in 0..mdp.num_actions() {
+                    let s2 = mdp.transition(s, a);
+                    let next_value = q.max_q(s2);
+                    error = error.max(learner.update_toward(q, s, a, mdp.reward(s2), next_value));
+                }
+            }
+            report.passes = pass;
+            report.max_delta = error;
+            report.updates += (mdp.num_states() * mdp.num_actions()) as u64;
+            if error < theta {
+                break;
+            }
+        }
+        report
+    }
+
+    #[test]
+    fn sweep_equals_scalar_reference_on_three_landscapes() {
+        // 17 levels on this lattice, several not a multiple of 8 wide.
+        let l = lattice();
+        let learner = QLearning::new(0.1, 0.9);
+        let mut mdp = ConfigMdp::new(&l, SlaReward::new(1_000.0));
+        assert_eq!(mdp.plan().levels(), 17);
+        let mixed: Vec<f64> = (0..l.num_states())
+            .map(|s| 200.0 + ((s * 7_919) % 1_700) as f64)
+            .collect();
+        // Every state over the SLA, so every reward is negative.
+        let over: Vec<f64> = mixed.iter().map(|p| p + 1_100.0).collect();
+        let fresh = || QTable::new(l.num_states(), Action::COUNT);
+        // A table three passes into the over-SLA map, then retrained on
+        // the mixed one as the agent would.
+        mdp.set_perf_map(over.clone());
+        let mut warm = fresh();
+        batch_value_sweep(&mdp, &mut warm, &learner, 0.0, 3);
+        let landscapes = [
+            ("mixed", mixed.clone(), fresh(), 500),
+            ("over the SLA", over, fresh(), 500),
+            ("warm, online cap", mixed, warm, 6),
+        ];
+        let theta = 1e-3;
+        for (name, perf, table, max_passes) in landscapes {
+            mdp.set_perf_map(perf);
+            let mut fast = table.clone();
+            let mut slow = table;
+            let report = rl::batch_value_sweep_report(&mdp, &mut fast, &learner, theta, max_passes);
+            assert_eq!(
+                report,
+                scalar_sweep(&mdp, &mut slow, &learner, theta, max_passes),
+                "{name}"
+            );
+            let bits = |q: &QTable| q.values().map(f32::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&slow), "{name}");
         }
     }
 

@@ -71,7 +71,7 @@ pub(crate) fn decode_context(r: &mut Reader<'_>) -> Result<SystemContext, CkptEr
 pub(crate) fn encode_qtable(w: &mut Writer, q: &QTable) {
     w.put_usize(q.states());
     w.put_usize(q.actions());
-    for &v in q.raw() {
+    for v in q.values() {
         w.put_f32(v);
     }
 }

@@ -244,6 +244,41 @@ mod tests {
         }
     }
 
+    /// Pins the bytes of a small trained library, so a sweep or
+    /// simulator change that moves any Q-value, prediction or pass count
+    /// fails here instead of passing as "bit-identical" by assertion.
+    #[test]
+    fn trained_library_bytes_are_pinned() {
+        let spec = SystemSpec::default().with_clients(45).with_seed(17);
+        let options = TrainingOptions {
+            warmup: SimDuration::from_secs(20),
+            measure: SimDuration::from_secs(40),
+            settings: OfflineSettings {
+                group_levels: 2,
+                ..OfflineSettings::default()
+            },
+        };
+        let contexts = [
+            SystemContext::new(Mix::Ordering, ResourceLevel::Level3),
+            SystemContext::new(Mix::Browsing, ResourceLevel::Level1),
+            SystemContext::new(Mix::Shopping, ResourceLevel::Level2),
+        ];
+        let library = build_policy_library(
+            &spec,
+            &contexts,
+            &ConfigLattice::new(3),
+            SlaReward::new(1_000.0),
+            options,
+        );
+        let passes: Vec<usize> = library.iter().map(|(_, p)| p.passes).collect();
+        assert_eq!(
+            (library.fingerprint(), passes),
+            (0xf636_a7e8_faf7_452f, vec![422, 425, 424]),
+            "trained library bytes moved: the policy cache would serve stale \
+             policies, so the cache key must change too (ROADMAP 1(b))"
+        );
+    }
+
     #[test]
     fn library_covers_requested_contexts() {
         let spec = SystemSpec::default().with_clients(40).with_seed(3);

@@ -14,6 +14,8 @@
 //! * [`Environment`] + [`batch_value_sweep`] — Algorithm 1: repeated
 //!   full-table sweeps against a (deterministic) model of the
 //!   environment until the largest Q change drops below θ.
+//! * [`SweepPlan`] — the level order and block layout the sweep runs
+//!   in, which reproduces the index-order sweep bit for bit.
 //! * [`ExperienceLog`] — bounded history of `(s, a, r, s')` transitions
 //!   for batch retraining.
 //!
@@ -31,7 +33,7 @@
 //!     fn transition(&self, s: usize, a: usize) -> usize {
 //!         match a { 0 => s.saturating_sub(1), 1 => s, _ => (s + 1).min(9) }
 //!     }
-//!     fn reward(&self, _s: usize, _a: usize, s2: usize) -> f64 {
+//!     fn reward(&self, s2: usize) -> f64 {
 //!         -((s2 as f64) - 7.0).abs()
 //!     }
 //! }
@@ -45,11 +47,13 @@
 //! ```
 
 mod experience;
+mod plan;
 mod qtable;
 mod space;
 mod sweep;
 
 pub use experience::{ExperienceLog, Transition};
+pub use plan::SweepPlan;
 pub use qtable::{QLearning, QTable};
 pub use space::IndexSpace;
 pub use sweep::{batch_value_sweep, batch_value_sweep_report, Environment, SweepReport};

@@ -1,7 +1,17 @@
 //! Dense Q-tables and temporal-difference updates.
 
+use std::sync::Arc;
+
+use crate::plan::SweepPlan;
+
 /// A dense table of action values `Q(s, a)`, stored as `f32` to keep
 /// large configuration lattices cache- and memory-friendly.
+///
+/// A table swept by [`batch_value_sweep`](crate::batch_value_sweep)
+/// stays in its model's [`SweepPlan`] layout afterwards, so the next
+/// sweep on that model starts without reordering it. Every accessor
+/// reads by state and action in either layout, and
+/// [`values`](Self::values) lists the entries state-major.
 ///
 /// # Example
 ///
@@ -14,11 +24,13 @@
 /// assert_eq!(q.best_action(1), 1);
 /// assert_eq!(q.max_q(1), 1.5);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct QTable {
     values: Vec<f32>,
     states: usize,
     actions: usize,
+    /// The plan whose layout `values` is in; state-major when `None`.
+    layout: Option<Arc<SweepPlan>>,
 }
 
 impl QTable {
@@ -38,6 +50,7 @@ impl QTable {
             values: vec![0.0; size],
             states,
             actions,
+            layout: None,
         }
     }
 
@@ -51,13 +64,31 @@ impl QTable {
         self.actions
     }
 
+    /// Where row `s` starts in storage and the step between its actions.
+    #[inline]
+    fn row(&self, s: usize) -> (usize, usize) {
+        assert!(s < self.states, "state {s} out of bounds");
+        match &self.layout {
+            None => (s * self.actions, 1),
+            Some(plan) => plan.row(s),
+        }
+    }
+
     #[inline]
     fn idx(&self, s: usize, a: usize) -> usize {
-        debug_assert!(
-            s < self.states && a < self.actions,
-            "({s},{a}) out of bounds"
-        );
-        s * self.actions + a
+        assert!(a < self.actions, "action {a} out of bounds");
+        let (start, step) = self.row(s);
+        start + a * step
+    }
+
+    /// Row `s`'s values in action order.
+    fn row_values(&self, s: usize) -> impl Iterator<Item = f32> + '_ {
+        let (start, step) = self.row(s);
+        self.values[start..]
+            .iter()
+            .step_by(step)
+            .take(self.actions)
+            .copied()
     }
 
     /// Reads `Q(s, a)`.
@@ -76,37 +107,42 @@ impl QTable {
     /// The greedy action at `s` (ties broken toward the lowest index,
     /// deterministically).
     pub fn best_action(&self, s: usize) -> usize {
-        let row = &self.values[s * self.actions..(s + 1) * self.actions];
-        let mut best = 0;
-        for (a, v) in row.iter().enumerate().skip(1) {
-            if *v > row[best] {
-                best = a;
+        let mut best = (0, f32::NEG_INFINITY);
+        for (a, v) in self.row_values(s).enumerate() {
+            if a == 0 || v > best.1 {
+                best = (a, v);
             }
         }
-        best
+        best.0
     }
 
     /// `max_a Q(s, a)`.
     pub fn max_q(&self, s: usize) -> f64 {
-        let row = &self.values[s * self.actions..(s + 1) * self.actions];
-        row.iter().copied().fold(f32::NEG_INFINITY, f32::max) as f64
+        self.row_values(s).fold(f32::NEG_INFINITY, f32::max) as f64
     }
 
-    /// The raw state-major value storage, for persistence. Row `s`
-    /// occupies `raw()[s * actions .. (s + 1) * actions]`.
-    pub fn raw(&self) -> &[f32] {
-        &self.values
+    /// Every value, state-major: row `s` is entries `s * actions ..
+    /// (s + 1) * actions`. This is the order persistence writes and
+    /// [`from_raw`](Self::from_raw) reads.
+    pub fn values(&self) -> impl Iterator<Item = f32> + '_ {
+        (0..self.states).flat_map(|s| self.row_values(s))
     }
 
-    /// Mutable raw storage for the sweep hot loop, which indexes rows by
-    /// precomputed stride instead of going through [`get`](Self::get) /
-    /// [`set`](Self::set) per update.
-    pub(crate) fn raw_mut(&mut self) -> &mut [f32] {
+    /// The storage in `plan`'s layout, reordered in place if it is in
+    /// another one, for the sweep hot loop.
+    pub(crate) fn in_layout(&mut self, plan: &Arc<SweepPlan>) -> &mut [f32] {
+        match &self.layout {
+            Some(current) if Arc::ptr_eq(current, plan) => return &mut self.values,
+            Some(current) => current.to_state_major(&mut self.values),
+            None => {}
+        }
+        plan.to_plan_layout(&mut self.values);
+        self.layout = Some(Arc::clone(plan));
         &mut self.values
     }
 
-    /// Rebuilds a table from storage previously captured with
-    /// [`QTable::raw`].
+    /// Rebuilds a table from state-major storage, as listed by
+    /// [`QTable::values`].
     ///
     /// # Panics
     ///
@@ -127,10 +163,12 @@ impl QTable {
             values,
             states,
             actions,
+            layout: None,
         }
     }
 
-    /// Copies all values from another table of identical shape.
+    /// Copies all values from another table of identical shape, taking
+    /// on its layout.
     ///
     /// # Panics
     ///
@@ -142,6 +180,25 @@ impl QTable {
             "Q-table shape mismatch"
         );
         self.values.copy_from_slice(&other.values);
+        self.layout.clone_from(&other.layout);
+    }
+}
+
+/// Tables are equal when they hold equal values for every state and
+/// action, whatever their layouts.
+impl PartialEq for QTable {
+    fn eq(&self, other: &QTable) -> bool {
+        let same_layout = match (&self.layout, &other.layout) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        (self.states, self.actions) == (other.states, other.actions)
+            && if same_layout {
+                self.values == other.values
+            } else {
+                self.values().eq(other.values())
+            }
     }
 }
 

@@ -149,7 +149,7 @@ proptest! {
             let s = rng.below(lattice.num_states() as u64) as usize;
             let a = rng.below(Action::COUNT as u64) as usize;
             let s2 = mdp.transition(s, a);
-            let r = mdp.reward(s, a, s2);
+            let r = mdp.reward(s2);
             prop_assert!((-SlaReward::PENALTY_CAP..=1.0).contains(&r));
         }
     }
