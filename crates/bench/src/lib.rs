@@ -21,7 +21,7 @@ use std::path::Path;
 
 use rac::{
     build_policy_library, paper_contexts, ConfigLattice, InitialPolicy, PolicyLibrary, RacSettings,
-    SlaReward, SystemContext, TrainingOptions,
+    SlaReward, SystemContext, TrainingOptions, TRAINING_REVISION,
 };
 use simkernel::{Fnv1a, SimDuration};
 use websim::SystemSpec;
@@ -90,8 +90,9 @@ pub fn standard_policy_files() -> Vec<(SystemContext, String)> {
 /// The cache file name of the policy trained for `context` from `spec`
 /// under `options`: `<stem>-L4-<fingerprint>.bin`. The fingerprint is a
 /// 64-bit FNV-1a hash of the spec with the context applied, the
-/// warm-up, the measurement window and the offline settings, so a
-/// policy trained from other inputs is a miss, never a stale hit.
+/// warm-up, the measurement window, the offline settings and the
+/// [`TRAINING_REVISION`], so a policy trained from other inputs or by
+/// other training code is a miss, never a stale hit.
 fn policy_file(
     stem: &str,
     spec: &SystemSpec,
@@ -101,6 +102,7 @@ fn policy_file(
     let spec = spec.clone().with_mix(context.mix).with_level(context.level);
     let hash = Fnv1a::new()
         .write(format!("{spec:?}{options:?}").as_bytes())
+        .write(&TRAINING_REVISION.to_le_bytes())
         .finish();
     format!("{stem}-L{ONLINE_LEVELS}-{hash:016x}.bin")
 }
@@ -191,8 +193,7 @@ mod tests {
     use websim::Param;
 
     /// Cache file names, checkpoint metadata and sidecar names are
-    /// derived from these fingerprints, so each must keep the value it
-    /// has always had.
+    /// derived from these fingerprints, so none may move by accident.
     #[test]
     fn fingerprints_keep_their_persisted_values() {
         assert_eq!(paper_system_spec().fingerprint(), 0x264f_3eee_a0e7_727d);
@@ -228,12 +229,12 @@ mod tests {
         assert_eq!(
             files,
             [
-                "policy-ctx1-L4-7f43d23f97feaee2.bin",
-                "policy-ctx2-L4-d828267b019d0796.bin",
-                "policy-ctx3-L4-0b22948cfb1832ec.bin",
-                "policy-ctx4-L4-4bdc040bd5db3493.bin",
-                "policy-ctx5-L4-41cda4d54b612053.bin",
-                "policy-ctx6-L4-6e4757e5279d6215.bin",
+                "policy-ctx1-L4-dc19149f3b5170ba.bin",
+                "policy-ctx2-L4-b5c050a195f33c86.bin",
+                "policy-ctx3-L4-4693553caafaf9b8.bin",
+                "policy-ctx4-L4-f1a0bd57a140d785.bin",
+                "policy-ctx5-L4-20f8ace3e6fbda45.bin",
+                "policy-ctx6-L4-302e6164443a77bb.bin",
             ]
         );
     }
@@ -297,14 +298,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let context = paper_contexts()[0];
         let spec = paper_system_spec().with_clients(20);
-        // One sweep pass keeps the fit cheap; the cache is what is tested.
         let trained_with = |warmup| TrainingOptions {
             warmup: SimDuration::from_secs(warmup),
             measure: SimDuration::from_secs(20),
-            settings: rac::OfflineSettings {
-                max_passes: 1,
-                ..rac::OfflineSettings::default()
-            },
+            ..TrainingOptions::default()
         };
         let library = |options| {
             let entries = [(context, policy_file("policy-test", &spec, context, options))];

@@ -146,7 +146,7 @@ fn sweep_mdp() -> ConfigMdp {
 
 fn qsweep_updates_per_sec(mdp: &ConfigMdp) -> f64 {
     let mut q = QTable::new(mdp.num_states(), Action::COUNT);
-    let learner = QLearning::new(0.1, 0.9);
+    let learner = QLearning::new(rac::ALPHA, rac::GAMMA);
     let started = Instant::now();
     let report = batch_value_sweep_report(mdp, &mut q, &learner, 0.0, SWEEP_PASSES);
     let elapsed = started.elapsed().as_secs_f64();
@@ -171,10 +171,7 @@ fn bench_library() -> PolicyLibrary {
         SimDuration::from_secs(60),
         SimDuration::from_secs(60),
     );
-    let settings = OfflineSettings {
-        group_levels: 2,
-        ..OfflineSettings::default()
-    };
+    let settings = OfflineSettings { group_levels: 2 };
     let policy = train_initial_policy(&lattice, SlaReward::new(SLA_MS), settings, measurer)
         .expect("offline landscape fits");
     let mut lib = PolicyLibrary::new();

@@ -85,10 +85,7 @@ fn mismatched_library_warm_start_fails_typed_before_any_tenant_runs() {
     let policy = rac::train_initial_policy(
         &lattice,
         rac::SlaReward::new(1_000.0),
-        rac::OfflineSettings {
-            group_levels: 2,
-            ..rac::OfflineSettings::default()
-        },
+        rac::OfflineSettings { group_levels: 2 },
         |c: &websim::ServerConfig| 100.0 + c.max_clients() as f64 * 0.1,
     )
     .unwrap();

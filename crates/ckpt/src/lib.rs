@@ -14,7 +14,8 @@
 //!
 //! [`Snapshot::from_bytes`] rejects, with a distinct [`CkptError`]
 //! variant each: wrong magic, unsupported format version, truncation
-//! anywhere (header, section header, payload), per-section CRC
+//! anywhere (header, section header, payload, or a section count the
+//! file is too short to hold), per-section CRC
 //! mismatches, and trailing bytes after the last section. A snapshot
 //! that decodes is exactly the snapshot that was written.
 //!

@@ -32,8 +32,10 @@ pub const MAGIC: [u8; 8] = *b"RACCKPT\0";
 /// The format revision this build writes and the only one it reads.
 ///
 /// Version 2 moved the policy library out of line-up snapshots into a
-/// content-addressed sidecar snapshot, so version-1 files are refused.
-pub const FORMAT_VERSION: u32 = 2;
+/// content-addressed sidecar snapshot. Version 3 dropped the agent's
+/// experience log and the learning, detector, channel and guard
+/// constants from agent and tuner sections. Older files are refused.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Builds a snapshot section by section, then serializes or persists it.
 #[derive(Debug, Default)]
@@ -210,19 +212,24 @@ impl Snapshot {
         }
         let count = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]);
         let mut r = Reader::new(&bytes[16..], "<container>");
+        // No CRC covers the count, so bound it by the bytes present
+        // before allocating for it: each section header takes 14 bytes.
+        let fits = r.remaining() / 14;
+        if usize::try_from(count).unwrap_or(usize::MAX) > fits {
+            return Err(CkptError::Truncated {
+                detail: format!(
+                    "header claims {count} sections, the {} bytes after it hold at most {fits}",
+                    r.remaining()
+                ),
+            });
+        }
         let mut sections = Vec::with_capacity(count as usize);
         for i in 0..count {
-            let name_len = {
-                let lo = r.get_u8()?;
-                let hi = r.get_u8()?;
-                u16::from_le_bytes([lo, hi]) as usize
-            };
-            let name_bytes: Vec<u8> = (0..name_len)
-                .map(|_| r.get_u8())
-                .collect::<Result<_, _>>()?;
-            let name = String::from_utf8(name_bytes).map_err(|_| CkptError::Corrupt {
-                detail: format!("section {i} name is not valid UTF-8"),
-            })?;
+            let name_len = u16::from_le_bytes([r.get_u8()?, r.get_u8()?]) as usize;
+            let name =
+                String::from_utf8(r.take(name_len)?.to_vec()).map_err(|_| CkptError::Corrupt {
+                    detail: format!("section {i} name is not valid UTF-8"),
+                })?;
             let payload_len = r.get_usize()?;
             let expect_crc = r.get_u32()?;
             if r.remaining() < payload_len {
@@ -233,14 +240,11 @@ impl Snapshot {
                     ),
                 });
             }
-            let mut payload = Vec::with_capacity(payload_len);
-            for _ in 0..payload_len {
-                payload.push(r.get_u8()?);
-            }
-            if crc32(&payload) != expect_crc {
+            let payload = r.take(payload_len)?;
+            if crc32(payload) != expect_crc {
                 return Err(CkptError::CrcMismatch { section: name });
             }
-            sections.push((name, payload));
+            sections.push((name, payload.to_vec()));
         }
         if r.remaining() != 0 {
             return Err(CkptError::Corrupt {
@@ -336,15 +340,17 @@ mod tests {
 
     #[test]
     fn rejects_format_version_1() {
-        let mut bytes = sample().to_bytes();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert!(matches!(
-            Snapshot::from_bytes(&bytes),
-            Err(CkptError::UnsupportedVersion {
-                found: 1,
-                supported: 2
-            })
-        ));
+        for old in [1, 2] {
+            let mut bytes = sample().to_bytes();
+            bytes[8..12].copy_from_slice(&u32::to_le_bytes(old));
+            assert!(
+                matches!(
+                    Snapshot::from_bytes(&bytes),
+                    Err(CkptError::UnsupportedVersion { found, supported: 3 }) if found == old
+                ),
+                "version {old} accepted"
+            );
+        }
     }
 
     #[test]
@@ -380,6 +386,42 @@ mod tests {
                 );
             }
             offset += payload.len();
+        }
+    }
+
+    #[test]
+    fn rejects_header_corruption() {
+        // Reads the snapshot back in full: a renamed section decodes but
+        // is then missing.
+        let read = |bytes: &[u8]| -> Result<(), CkptError> {
+            let snap = Snapshot::from_bytes(bytes)?;
+            snap.section("alpha")?.get_u64()?;
+            snap.section("beta")?.get_f64()?;
+            Ok(())
+        };
+        let clean = sample().to_bytes();
+        read(&clean).unwrap();
+        // Every byte outside the payloads: the container header and each
+        // section's header.
+        let mut headers: Vec<usize> = (0..16).collect();
+        let mut offset = 16;
+        for (name, payload) in &sample().sections {
+            let header = 2 + name.len() + 8 + 4;
+            headers.extend(offset..offset + header);
+            offset += header + payload.len();
+        }
+        for at in headers {
+            for value in [0x00, 0xff] {
+                if clean[at] == value {
+                    continue;
+                }
+                let mut bytes = clean.clone();
+                bytes[at] = value;
+                assert!(
+                    read(&bytes).is_err(),
+                    "byte {at} set to {value:#04x} accepted"
+                );
+            }
         }
     }
 

@@ -104,7 +104,8 @@ impl<'a> Reader<'a> {
         self.bytes.len() - self.at
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
+    /// Reads the next `n` bytes as a slice.
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
         if self.remaining() < n {
             return Err(CkptError::Truncated {
                 detail: format!(

@@ -4,10 +4,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::OnceLock;
 
 use obs::Event;
-use rl::{
-    batch_value_sweep_report, Environment, ExperienceLog, QLearning, QTable, SweepReport,
-    Transition,
-};
+use rl::{batch_value_sweep_report, Environment, QLearning, QTable, SweepReport};
 use simkernel::Pcg64;
 use websim::{PerfSample, ServerConfig};
 
@@ -15,7 +12,7 @@ use crate::action::Action;
 use crate::context::{PolicyLibrary, ViolationDetector};
 use crate::guardrail::{GuardDecision, RollbackGuard};
 use crate::init::InitialPolicy;
-use crate::mdp::ConfigMdp;
+use crate::mdp::{ConfigMdp, ALPHA, GAMMA, THETA};
 use crate::measure::GuardMetrics;
 use crate::param::ConfigLattice;
 use crate::reward::SlaReward;
@@ -102,20 +99,22 @@ pub trait Tuner {
     fn set_degraded(&mut self, _degraded: bool) {}
 }
 
+/// Cap on the sweep passes of each interval's batch retraining, which
+/// otherwise runs to [`THETA`].
+pub(crate) const BATCH_PASSES: usize = 6;
+
 /// Hyper-parameters of the online RAC agent.
 ///
-/// Defaults follow the paper: α = 0.1, γ = 0.9, online ε = 0.05,
-/// SLA-referenced reward, detector n = 10 / v_thr = 0.3 / s_thr = 5.
+/// Defaults follow the paper: online ε = 0.05 and an SLA-referenced
+/// reward. The agent learns with the paper's α = [`ALPHA`] and
+/// γ = [`GAMMA`], and detects context changes with its
+/// [`ViolationDetector`] constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RacSettings {
     /// Grid points per parameter in the online lattice.
     pub online_levels: usize,
     /// SLA reference response time (ms).
     pub sla_ms: f64,
-    /// TD learning rate α.
-    pub alpha: f64,
-    /// Discount rate γ.
-    pub gamma: f64,
     /// Online exploration rate ε.
     pub epsilon: f64,
     /// Guard band (in reward units) for exploration: a random action is
@@ -126,10 +125,6 @@ pub struct RacSettings {
     /// steps inherently small; on a coarse lattice the guard plays that
     /// role. `f64::INFINITY` disables guarding (classic ε-greedy).
     pub exploration_guard: f64,
-    /// Convergence threshold θ for each interval's batch retraining.
-    pub batch_theta: f64,
-    /// Cap on batch-retraining sweep passes per interval.
-    pub batch_passes: usize,
     /// Whether online learning (measurement feedback + retraining) is
     /// enabled; disabling reproduces the "w/o online learning" agent of
     /// Figure 6, which follows its initial policy greedily.
@@ -143,12 +138,8 @@ impl Default for RacSettings {
         RacSettings {
             online_levels: 4,
             sla_ms: 1_000.0,
-            alpha: 0.1,
-            gamma: 0.9,
             epsilon: 0.05,
             exploration_guard: 1.5,
-            batch_theta: 1e-3,
-            batch_passes: 6,
             online_learning: true,
             seed: 7,
         }
@@ -175,13 +166,11 @@ pub struct RacAgent {
     lattice: ConfigLattice,
     mdp: ConfigMdp,
     qtable: QTable,
-    learner: QLearning,
     rng: Pcg64,
     current_state: usize,
     last_action: usize,
     detector: ViolationDetector,
     library: Option<PolicyLibrary>,
-    experience: ExperienceLog,
     iterations: u64,
     switches: u64,
     /// Base predictions of the active initial policy (ms per state).
@@ -289,7 +278,6 @@ impl RacAgent {
         qtable: QTable,
         library: Option<PolicyLibrary>,
     ) -> Self {
-        let learner = QLearning::new(settings.alpha, settings.gamma);
         let rng = Pcg64::seed_from_u64(settings.seed);
         let current_state = lattice.state_of(&ServerConfig::default());
         let predicted = mdp.perf_map().to_vec();
@@ -298,13 +286,11 @@ impl RacAgent {
             lattice,
             mdp,
             qtable,
-            learner,
             rng,
             current_state,
             last_action: Action::Keep.index(),
-            detector: ViolationDetector::paper_defaults().with_outlier_guard(4.0),
+            detector: ViolationDetector::default(),
             library,
-            experience: ExperienceLog::new(1024),
             iterations: 0,
             switches: 0,
             predicted,
@@ -349,11 +335,6 @@ impl RacAgent {
         self.vetoes
             .iter()
             .any(|&(s, a, _)| s == state && a == action)
-    }
-
-    /// The observed transitions so far (oldest first, bounded).
-    pub fn experience(&self) -> &ExperienceLog {
-        &self.experience
     }
 
     /// Packages the agent's current learned state as an
@@ -456,7 +437,7 @@ impl RacAgent {
 
     /// Writes the agent's complete learned and tuner state into a
     /// snapshot: settings, Q-table, performance knowledge, detector,
-    /// experience log, RNG stream position, and whether the agent has a
+    /// guardrail, RNG stream position, and whether the agent has a
     /// policy library. The library itself is immutable and large, so
     /// only its [`fingerprint`](PolicyLibrary::fingerprint) is recorded;
     /// whoever checkpoints the agent stores the library once, beside the
@@ -466,12 +447,8 @@ impl RacAgent {
         snap.section(SECTION_SETTINGS, |w| {
             w.put_usize(self.settings.online_levels);
             w.put_f64(self.settings.sla_ms);
-            w.put_f64(self.settings.alpha);
-            w.put_f64(self.settings.gamma);
             w.put_f64(self.settings.epsilon);
             w.put_f64(self.settings.exploration_guard);
-            w.put_f64(self.settings.batch_theta);
-            w.put_usize(self.settings.batch_passes);
             w.put_bool(self.settings.online_learning);
             w.put_u64(self.settings.seed);
         });
@@ -502,16 +479,6 @@ impl RacAgent {
             for &(s, rt) in &self.recent {
                 w.put_usize(s);
                 w.put_f64(rt);
-            }
-        });
-        snap.section(SECTION_EXPERIENCE, |w| {
-            w.put_usize(self.experience.capacity());
-            w.put_usize(self.experience.len());
-            for t in self.experience.iter() {
-                w.put_usize(t.state);
-                w.put_usize(t.action);
-                w.put_f64(t.reward);
-                w.put_usize(t.next_state);
             }
         });
         snap.section(SECTION_DETECTOR, |w| {
@@ -563,12 +530,8 @@ impl RacAgent {
         let settings = RacSettings {
             online_levels: r.get_usize()?,
             sla_ms: r.get_f64()?,
-            alpha: r.get_f64()?,
-            gamma: r.get_f64()?,
             epsilon: r.get_f64()?,
             exploration_guard: r.get_f64()?,
-            batch_theta: r.get_f64()?,
-            batch_passes: r.get_usize()?,
             online_learning: r.get_bool()?,
             seed: r.get_u64()?,
         };
@@ -584,12 +547,6 @@ impl RacAgent {
                 "sla_ms {} must be positive",
                 settings.sla_ms
             )));
-        }
-        if settings.alpha.is_nan() || settings.alpha <= 0.0 || settings.alpha > 1.0 {
-            return Err(corrupt(format!("alpha {} out of (0, 1]", settings.alpha)));
-        }
-        if settings.gamma.is_nan() || settings.gamma < 0.0 || settings.gamma >= 1.0 {
-            return Err(corrupt(format!("gamma {} out of [0, 1)", settings.gamma)));
         }
         if settings.epsilon.is_nan() || settings.epsilon < 0.0 || settings.epsilon > 1.0 {
             return Err(corrupt(format!(
@@ -658,29 +615,6 @@ impl RacAgent {
         }
         r.finish()?;
 
-        let mut r = snap.section(SECTION_EXPERIENCE)?;
-        let capacity = r.get_usize()?;
-        let len = r.get_usize()?;
-        if capacity == 0 || len > capacity {
-            return Err(corrupt(format!(
-                "experience log {len}/{capacity} is impossible"
-            )));
-        }
-        let mut experience = ExperienceLog::new(capacity);
-        for _ in 0..len {
-            let t = Transition {
-                state: r.get_usize()?,
-                action: r.get_usize()?,
-                reward: r.get_f64()?,
-                next_state: r.get_usize()?,
-            };
-            if t.state >= states || t.next_state >= states || t.action >= Action::COUNT {
-                return Err(corrupt("experience transition out of range".to_string()));
-            }
-            experience.record(t);
-        }
-        r.finish()?;
-
         let mut r = snap.section(SECTION_DETECTOR)?;
         let detector = ViolationDetector::decode(&mut r)?;
         r.finish()?;
@@ -736,19 +670,16 @@ impl RacAgent {
             });
         }
 
-        let learner = QLearning::new(settings.alpha, settings.gamma);
         let mut agent = RacAgent {
             settings,
             lattice,
             mdp,
             qtable,
-            learner,
             rng,
             current_state,
             last_action,
             detector,
             library,
-            experience,
             iterations,
             switches,
             predicted,
@@ -768,7 +699,6 @@ impl RacAgent {
 pub(crate) const SECTION_SETTINGS: &str = "rac.settings";
 pub(crate) const SECTION_QTABLE: &str = "rac.qtable";
 pub(crate) const SECTION_STATE: &str = "rac.state";
-pub(crate) const SECTION_EXPERIENCE: &str = "rac.experience";
 pub(crate) const SECTION_DETECTOR: &str = "rac.detector";
 pub(crate) const SECTION_RNG: &str = "rac.rng";
 pub(crate) const SECTION_LIBRARY_REF: &str = "rac.library_ref";
@@ -830,7 +760,7 @@ impl Tuner for RacAgent {
                 // keeping older information about every other state.
                 self.measured.insert(self.current_state, measured);
                 self.recent.push_back((self.current_state, measured));
-                if self.recent.len() > self.detector.s_thr() {
+                if self.recent.len() > ViolationDetector::S_THR {
                     self.recent.pop_front();
                 }
             }
@@ -858,9 +788,9 @@ impl Tuner for RacAgent {
             sweep = batch_value_sweep_report(
                 &self.mdp,
                 &mut self.qtable,
-                &self.learner,
-                self.settings.batch_theta,
-                self.settings.batch_passes,
+                &QLearning::new(ALPHA, GAMMA),
+                THETA,
+                BATCH_PASSES,
             );
         }
 
@@ -874,24 +804,16 @@ impl Tuner for RacAgent {
             .observe(self.current_state, measured, self.settings.sla_ms);
         let rolled_back = if let GuardDecision::Rollback { state } = decision {
             // Severe violations persisted: veto exploration of the step
-            // that led here and restore the last-known-good config. The
-            // jump is not a lattice action, so it is not recorded as
-            // experience — the Q-table keeps learning from real steps.
+            // that led here and restore the last-known-good config.
             self.vetoes.push((
                 self.current_state,
                 self.last_action,
-                self.iterations + self.guard.settings().veto_ttl,
+                self.iterations + RollbackGuard::VETO_TTL,
             ));
             action = Action::Keep.index();
             next_state = state;
             true
         } else {
-            self.experience.record(Transition {
-                state: self.current_state,
-                action,
-                reward,
-                next_state,
-            });
             false
         };
         if rolled_back {
@@ -1104,19 +1026,6 @@ mod tests {
             agent.next_config(&sample(1_600.0));
         }
         assert!(agent.policy_switches() >= 1, "no policy switch detected");
-    }
-
-    #[test]
-    fn experience_is_recorded() {
-        let mut agent = RacAgent::new(settings());
-        agent.next_config(&sample(500.0));
-        agent.next_config(&sample(400.0));
-        assert_eq!(agent.experience().len(), 2);
-        let last = agent.experience().last().unwrap();
-        assert!(
-            last.reward > 0.0,
-            "400ms under a 1000ms SLA earns positive reward"
-        );
     }
 
     #[test]

@@ -65,11 +65,9 @@ impl Tuner for StaticDefault {
 #[derive(Debug, Clone)]
 pub struct TrialAndError {
     lattice: ConfigLattice,
-    /// Parameter visit order.
-    order: [Param; 8],
     /// Best configuration found so far (fixed parameters).
     best_config: ServerConfig,
-    /// Index into `order` of the parameter under test.
+    /// Index into `ORDER` of the parameter under test.
     param_pos: usize,
     /// Next candidate level to try for the current parameter.
     next_level: usize,
@@ -104,14 +102,13 @@ impl TrialAndError {
     pub fn new(levels: usize) -> Self {
         TrialAndError {
             lattice: ConfigLattice::new(levels),
-            order: Self::ORDER,
             best_config: ServerConfig::default(),
             param_pos: 0,
             next_level: 0,
             best_for_param: None,
             pending_level: None,
             done: false,
-            detector: ViolationDetector::paper_defaults().with_outlier_guard(4.0),
+            detector: ViolationDetector::default(),
         }
     }
 
@@ -126,7 +123,7 @@ impl TrialAndError {
     }
 
     fn candidate(&self, level: usize) -> ServerConfig {
-        let p = self.order[self.param_pos];
+        let p = Self::ORDER[self.param_pos];
         self.best_config
             .with(p, self.lattice.value_at(p, level))
             .expect("lattice values are in range")
@@ -215,7 +212,6 @@ impl TrialAndError {
         r.finish()?;
         Ok(TrialAndError {
             lattice: ConfigLattice::new(levels),
-            order: Self::ORDER,
             best_config,
             param_pos,
             next_level,
@@ -267,7 +263,7 @@ impl Tuner for TrialAndError {
             }
             self.param_pos += 1;
             self.next_level = 0;
-            if self.param_pos >= self.order.len() {
+            if self.param_pos >= Self::ORDER.len() {
                 self.done = true;
                 self.param_pos = 0;
                 self.detector.reset();

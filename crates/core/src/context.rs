@@ -57,25 +57,26 @@ pub fn paper_contexts() -> [SystemContext; 6] {
 }
 
 /// Detects context changes from the reward/response-time stream: a
-/// *violation* is a sample deviating from the recent average by more
-/// than `v_thr`; `s_thr` consecutive violations signal a context change
-/// (Section 4.3; the paper uses n = 10, v_thr = 0.3, s_thr = 5).
+/// *violation* is a sample deviating from the recent average, over
+/// n = [`WINDOW`](Self::WINDOW) samples, by at least
+/// v_thr = [`V_THR`](Self::V_THR); s_thr = [`S_THR`](Self::S_THR)
+/// consecutive violations signal a context change (Section 4.3, with
+/// the paper's values).
 ///
-/// An optional *outlier guard*
-/// ([`with_outlier_guard`](ViolationDetector::with_outlier_guard))
-/// protects against corrupted measurements: a lone sample more than
-/// `k ×` the windowed median is held back rather than counted, and only
-/// counts (retroactively) if the next sample violates too. A real
-/// context shift therefore still fires after exactly `s_thr`
-/// violating samples, while an isolated monitoring glitch — however
-/// extreme — can no longer contribute to a spurious policy switch.
+/// An *outlier guard* protects against corrupted measurements: a lone
+/// sample more than [`OUTLIER_K`](Self::OUTLIER_K) × the windowed median
+/// is held back rather than counted, and only counts (retroactively) if
+/// the next sample violates too. A real context shift therefore still
+/// fires after exactly s_thr violating samples, while an isolated
+/// monitoring glitch — however extreme — can no longer contribute to a
+/// spurious policy switch.
 ///
 /// # Example
 ///
 /// ```
 /// use rac::ViolationDetector;
 ///
-/// let mut d = ViolationDetector::paper_defaults();
+/// let mut d = ViolationDetector::default();
 /// for _ in 0..10 {
 ///     assert!(!d.observe(100.0)); // steady state
 /// }
@@ -88,66 +89,41 @@ pub fn paper_contexts() -> [SystemContext; 6] {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViolationDetector {
     window: SlidingWindow,
-    v_thr: f64,
-    s_thr: usize,
     consecutive: usize,
     streak_sum: f64,
     streak_count: usize,
     last_streak_mean: f64,
-    /// Samples above `outlier_k ×` the windowed median are suspected
-    /// corruption; `INFINITY` disables the guard.
-    outlier_k: f64,
     /// A suspected-outlier sample awaiting confirmation by its
     /// successor.
     pending_outlier: Option<f64>,
 }
 
-impl ViolationDetector {
-    /// Creates a detector with window size `n`, violation threshold
-    /// `v_thr` and consecutive-violation threshold `s_thr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` or `s_thr` is zero, or `v_thr` is not positive.
-    pub fn new(n: usize, v_thr: f64, s_thr: usize) -> Self {
-        assert!(s_thr > 0, "s_thr must be positive");
-        assert!(v_thr > 0.0, "v_thr must be positive");
+impl Default for ViolationDetector {
+    fn default() -> Self {
         ViolationDetector {
-            window: SlidingWindow::new(n),
-            v_thr,
-            s_thr,
+            window: SlidingWindow::new(Self::WINDOW),
             consecutive: 0,
             streak_sum: 0.0,
             streak_count: 0,
             last_streak_mean: f64::NAN,
-            outlier_k: f64::INFINITY,
             pending_outlier: None,
         }
     }
+}
 
-    /// Enables the outlier guard: a violating sample greater than
-    /// `k ×` the windowed median, arriving with no streak in progress,
+impl ViolationDetector {
+    /// Window size n: the baseline is the mean of the last n
+    /// non-violating samples.
+    pub const WINDOW: usize = 10;
+    /// Violation threshold v_thr, relative to the baseline.
+    pub const V_THR: f64 = 0.3;
+    /// Consecutive violations s_thr that signal a context change.
+    pub const S_THR: usize = 5;
+    /// Outlier guard factor: a violating sample greater than this many
+    /// times the windowed median, arriving with no streak in progress,
     /// is held until the next sample confirms (counts both) or refutes
     /// (discards it) the shift.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is not greater than 1.
-    pub fn with_outlier_guard(mut self, k: f64) -> Self {
-        assert!(k > 1.0, "outlier guard factor must exceed 1");
-        self.outlier_k = k;
-        self
-    }
-
-    /// The paper's empirical settings: n = 10, v_thr = 0.3, s_thr = 5.
-    pub fn paper_defaults() -> Self {
-        ViolationDetector::new(10, 0.3, 5)
-    }
-
-    /// The consecutive-violation threshold.
-    pub fn s_thr(&self) -> usize {
-        self.s_thr
-    }
+    pub const OUTLIER_K: f64 = 4.0;
 
     /// Length of the current violation streak (0 in steady state; the
     /// detector resets to 0 when it fires).
@@ -161,7 +137,7 @@ impl ViolationDetector {
         let avg = self.window.mean();
         let violation = match avg {
             Some(avg) if avg > 0.0 && response_ms.is_finite() => {
-                (response_ms - avg).abs() / avg >= self.v_thr
+                (response_ms - avg).abs() / avg >= Self::V_THR
             }
             Some(_) => response_ms.is_finite(),
             // No history yet: nothing to deviate from.
@@ -182,7 +158,7 @@ impl ViolationDetector {
                 && self
                     .window
                     .median()
-                    .is_some_and(|m| m > 0.0 && response_ms > self.outlier_k * m);
+                    .is_some_and(|m| m > 0.0 && response_ms > Self::OUTLIER_K * m);
             if suspicious {
                 self.pending_outlier = Some(response_ms);
                 return false;
@@ -198,7 +174,7 @@ impl ViolationDetector {
                 self.window.push(response_ms);
             }
         }
-        if self.consecutive >= self.s_thr {
+        if self.consecutive >= Self::S_THR {
             self.last_streak_mean = if self.streak_count > 0 {
                 self.streak_sum / self.streak_count as f64
             } else {
@@ -236,20 +212,16 @@ impl ViolationDetector {
     }
 
     /// Serializes the detector's complete state (window contents
-    /// oldest-first, thresholds, streak progress, outlier guard).
+    /// oldest-first, streak progress, held outlier).
     pub(crate) fn encode(&self, w: &mut ckpt::wire::Writer) {
-        w.put_usize(self.window.capacity());
         w.put_usize(self.window.len());
         for v in self.window.iter() {
             w.put_f64(v);
         }
-        w.put_f64(self.v_thr);
-        w.put_usize(self.s_thr);
         w.put_usize(self.consecutive);
         w.put_f64(self.streak_sum);
         w.put_usize(self.streak_count);
         w.put_f64(self.last_streak_mean);
-        w.put_f64(self.outlier_k);
         match self.pending_outlier {
             Some(v) => {
                 w.put_bool(true);
@@ -261,35 +233,20 @@ impl ViolationDetector {
 
     /// Restores a detector serialized by [`encode`](Self::encode).
     pub(crate) fn decode(r: &mut ckpt::wire::Reader<'_>) -> Result<Self, ckpt::CkptError> {
-        let corrupt = |detail: String| ckpt::CkptError::Corrupt { detail };
-        let capacity = r.get_usize()?;
         let len = r.get_usize()?;
-        if capacity == 0 || len > capacity {
-            return Err(corrupt(format!(
-                "detector window {len}/{capacity} is impossible"
-            )));
+        if len > Self::WINDOW {
+            return Err(ckpt::CkptError::Corrupt {
+                detail: format!("detector window {len}/{} is impossible", Self::WINDOW),
+            });
         }
-        let mut window = SlidingWindow::new(capacity);
+        let mut window = SlidingWindow::new(Self::WINDOW);
         for _ in 0..len {
             window.push(r.get_f64()?);
-        }
-        let v_thr = r.get_f64()?;
-        let s_thr = r.get_usize()?;
-        if v_thr.is_nan() || v_thr <= 0.0 || s_thr == 0 {
-            return Err(corrupt(format!(
-                "detector thresholds v_thr={v_thr} s_thr={s_thr} are invalid"
-            )));
         }
         let consecutive = r.get_usize()?;
         let streak_sum = r.get_f64()?;
         let streak_count = r.get_usize()?;
         let last_streak_mean = r.get_f64()?;
-        let outlier_k = r.get_f64()?;
-        if outlier_k.is_nan() || outlier_k <= 1.0 {
-            return Err(corrupt(format!(
-                "detector outlier guard {outlier_k} must exceed 1"
-            )));
-        }
         let pending_outlier = if r.get_bool()? {
             Some(r.get_f64()?)
         } else {
@@ -297,13 +254,10 @@ impl ViolationDetector {
         };
         Ok(ViolationDetector {
             window,
-            v_thr,
-            s_thr,
             consecutive,
             streak_sum,
             streak_count,
             last_streak_mean,
-            outlier_k,
             pending_outlier,
         })
     }
@@ -435,7 +389,7 @@ mod tests {
 
     #[test]
     fn detector_ignores_steady_state() {
-        let mut d = ViolationDetector::paper_defaults();
+        let mut d = ViolationDetector::default();
         for i in 0..100 {
             // ±10% wiggle stays under the 30% threshold.
             let rt = 100.0 + if i % 2 == 0 { 10.0 } else { -10.0 };
@@ -445,7 +399,7 @@ mod tests {
 
     #[test]
     fn detector_fires_after_s_thr_violations() {
-        let mut d = ViolationDetector::new(10, 0.3, 5);
+        let mut d = ViolationDetector::default();
         for _ in 0..10 {
             d.observe(100.0);
         }
@@ -460,7 +414,7 @@ mod tests {
 
     #[test]
     fn isolated_violations_do_not_fire() {
-        let mut d = ViolationDetector::new(10, 0.3, 5);
+        let mut d = ViolationDetector::default();
         for _ in 0..10 {
             d.observe(100.0);
         }
@@ -472,7 +426,7 @@ mod tests {
 
     #[test]
     fn detector_handles_infinite_samples() {
-        let mut d = ViolationDetector::new(10, 0.3, 3);
+        let mut d = ViolationDetector::default();
         for _ in 0..10 {
             d.observe(100.0);
         }
@@ -490,7 +444,7 @@ mod tests {
 
     #[test]
     fn streak_exactly_at_s_thr_fires_and_resets() {
-        let mut d = ViolationDetector::new(10, 0.3, 5);
+        let mut d = ViolationDetector::default();
         for _ in 0..10 {
             d.observe(100.0);
         }
@@ -508,7 +462,7 @@ mod tests {
 
     #[test]
     fn reset_mid_streak_clears_progress() {
-        let mut d = ViolationDetector::new(10, 0.3, 5);
+        let mut d = ViolationDetector::default();
         for _ in 0..10 {
             d.observe(100.0);
         }
@@ -528,9 +482,9 @@ mod tests {
 
     #[test]
     fn last_streak_mean_is_nan_before_any_streak() {
-        let d = ViolationDetector::paper_defaults();
+        let d = ViolationDetector::default();
         assert!(d.last_streak_mean().is_nan());
-        let mut d = ViolationDetector::paper_defaults();
+        let mut d = ViolationDetector::default();
         for _ in 0..20 {
             d.observe(100.0);
         }
@@ -540,7 +494,7 @@ mod tests {
 
     #[test]
     fn outlier_guard_ignores_isolated_spikes() {
-        let mut d = ViolationDetector::new(10, 0.3, 5).with_outlier_guard(4.0);
+        let mut d = ViolationDetector::default();
         for _ in 0..10 {
             d.observe(100.0);
         }
@@ -556,27 +510,23 @@ mod tests {
 
     #[test]
     fn outlier_guard_does_not_delay_real_shifts() {
-        let mut guarded = ViolationDetector::new(10, 0.3, 5).with_outlier_guard(4.0);
-        let mut plain = ViolationDetector::new(10, 0.3, 5);
+        let mut d = ViolationDetector::default();
         for _ in 0..10 {
-            guarded.observe(100.0);
-            plain.observe(100.0);
+            d.observe(100.0);
         }
         // A sustained shift beyond k × median: the first sample is held,
-        // the second confirms it retroactively, so both detectors fire on
-        // exactly the same observation.
-        for i in 0..5 {
-            let g = guarded.observe(900.0);
-            let p = plain.observe(900.0);
-            assert_eq!(g, p, "guarded and plain diverged at sample {i}");
-            assert_eq!(g, i == 4, "must fire on the 5th sample, not sample {i}");
+        // the second confirms it retroactively, so the detector fires on
+        // the s_thr-th shifted sample, as it would with no guard.
+        for i in 0..ViolationDetector::S_THR {
+            let fired = d.observe(900.0);
+            assert_eq!(fired, i == 4, "must fire on the 5th sample, not sample {i}");
         }
-        assert!((guarded.last_streak_mean() - 900.0).abs() < 1e-9);
+        assert!((d.last_streak_mean() - 900.0).abs() < 1e-9);
     }
 
     #[test]
     fn outlier_guard_leaves_moderate_violations_alone() {
-        let mut d = ViolationDetector::new(10, 0.3, 5).with_outlier_guard(4.0);
+        let mut d = ViolationDetector::default();
         for _ in 0..10 {
             d.observe(100.0);
         }
@@ -584,12 +534,6 @@ mod tests {
         // counts immediately — the guard only questions extreme samples.
         assert!(!d.observe(200.0));
         assert_eq!(d.streak(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "outlier guard factor must exceed 1")]
-    fn outlier_guard_rejects_factor_at_most_one() {
-        let _ = ViolationDetector::paper_defaults().with_outlier_guard(1.0);
     }
 
     fn tiny_policy(scale: f64) -> InitialPolicy {
@@ -656,7 +600,7 @@ mod tests {
 
     #[test]
     fn detector_round_trips_mid_streak() {
-        let mut d = ViolationDetector::new(10, 0.3, 5).with_outlier_guard(4.0);
+        let mut d = ViolationDetector::default();
         for _ in 0..10 {
             d.observe(100.0);
         }
@@ -681,7 +625,7 @@ mod tests {
 
     #[test]
     fn detector_round_trips_pending_outlier() {
-        let mut d = ViolationDetector::new(10, 0.3, 5).with_outlier_guard(4.0);
+        let mut d = ViolationDetector::default();
         for _ in 0..10 {
             d.observe(100.0);
         }
@@ -699,10 +643,17 @@ mod tests {
 
     #[test]
     fn detector_decode_rejects_bad_thresholds() {
-        let mut d = ViolationDetector::paper_defaults();
-        d.v_thr = -1.0;
+        // A window longer than n cannot come from a detector.
         let mut w = ckpt::wire::Writer::new();
-        d.encode(&mut w);
+        w.put_usize(ViolationDetector::WINDOW + 1);
+        for _ in 0..=ViolationDetector::WINDOW {
+            w.put_f64(100.0);
+        }
+        w.put_usize(0);
+        w.put_f64(0.0);
+        w.put_usize(0);
+        w.put_f64(f64::NAN);
+        w.put_bool(false);
         let bytes = w.into_bytes();
         let mut r = ckpt::wire::Reader::new(&bytes, "t");
         assert!(matches!(

@@ -5,40 +5,15 @@
 //! configuration it cannot learn its way out of quickly. The
 //! [`RollbackGuard`] tracks the best SLA-satisfying configuration seen
 //! so far and, when response time stays in *severe* violation (beyond
-//! `severe_factor × SLA`) for `trip_after` consecutive iterations,
+//! [`SEVERE_FACTOR`](RollbackGuard::SEVERE_FACTOR) × SLA) for
+//! [`TRIP_AFTER`](RollbackGuard::TRIP_AFTER) consecutive iterations,
 //! tells the agent to veto exploration in that direction and jump back
 //! to the last-known-good state.
 //!
 //! Hysteresis keeps the guard from fighting normal learning: after a
-//! rollback it holds off for `hold` iterations, so the restored
-//! configuration gets time to take effect and ordinary (non-severe) SLA
-//! violations never trigger it at all.
-
-/// Tunables of the [`RollbackGuard`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct GuardSettings {
-    /// A violation is *severe* when response time exceeds
-    /// `severe_factor × SLA`.
-    pub severe_factor: f64,
-    /// Consecutive severe violations that trigger a rollback.
-    pub trip_after: usize,
-    /// Hysteresis: iterations after a rollback during which the guard
-    /// stays quiet.
-    pub hold: usize,
-    /// Iterations an exploration veto stays in force.
-    pub veto_ttl: u64,
-}
-
-impl Default for GuardSettings {
-    fn default() -> Self {
-        GuardSettings {
-            severe_factor: 2.0,
-            trip_after: 3,
-            hold: 6,
-            veto_ttl: 12,
-        }
-    }
-}
+//! rollback it holds off for [`HOLD`](RollbackGuard::HOLD) iterations,
+//! so the restored configuration gets time to take effect and ordinary
+//! (non-severe) SLA violations never trigger it at all.
 
 /// What the guard wants done after observing one iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,9 +30,8 @@ pub enum GuardDecision {
 
 /// Tracks the best SLA-satisfying configuration and demands a rollback
 /// when severe violations persist.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RollbackGuard {
-    settings: GuardSettings,
     /// Best SLA-satisfying `(state, response_ms)` seen so far.
     lkg: Option<(usize, f64)>,
     /// Consecutive severe violations.
@@ -66,28 +40,17 @@ pub struct RollbackGuard {
     cooldown: usize,
 }
 
-impl Default for RollbackGuard {
-    fn default() -> Self {
-        RollbackGuard::new(GuardSettings::default())
-    }
-}
-
 impl RollbackGuard {
-    /// A fresh guard with no last-known-good state.
-    pub fn new(mut settings: GuardSettings) -> Self {
-        settings.trip_after = settings.trip_after.max(1);
-        RollbackGuard {
-            settings,
-            lkg: None,
-            severe_streak: 0,
-            cooldown: 0,
-        }
-    }
-
-    /// The guard's tunables.
-    pub fn settings(&self) -> &GuardSettings {
-        &self.settings
-    }
+    /// A violation is *severe* when response time exceeds
+    /// `SEVERE_FACTOR × SLA`.
+    pub const SEVERE_FACTOR: f64 = 2.0;
+    /// Consecutive severe violations that trigger a rollback.
+    pub const TRIP_AFTER: usize = 3;
+    /// Hysteresis: iterations after a rollback during which the guard
+    /// stays quiet.
+    pub const HOLD: usize = 6;
+    /// Iterations an exploration veto stays in force.
+    pub const VETO_TTL: u64 = 12;
 
     /// The best SLA-satisfying `(state, response_ms)` seen so far.
     pub fn last_known_good(&self) -> Option<(usize, f64)> {
@@ -119,14 +82,14 @@ impl RollbackGuard {
             self.severe_streak = 0;
             return GuardDecision::Observe;
         }
-        if rt_ms.is_finite() && rt_ms > self.settings.severe_factor * sla_ms {
+        if rt_ms.is_finite() && rt_ms > Self::SEVERE_FACTOR * sla_ms {
             self.severe_streak += 1;
         } else {
             // Mild violation or unusable sample: not the guard's business.
             self.severe_streak = 0;
             return GuardDecision::Observe;
         }
-        if self.severe_streak < self.settings.trip_after {
+        if self.severe_streak < Self::TRIP_AFTER {
             return GuardDecision::Observe;
         }
         self.severe_streak = 0;
@@ -134,7 +97,7 @@ impl RollbackGuard {
             // Rolling back to the state we are already in would be a
             // no-op; leave recovery to learning (and the policy library).
             Some((lkg_state, _)) if lkg_state != state => {
-                self.cooldown = self.settings.hold;
+                self.cooldown = Self::HOLD;
                 GuardDecision::Rollback { state: lkg_state }
             }
             _ => GuardDecision::Observe,
@@ -143,10 +106,6 @@ impl RollbackGuard {
 
     /// Serializes the guard for checkpointing.
     pub fn encode(&self, w: &mut ckpt::wire::Writer) {
-        w.put_f64(self.settings.severe_factor);
-        w.put_usize(self.settings.trip_after);
-        w.put_usize(self.settings.hold);
-        w.put_u64(self.settings.veto_ttl);
         match self.lkg {
             Some((state, rt)) => {
                 w.put_bool(true);
@@ -161,34 +120,19 @@ impl RollbackGuard {
 
     /// Reconstructs a guard from [`encode`](Self::encode)d bytes.
     pub fn decode(r: &mut ckpt::wire::Reader<'_>) -> Result<Self, ckpt::CkptError> {
-        let corrupt = |detail: String| ckpt::CkptError::Corrupt { detail };
-        let settings = GuardSettings {
-            severe_factor: r.get_f64()?,
-            trip_after: r.get_usize()?,
-            hold: r.get_usize()?,
-            veto_ttl: r.get_u64()?,
-        };
-        if !settings.severe_factor.is_finite() || settings.severe_factor < 1.0 {
-            return Err(corrupt(format!(
-                "severe_factor {} must be at least 1",
-                settings.severe_factor
-            )));
-        }
-        if settings.trip_after == 0 {
-            return Err(corrupt("guard trip_after must be positive".to_string()));
-        }
         let lkg = if r.get_bool()? {
             let state = r.get_usize()?;
             let rt = r.get_f64()?;
             if !rt.is_finite() || rt <= 0.0 {
-                return Err(corrupt(format!("last-known-good rt {rt} is impossible")));
+                return Err(ckpt::CkptError::Corrupt {
+                    detail: format!("last-known-good rt {rt} is impossible"),
+                });
             }
             Some((state, rt))
         } else {
             None
         };
         Ok(RollbackGuard {
-            settings,
             lkg,
             severe_streak: r.get_usize()?,
             cooldown: r.get_usize()?,
@@ -223,7 +167,7 @@ mod tests {
 
     #[test]
     fn persistent_severe_violation_rolls_back() {
-        let mut g = RollbackGuard::default(); // trip_after 3
+        let mut g = RollbackGuard::default(); // TRIP_AFTER = 3
         g.observe(5, 400.0, SLA);
         assert_eq!(g.observe(1, 3_000.0, SLA), GuardDecision::Observe);
         assert_eq!(g.observe(1, 3_000.0, SLA), GuardDecision::Observe);
@@ -235,7 +179,7 @@ mod tests {
 
     #[test]
     fn hysteresis_holds_after_a_rollback() {
-        let mut g = RollbackGuard::default(); // hold 6
+        let mut g = RollbackGuard::default(); // HOLD = 6
         g.observe(5, 400.0, SLA);
         for _ in 0..2 {
             g.observe(1, 3_000.0, SLA);
@@ -249,7 +193,7 @@ mod tests {
         for _ in 0..6 {
             assert_eq!(g.observe(1, 3_000.0, SLA), GuardDecision::Observe);
         }
-        // Hold expired: a *fresh* streak of trip_after severe
+        // Hold expired: a *fresh* streak of TRIP_AFTER severe
         // violations is required before the guard fires again.
         assert_eq!(g.observe(1, 3_000.0, SLA), GuardDecision::Observe);
         assert_eq!(g.observe(1, 3_000.0, SLA), GuardDecision::Observe);
@@ -310,10 +254,6 @@ mod tests {
     #[test]
     fn decode_rejects_impossible_lkg() {
         let mut w = ckpt::wire::Writer::new();
-        w.put_f64(2.0);
-        w.put_usize(3);
-        w.put_usize(6);
-        w.put_u64(12);
         w.put_bool(true);
         w.put_usize(0);
         w.put_f64(f64::NEG_INFINITY);

@@ -14,38 +14,27 @@ use websim::ServerConfig;
 
 use crate::action::Action;
 use crate::grouping::{group_features, sampling_plan};
-use crate::mdp::ConfigMdp;
+use crate::mdp::{ConfigMdp, ALPHA, GAMMA, THETA};
 use crate::param::ConfigLattice;
 use crate::reward::SlaReward;
 use crate::runner::Measure;
 
-/// Hyper-parameters of the offline training process. The paper sets
-/// α = 0.1, γ = 0.9 for offline training; our full-table sweeps subsume
-/// its ε-greedy exploration (every state–action pair is visited each
-/// pass).
+/// Safety cap on the offline sweep's passes.
+pub(crate) const MAX_PASSES: usize = 500;
+
+/// Settings of the offline training process. Its sweep learns with the
+/// paper's α = [`ALPHA`] and γ = [`GAMMA`] until θ = [`THETA`]; our
+/// full-table sweeps subsume the paper's ε-greedy exploration (every
+/// state–action pair is visited each pass).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OfflineSettings {
     /// Grid points per parameter *group* during data collection.
     pub group_levels: usize,
-    /// TD learning rate α.
-    pub alpha: f64,
-    /// Discount rate γ.
-    pub gamma: f64,
-    /// Convergence threshold θ for Algorithm 1.
-    pub theta: f64,
-    /// Safety cap on sweep passes.
-    pub max_passes: usize,
 }
 
 impl Default for OfflineSettings {
     fn default() -> Self {
-        OfflineSettings {
-            group_levels: 3,
-            alpha: 0.1,
-            gamma: 0.9,
-            theta: 1e-3,
-            max_passes: 500,
-        }
+        OfflineSettings { group_levels: 3 }
     }
 }
 
@@ -114,7 +103,7 @@ pub fn train_initial_policy(
     let plan = sampling_plan(settings.group_levels);
     let configs: Vec<ServerConfig> = plan.iter().map(|(_, config)| *config).collect();
     let measured = measure.measure_batch(&configs);
-    let policy = fit_initial_policy(lattice, reward, settings, &plan, &measured)?;
+    let policy = fit_initial_policy(lattice, reward, &plan, &measured)?;
     trace_offline_policy(&policy);
     Ok(policy)
 }
@@ -126,7 +115,6 @@ pub fn train_initial_policy(
 pub(crate) fn fit_initial_policy(
     lattice: &ConfigLattice,
     reward: SlaReward,
-    settings: OfflineSettings,
     plan: &[(Vec<f64>, ServerConfig)],
     measured: &[f64],
 ) -> Result<InitialPolicy, RegressionError> {
@@ -178,13 +166,12 @@ pub(crate) fn fit_initial_policy(
 
     // 4. Offline RL over the predicted landscape.
     let mut qtable = QTable::new(lattice.num_states(), Action::COUNT);
-    let learner = QLearning::new(settings.alpha, settings.gamma);
     let passes = batch_value_sweep(
         &mdp,
         &mut qtable,
-        &learner,
-        settings.theta,
-        settings.max_passes,
+        &QLearning::new(ALPHA, GAMMA),
+        THETA,
+        MAX_PASSES,
     );
 
     Ok(InitialPolicy {
@@ -230,7 +217,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(policy.samples, 81);
-        assert!(policy.passes < 500, "offline RL did not converge");
+        assert!(policy.passes < MAX_PASSES, "offline RL did not converge");
         assert!(policy.fit.r_squared > 0.8, "r2 {}", policy.fit.r_squared);
     }
 

@@ -82,12 +82,10 @@ pub use checkpoint::{
 };
 pub use context::{paper_contexts, PolicyLibrary, SystemContext, ViolationDetector};
 pub use experiment::{maxclients_sweep, series_mean, ContextPhase, Experiment, IterationRecord};
-pub use guardrail::{GuardDecision, GuardSettings, RollbackGuard};
+pub use guardrail::{GuardDecision, RollbackGuard};
 pub use init::{train_initial_policy, InitialPolicy, OfflineSettings};
-pub use mdp::ConfigMdp;
-pub use measure::{
-    Acquisition, BreakerState, BreakerTransition, ChannelSettings, MeasurementChannel,
-};
+pub use mdp::{ConfigMdp, ALPHA, GAMMA, THETA};
+pub use measure::{Acquisition, BreakerState, BreakerTransition, MeasurementChannel};
 pub use param::ConfigLattice;
 pub use persist::{
     decode_policy, encode_policy, library_from_snapshot, library_from_snapshot_checked,
@@ -95,4 +93,6 @@ pub use persist::{
 };
 pub use reward::SlaReward;
 pub use runner::{Measure, MeasureJob, Runner, SimMeasurer};
-pub use training::{build_policy_library, build_policy_library_on, TrainingOptions};
+pub use training::{
+    build_policy_library, build_policy_library_on, TrainingOptions, TRAINING_REVISION,
+};

@@ -8,6 +8,17 @@ use crate::action::Action;
 use crate::param::ConfigLattice;
 use crate::reward::SlaReward;
 
+/// TD learning rate α of every sweep over a [`ConfigMdp`]: the offline
+/// fit and the agent's per-interval retraining (the paper's 0.1).
+pub const ALPHA: f64 = 0.1;
+
+/// Discount rate γ of every sweep over a [`ConfigMdp`] (the paper's 0.9).
+pub const GAMMA: f64 = 0.9;
+
+/// Convergence threshold θ of every sweep over a [`ConfigMdp`]
+/// (Algorithm 1): a sweep stops once no Q-value moved by more.
+pub const THETA: f64 = 1e-3;
+
 /// The deterministic Markov decision process over configuration states
 /// (Section 3.2): states are lattice points, actions are per-parameter
 /// steps, and the reward of a transition is the SLA reward of the
@@ -368,7 +379,7 @@ mod tests {
     fn sweep_equals_scalar_reference_on_three_landscapes() {
         // 17 levels on this lattice, several not a multiple of 8 wide.
         let l = lattice();
-        let learner = QLearning::new(0.1, 0.9);
+        let learner = QLearning::new(ALPHA, GAMMA);
         let mut mdp = ConfigMdp::new(&l, SlaReward::new(1_000.0));
         assert_eq!(mdp.plan().levels(), 17);
         let mixed: Vec<f64> = (0..l.num_states())
@@ -383,19 +394,18 @@ mod tests {
         let mut warm = fresh();
         batch_value_sweep(&mdp, &mut warm, &learner, 0.0, 3);
         let landscapes = [
-            ("mixed", mixed.clone(), fresh(), 500),
-            ("over the SLA", over, fresh(), 500),
-            ("warm, online cap", mixed, warm, 6),
+            ("mixed", mixed.clone(), fresh(), crate::init::MAX_PASSES),
+            ("over the SLA", over, fresh(), crate::init::MAX_PASSES),
+            ("warm, online cap", mixed, warm, crate::agent::BATCH_PASSES),
         ];
-        let theta = 1e-3;
         for (name, perf, table, max_passes) in landscapes {
             mdp.set_perf_map(perf);
             let mut fast = table.clone();
             let mut slow = table;
-            let report = rl::batch_value_sweep_report(&mdp, &mut fast, &learner, theta, max_passes);
+            let report = rl::batch_value_sweep_report(&mdp, &mut fast, &learner, THETA, max_passes);
             assert_eq!(
                 report,
-                scalar_sweep(&mdp, &mut slow, &learner, theta, max_passes),
+                scalar_sweep(&mdp, &mut slow, &learner, THETA, max_passes),
                 "{name}"
             );
             let bits = |q: &QTable| q.values().map(f32::to_bits).collect::<Vec<_>>();

@@ -12,16 +12,16 @@
 //! The breaker is the classic three-state machine:
 //!
 //! ```text
-//!            trip_after consecutive failures
+//!            TRIP_AFTER consecutive failures
 //!   Closed ────────────────────────────────────▶ Open
-//!     ▲                                           │ cooldown intervals
+//!     ▲                                           │ COOLDOWN intervals
 //!     │ probe succeeds                            ▼
 //!     └──────────────────────────────────────  HalfOpen
 //!                       probe fails: back to Open
 //! ```
 //!
-//! Everything is a pure function of the fault directives and the
-//! settings — no wall-clock time, no OS randomness — so runs remain
+//! Everything is a pure function of the fault directives — no
+//! wall-clock time, no OS randomness — so runs remain
 //! bit-identical at any `RAC_THREADS` and the channel state can be
 //! reconstructed exactly by checkpoint replay.
 
@@ -29,30 +29,6 @@ use std::sync::OnceLock;
 
 use obs::Event;
 use websim::PerfSample;
-
-/// Tunables of the [`MeasurementChannel`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChannelSettings {
-    /// Extra acquisition attempts allowed per interval after the first
-    /// one fails. A single-timeout fault is absorbed by one retry; a
-    /// blackout defeats any finite budget.
-    pub retry_budget: usize,
-    /// Consecutive failed acquisitions (after retries) that trip the
-    /// breaker from `Closed` to `Open`.
-    pub trip_after: usize,
-    /// Intervals the breaker stays `Open` before probing (`HalfOpen`).
-    pub cooldown: usize,
-}
-
-impl Default for ChannelSettings {
-    fn default() -> Self {
-        ChannelSettings {
-            retry_budget: 1,
-            trip_after: 2,
-            cooldown: 1,
-        }
-    }
-}
 
 /// Circuit-breaker state. The channel is *degraded* whenever the state
 /// is not [`Closed`](BreakerState::Closed).
@@ -122,7 +98,6 @@ pub struct Acquisition {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MeasurementChannel {
-    settings: ChannelSettings,
     state: BreakerState,
     consecutive_failures: usize,
     cooldown_left: usize,
@@ -132,19 +107,9 @@ pub struct MeasurementChannel {
 }
 
 impl Default for MeasurementChannel {
+    /// A closed (healthy) channel.
     fn default() -> Self {
-        MeasurementChannel::new(ChannelSettings::default())
-    }
-}
-
-impl MeasurementChannel {
-    /// Creates a closed (healthy) channel. `trip_after` and `cooldown`
-    /// are clamped to at least 1.
-    pub fn new(mut settings: ChannelSettings) -> Self {
-        settings.trip_after = settings.trip_after.max(1);
-        settings.cooldown = settings.cooldown.max(1);
         MeasurementChannel {
-            settings,
             state: BreakerState::Closed,
             consecutive_failures: 0,
             cooldown_left: 0,
@@ -153,6 +118,18 @@ impl MeasurementChannel {
             timeout_next: false,
         }
     }
+}
+
+impl MeasurementChannel {
+    /// Extra acquisition attempts allowed per interval after the first
+    /// one fails. A single-timeout fault is absorbed by one retry; a
+    /// blackout defeats any finite budget.
+    pub const RETRY_BUDGET: usize = 1;
+    /// Consecutive failed acquisitions (after retries) that trip the
+    /// breaker from `Closed` to `Open`.
+    pub const TRIP_AFTER: usize = 2;
+    /// Intervals the breaker stays `Open` before probing (`HalfOpen`).
+    pub const COOLDOWN: usize = 1;
 
     /// Current breaker state.
     pub fn state(&self) -> BreakerState {
@@ -174,8 +151,8 @@ impl MeasurementChannel {
     }
 
     /// Arms a one-shot acquisition timeout for the next interval: the
-    /// first attempt fails and a retry succeeds if the budget allows.
-    /// Driven by the scenario `timeout` fault directive.
+    /// first attempt fails and the retry succeeds. Driven by the
+    /// scenario `timeout` fault directive.
     pub fn arm_timeout(&mut self) {
         self.timeout_next = true;
     }
@@ -185,13 +162,11 @@ impl MeasurementChannel {
     fn attempt(&self, raw: PerfSample, timeout: bool) -> (Option<PerfSample>, usize, bool) {
         if self.blackout {
             // Every attempt fails; the whole budget is burned.
-            (None, 1 + self.settings.retry_budget, false)
+            (None, 1 + Self::RETRY_BUDGET, false)
         } else if timeout {
-            if self.settings.retry_budget >= 1 {
-                (Some(raw), 2, true)
-            } else {
-                (None, 1, false)
-            }
+            // The one-shot timeout fails the first attempt; the first
+            // retry succeeds.
+            (Some(raw), 2, true)
         } else {
             (Some(raw), 1, false)
         }
@@ -211,9 +186,9 @@ impl MeasurementChannel {
                     self.done(sample, attempts, retried, None)
                 } else {
                     self.consecutive_failures += 1;
-                    if self.consecutive_failures >= self.settings.trip_after {
+                    if self.consecutive_failures >= Self::TRIP_AFTER {
                         self.state = BreakerState::Open;
-                        self.cooldown_left = self.settings.cooldown;
+                        self.cooldown_left = Self::COOLDOWN;
                         self.outage_iters = 1;
                         self.done(None, attempts, retried, Some(BreakerTransition::Tripped))
                     } else {
@@ -247,7 +222,7 @@ impl MeasurementChannel {
                     acq
                 } else {
                     self.state = BreakerState::Open;
-                    self.cooldown_left = self.settings.cooldown;
+                    self.cooldown_left = Self::COOLDOWN;
                     self.consecutive_failures += 1;
                     self.outage_iters += 1;
                     self.done(None, attempts, retried, Some(BreakerTransition::Reopened))
@@ -273,12 +248,9 @@ impl MeasurementChannel {
         }
     }
 
-    /// Serializes the full channel state (settings, breaker position,
-    /// fault flags) for checkpointing.
+    /// Serializes the full channel state (breaker position, fault
+    /// flags) for checkpointing.
     pub fn encode(&self, w: &mut ckpt::wire::Writer) {
-        w.put_usize(self.settings.retry_budget);
-        w.put_usize(self.settings.trip_after);
-        w.put_usize(self.settings.cooldown);
         w.put_usize(match self.state {
             BreakerState::Closed => 0,
             BreakerState::Open => 1,
@@ -294,25 +266,17 @@ impl MeasurementChannel {
     /// Reconstructs a channel from [`encode`](Self::encode)d bytes,
     /// rejecting semantically impossible states.
     pub fn decode(r: &mut ckpt::wire::Reader<'_>) -> Result<Self, ckpt::CkptError> {
-        let corrupt = |detail: String| ckpt::CkptError::Corrupt { detail };
-        let settings = ChannelSettings {
-            retry_budget: r.get_usize()?,
-            trip_after: r.get_usize()?,
-            cooldown: r.get_usize()?,
-        };
-        if settings.trip_after == 0 || settings.cooldown == 0 {
-            return Err(corrupt(
-                "channel trip_after/cooldown must be positive".to_string(),
-            ));
-        }
         let state = match r.get_usize()? {
             0 => BreakerState::Closed,
             1 => BreakerState::Open,
             2 => BreakerState::HalfOpen,
-            n => return Err(corrupt(format!("breaker state {n} out of range"))),
+            n => {
+                return Err(ckpt::CkptError::Corrupt {
+                    detail: format!("breaker state {n} out of range"),
+                })
+            }
         };
         Ok(MeasurementChannel {
-            settings,
             state,
             consecutive_failures: r.get_usize()?,
             cooldown_left: r.get_usize()?,
@@ -460,24 +424,8 @@ mod tests {
     }
 
     #[test]
-    fn timeout_without_budget_fails_but_does_not_trip_alone() {
-        let mut ch = MeasurementChannel::new(ChannelSettings {
-            retry_budget: 0,
-            ..ChannelSettings::default()
-        });
-        ch.arm_timeout();
-        let acq = ch.acquire(raw(400.0));
-        assert!(acq.sample.is_none());
-        assert_eq!(acq.failures, 1);
-        assert_eq!(ch.state(), BreakerState::Closed);
-        // A healthy interval resets the count.
-        let acq = ch.acquire(raw(400.0));
-        assert_eq!(acq.failures, 0);
-    }
-
-    #[test]
     fn blackout_trips_probes_and_recovers() {
-        let mut ch = MeasurementChannel::default(); // trip_after 2, cooldown 1
+        let mut ch = MeasurementChannel::default(); // TRIP_AFTER = 2, COOLDOWN = 1
         ch.set_blackout(true);
         assert_eq!(ch.acquire(raw(1.0)).transition, None);
         let acq = ch.acquire(raw(1.0));
@@ -527,9 +475,6 @@ mod tests {
     #[test]
     fn decode_rejects_impossible_state() {
         let mut w = ckpt::wire::Writer::new();
-        w.put_usize(1);
-        w.put_usize(2);
-        w.put_usize(1);
         w.put_usize(9); // invalid breaker discriminant
         w.put_usize(0);
         w.put_usize(0);

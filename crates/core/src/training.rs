@@ -17,6 +17,12 @@ use crate::param::ConfigLattice;
 use crate::reward::SlaReward;
 use crate::runner::{MeasureJob, Runner};
 
+/// Revision of the offline training code, part of every policy-cache
+/// key: a cache filled by an older trainer is then a miss, never a
+/// stale hit. Bump it with any change that moves the bytes of a trained
+/// policy; `trained_library_bytes_are_pinned` fails on such a change.
+pub const TRAINING_REVISION: u32 = 1;
+
 /// Options for offline training-data collection.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingOptions {
@@ -24,7 +30,7 @@ pub struct TrainingOptions {
     pub warmup: SimDuration,
     /// Measured simulated time per sampled configuration.
     pub measure: SimDuration,
-    /// Offline RL settings (grouping granularity, α, γ, θ).
+    /// Offline settings (the sampling plan's grouping granularity).
     pub settings: OfflineSettings,
 }
 
@@ -131,7 +137,7 @@ pub fn build_policy_library_on(
         .collect();
     let per_context: Vec<&[f64]> = measured.chunks_exact(plan.len()).collect();
     let policies = runner.run_tasks(contexts.len(), |i| {
-        fit_initial_policy(lattice, reward, options.settings, &plan, per_context[i])
+        fit_initial_policy(lattice, reward, &plan, per_context[i])
     });
     for (&context, policy) in contexts.iter().zip(policies) {
         obs::trace::emit(|| {
@@ -164,10 +170,7 @@ mod tests {
         let options = TrainingOptions {
             warmup: SimDuration::from_secs(30),
             measure: SimDuration::from_secs(60),
-            settings: OfflineSettings {
-                group_levels: 2,
-                ..OfflineSettings::default()
-            },
+            settings: OfflineSettings { group_levels: 2 },
         };
         let ctx = SystemContext::new(Mix::Shopping, ResourceLevel::Level1);
         let library =
@@ -185,10 +188,7 @@ mod tests {
         let options = TrainingOptions {
             warmup: SimDuration::from_secs(20),
             measure: SimDuration::from_secs(40),
-            settings: OfflineSettings {
-                group_levels: 2,
-                ..OfflineSettings::default()
-            },
+            settings: OfflineSettings { group_levels: 2 },
         };
         let contexts = [
             SystemContext::new(Mix::Ordering, ResourceLevel::Level3),
@@ -253,10 +253,7 @@ mod tests {
         let options = TrainingOptions {
             warmup: SimDuration::from_secs(20),
             measure: SimDuration::from_secs(40),
-            settings: OfflineSettings {
-                group_levels: 2,
-                ..OfflineSettings::default()
-            },
+            settings: OfflineSettings { group_levels: 2 },
         };
         let contexts = [
             SystemContext::new(Mix::Ordering, ResourceLevel::Level3),
@@ -272,10 +269,11 @@ mod tests {
         );
         let passes: Vec<usize> = library.iter().map(|(_, p)| p.passes).collect();
         assert_eq!(
-            (library.fingerprint(), passes),
-            (0xf636_a7e8_faf7_452f, vec![422, 425, 424]),
-            "trained library bytes moved: the policy cache would serve stale \
-             policies, so the cache key must change too (ROADMAP 1(b))"
+            (library.fingerprint(), passes, TRAINING_REVISION),
+            (0xf636_a7e8_faf7_452f, vec![422, 425, 424], 1),
+            "trained library bytes moved: a warm policy cache would serve stale \
+             policies, so bump TRAINING_REVISION and pin it here with the new \
+             digest and passes"
         );
     }
 
@@ -286,10 +284,7 @@ mod tests {
         let options = TrainingOptions {
             warmup: SimDuration::from_secs(20),
             measure: SimDuration::from_secs(40),
-            settings: OfflineSettings {
-                group_levels: 2,
-                ..OfflineSettings::default()
-            },
+            settings: OfflineSettings { group_levels: 2 },
         };
         let contexts = [
             SystemContext::new(Mix::Shopping, ResourceLevel::Level1),

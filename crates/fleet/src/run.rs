@@ -813,10 +813,7 @@ mod tests {
         let policy = rac::train_initial_policy(
             &lattice,
             rac::SlaReward::new(1_000.0),
-            rac::OfflineSettings {
-                group_levels: 2,
-                ..rac::OfflineSettings::default()
-            },
+            rac::OfflineSettings { group_levels: 2 },
             |c: &websim::ServerConfig| 100.0 + c.max_clients() as f64 * 0.1,
         )
         .unwrap();
@@ -846,10 +843,7 @@ mod tests {
         let policy = rac::train_initial_policy(
             &lattice,
             rac::SlaReward::new(1_000.0),
-            rac::OfflineSettings {
-                group_levels: 2,
-                ..rac::OfflineSettings::default()
-            },
+            rac::OfflineSettings { group_levels: 2 },
             |c: &websim::ServerConfig| 100.0 + c.max_clients() as f64 * 0.1,
         )
         .unwrap();

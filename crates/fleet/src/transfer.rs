@@ -256,10 +256,7 @@ mod tests {
         let policy = rac::train_initial_policy(
             &lattice,
             SlaReward::new(1_000.0),
-            OfflineSettings {
-                group_levels: 2,
-                ..OfflineSettings::default()
-            },
+            OfflineSettings { group_levels: 2 },
             |c: &websim::ServerConfig| 100.0 + c.max_clients() as f64 * 0.1,
         )
         .unwrap();

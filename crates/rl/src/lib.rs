@@ -16,8 +16,6 @@
 //!   environment until the largest Q change drops below θ.
 //! * [`SweepPlan`] — the level order and block layout the sweep runs
 //!   in, which reproduces the index-order sweep bit for bit.
-//! * [`ExperienceLog`] — bounded history of `(s, a, r, s')` transitions
-//!   for batch retraining.
 //!
 //! # Example
 //!
@@ -46,13 +44,11 @@
 //! assert_eq!(q.best_action(9), 0);
 //! ```
 
-mod experience;
 mod plan;
 mod qtable;
 mod space;
 mod sweep;
 
-pub use experience::{ExperienceLog, Transition};
 pub use plan::SweepPlan;
 pub use qtable::{QLearning, QTable};
 pub use space::IndexSpace;

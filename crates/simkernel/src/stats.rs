@@ -203,11 +203,6 @@ impl SlidingWindow {
         }
     }
 
-    /// Maximum number of retained values.
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Number of currently retained values.
     pub fn len(&self) -> usize {
         self.len
@@ -329,7 +324,7 @@ mod tests {
         w.push(3.0);
         let vals: Vec<f64> = w.iter().collect();
         assert_eq!(vals, vec![2.0, 3.0]);
-        assert_eq!(w.len(), w.capacity());
+        assert_eq!(w.len(), 2);
     }
 
     #[test]

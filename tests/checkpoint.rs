@@ -51,10 +51,7 @@ fn shared_library() -> &'static PolicyLibrary {
             SimDuration::from_secs(60),
             SimDuration::from_secs(60),
         );
-        let settings = OfflineSettings {
-            group_levels: 2,
-            ..OfflineSettings::default()
-        };
+        let settings = OfflineSettings { group_levels: 2 };
         let policy = train_initial_policy(&lattice, SlaReward::new(SLA_MS), settings, measurer)
             .expect("offline landscape fits");
         let mut lib = PolicyLibrary::new();

@@ -150,10 +150,7 @@ fn policy_initialization_is_deterministic_through_the_runner() {
 
     let lattice = ConfigLattice::new(3);
     let reward = SlaReward::new(1_000.0);
-    let settings = OfflineSettings {
-        group_levels: 2,
-        ..OfflineSettings::default()
-    };
+    let settings = OfflineSettings { group_levels: 2 };
     let train = |runner: &'static Runner| {
         let measurer = SimMeasurer::on_runner(runner, spec(5), WARMUP, MEASURE);
         train_initial_policy(&lattice, reward, settings, measurer).unwrap()

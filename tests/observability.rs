@@ -35,10 +35,7 @@ fn library_on(runner: &'static Runner) -> PolicyLibrary {
         SimDuration::from_secs(60),
         SimDuration::from_secs(60),
     );
-    let settings = OfflineSettings {
-        group_levels: 2,
-        ..OfflineSettings::default()
-    };
+    let settings = OfflineSettings { group_levels: 2 };
     let policy = train_initial_policy(&lattice, SlaReward::new(SLA_MS), settings, measurer)
         .expect("offline landscape fits");
     let mut lib = PolicyLibrary::new();
@@ -238,10 +235,7 @@ fn runner_work_folds_under_the_submitting_frame() {
     let options = TrainingOptions {
         warmup: SimDuration::from_secs(10),
         measure: SimDuration::from_secs(20),
-        settings: OfflineSettings {
-            group_levels: 2,
-            ..OfflineSettings::default()
-        },
+        settings: OfflineSettings { group_levels: 2 },
     };
     obs::profile::set_enabled(true);
     obs::profile::reset();
