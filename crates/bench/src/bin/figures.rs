@@ -1561,6 +1561,7 @@ fn run_profile<'a>(args: &'a Args, opts: &'a Options, console: &'a Console) -> C
     job(format!("profile {}", scn.name), move || {
         obs::profile::set_enabled(true);
         obs::profile::reset();
+        let started = Instant::now();
         let library = standard_policy_library(&opts.cache_dir());
         let ckpt_dir = opts.results_dir.join(format!("profile-{}-ckpt", scn.name));
         let plan = CheckpointOptions {
@@ -1593,6 +1594,9 @@ fn run_profile<'a>(args: &'a Args, opts: &'a Options, console: &'a Console) -> C
 
         let snapshot = obs::profile::snapshot();
         print!("{}", rac_bench::profile::self_time_table(&snapshot));
+        let events = rac_bench::profile::simulator_event_counts();
+        let wall_s = started.elapsed().as_secs_f64();
+        print!("{}", rac_bench::profile::event_rate_table(&events, wall_s));
         let folded_path = opts
             .results_dir
             .join(format!("profile-{}.folded", scn.name));

@@ -1,5 +1,6 @@
 //! Rendering helpers for the hierarchical self-profiler: the self-time
-//! table `figures profile` prints and the folded-stack file it writes.
+//! table `figures profile` prints, the simulator's event counts beside
+//! it, and the folded-stack file it writes.
 //!
 //! The folded format is the flamegraph interchange format — one line
 //! per unique call path, `frame;frame;frame <self-µs>` — consumable
@@ -31,6 +32,44 @@ pub fn self_time_table(snapshot: &[(String, NodeStats)]) -> TextTable {
             stats.count.to_string(),
             format!("{:.1}", stats.total_us as f64 / 1_000.0),
             format!("{:.1}", stats.self_us as f64 / 1_000.0),
+            format!("{share:.1}"),
+        ]);
+    }
+    t
+}
+
+/// The simulator's dispatched events so far in this process, one
+/// `(kind, count)` per [`websim::EVENT_KINDS`] entry, read from the
+/// `websim_events_<kind>_total` counters (all zero under `RAC_OBS=off`).
+pub fn simulator_event_counts() -> Vec<(&'static str, u64)> {
+    let r = obs::Registry::global();
+    websim::EVENT_KINDS
+        .iter()
+        .map(|&kind| {
+            (
+                kind,
+                r.counter(&format!("websim_events_{kind}_total")).get(),
+            )
+        })
+        .collect()
+}
+
+/// Event counts per kind as a table: count, events per second of
+/// `wall_s`, and each kind's share of all events.
+pub fn event_rate_table(counts: &[(&str, u64)], wall_s: f64) -> TextTable {
+    let total: u64 = counts.iter().map(|&(_, n)| n).sum();
+    let mut t = TextTable::new(&["event", "count", "per_wall_s", "share_%"]);
+    for &(kind, n) in counts {
+        let rate = if wall_s > 0.0 { n as f64 / wall_s } else { 0.0 };
+        let share = if total == 0 {
+            0.0
+        } else {
+            n as f64 * 100.0 / total as f64
+        };
+        t.row(&[
+            kind.to_string(),
+            n.to_string(),
+            format!("{rate:.0}"),
             format!("{share:.1}"),
         ]);
     }
@@ -76,6 +115,20 @@ mod tests {
             .map(|l| l.rsplit(',').next().unwrap().parse::<f64>().unwrap())
             .sum();
         assert!((shares - 100.0).abs() < 0.2, "shares sum to ~100: {shares}");
+    }
+
+    #[test]
+    fn event_table_reports_rates_and_shares() {
+        let t = event_rate_table(&[("issue", 300), ("cpu_tick", 100)], 2.0);
+        assert_eq!(
+            t.render_csv(),
+            "event,count,per_wall_s,share_%\nissue,300,150,75.0\ncpu_tick,100,50,25.0\n"
+        );
+        let idle = event_rate_table(&[("issue", 0)], 0.0);
+        assert_eq!(
+            idle.render_csv(),
+            "event,count,per_wall_s,share_%\nissue,0,0,0.0\n"
+        );
     }
 
     #[test]

@@ -149,6 +149,26 @@ impl<'a> Reader<'a> {
         })
     }
 
+    /// Reads a `u64` count of entries that take `entry_bytes` (> 0) each
+    /// and rejects, as [`CkptError::Truncated`], a count the bytes left
+    /// cannot hold. Decoders call it before allocating for the entries,
+    /// so a crafted count fails instead of aborting on a huge
+    /// allocation.
+    pub fn get_count(&mut self, entry_bytes: usize) -> Result<usize, CkptError> {
+        let count = self.get_usize()?;
+        let fits = self.remaining() / entry_bytes;
+        if count > fits {
+            return Err(CkptError::Truncated {
+                detail: format!(
+                    "section `{}` claims {count} entries of {entry_bytes} bytes, the {} bytes left hold at most {fits}",
+                    self.section,
+                    self.remaining()
+                ),
+            });
+        }
+        Ok(count)
+    }
+
     /// Reads an `f32` from its bit pattern.
     pub fn get_f32(&mut self) -> Result<f32, CkptError> {
         Ok(f32::from_bits(self.get_u32()?))
@@ -226,6 +246,28 @@ mod tests {
     fn short_read_is_truncated() {
         let mut r = Reader::new(&[1, 2, 3], "t");
         assert!(matches!(r.get_u64(), Err(CkptError::Truncated { .. })));
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_bytes_left() {
+        let mut w = Writer::new();
+        w.put_usize(2);
+        w.put_u64(1);
+        w.put_u64(2);
+        let bytes = w.into_bytes();
+        assert_eq!(Reader::new(&bytes, "t").get_count(8).unwrap(), 2);
+        // Two 8-byte entries do not hold two 16-byte ones.
+        assert!(matches!(
+            Reader::new(&bytes, "t").get_count(16),
+            Err(CkptError::Truncated { .. })
+        ));
+        let mut w = Writer::new();
+        w.put_u64(1 << 40);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            Reader::new(&bytes, "t").get_count(16),
+            Err(CkptError::Truncated { .. })
+        ));
     }
 
     #[test]

@@ -593,7 +593,8 @@ impl RacAgent {
         for _ in 0..states {
             predicted.push(r.get_f64()?);
         }
-        let measured_len = r.get_usize()?;
+        // Each measured and recent entry is a state and a response time.
+        let measured_len = r.get_count(16)?;
         let mut measured = HashMap::with_capacity(measured_len);
         for _ in 0..measured_len {
             let s = r.get_usize()?;
@@ -603,7 +604,7 @@ impl RacAgent {
             }
             measured.insert(s, rt);
         }
-        let recent_len = r.get_usize()?;
+        let recent_len = r.get_count(16)?;
         let mut recent = VecDeque::with_capacity(recent_len.max(8));
         for _ in 0..recent_len {
             let s = r.get_usize()?;
@@ -627,7 +628,8 @@ impl RacAgent {
                 return Err(corrupt(format!("last-known-good state {s} out of range")));
             }
         }
-        let veto_len = r.get_usize()?;
+        // A veto is a state, an action and an expiry.
+        let veto_len = r.get_count(24)?;
         let mut vetoes = Vec::with_capacity(veto_len);
         for _ in 0..veto_len {
             let s = r.get_usize()?;

@@ -120,8 +120,7 @@ impl<E> EventQueue<E> {
             self.now
         );
         let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
+        let seq = self.reserve_seq();
         let us = at.as_micros();
         let b = self.bucket_of(us);
         let bucket = &mut self.buckets[b];
@@ -188,18 +187,46 @@ impl<E> EventQueue<E> {
         Some(self.pop_from(b))
     }
 
-    /// Pops the earliest event only if it is strictly before `horizon`.
+    /// Pops the earliest event only if its `(time, sequence)` key is
+    /// strictly below `(at, seq)`.
     ///
-    /// Events at or after the horizon stay queued, so a simulation can be
-    /// resumed past the horizon later. The clock does not advance when
-    /// `None` is returned.
-    pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+    /// A caller that keeps some events outside the queue (under sequence
+    /// numbers from [`EventQueue::reserve_seq`]) passes the earliest
+    /// outside key as the bound, so both sources interleave in the one
+    /// `(time, sequence)` order. A bound of `(horizon, 0)` pops only
+    /// events strictly before `horizon`; the rest stay queued, so a
+    /// simulation can resume past the horizon later. The clock does not
+    /// advance when `None` is returned.
+    pub fn pop_below(&mut self, at: SimTime, seq: u64) -> Option<(SimTime, E)> {
         let b = self.locate_min()?;
-        if self.buckets[b].last().expect("tail").at < horizon.as_micros() {
+        let head = self.buckets[b].last().expect("tail");
+        if (head.at, head.seq) < (at.as_micros(), seq) {
             Some(self.pop_from(b))
         } else {
             None
         }
+    }
+
+    /// Takes the next sequence number without scheduling anything, for
+    /// an event the caller holds outside the queue. Events scheduled
+    /// afterwards order after it at equal times, exactly as if it had
+    /// been scheduled here.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// Moves the clock to `at`, the time of an event consumed outside
+    /// the queue. That event must not be later than any queued one, so
+    /// `at` must not pass the queue's head.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `at` is earlier than [`EventQueue::now`].
+    pub fn advance_to(&mut self, at: SimTime) {
+        debug_assert!(at >= self.now, "clock moved back: {at} < {}", self.now);
+        self.now = self.now.max(at);
     }
 
     /// Removes every pending event.
@@ -286,28 +313,54 @@ mod tests {
     }
 
     #[test]
-    fn pop_before_respects_horizon() {
+    fn pop_below_respects_horizon() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(1), "a");
         q.schedule(SimTime::from_secs(3), "b");
         assert_eq!(
-            q.pop_before(SimTime::from_secs(2)),
+            q.pop_below(SimTime::from_secs(2), 0),
             Some((SimTime::from_secs(1), "a"))
         );
-        assert_eq!(q.pop_before(SimTime::from_secs(2)), None);
+        assert_eq!(q.pop_below(SimTime::from_secs(2), 0), None);
         assert_eq!(q.len(), 1);
         // Resume with a later horizon.
         assert_eq!(
-            q.pop_before(SimTime::from_secs(4)),
+            q.pop_below(SimTime::from_secs(4), 0),
             Some((SimTime::from_secs(3), "b"))
         );
     }
 
     #[test]
-    fn pop_before_exact_horizon_is_exclusive() {
+    fn pop_below_exact_horizon_is_exclusive() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(2), ());
-        assert_eq!(q.pop_before(SimTime::from_secs(2)), None);
+        assert_eq!(q.pop_below(SimTime::from_secs(2), 0), None);
+    }
+
+    #[test]
+    fn pop_below_breaks_equal_times_by_sequence() {
+        // An event held outside the queue under a reserved sequence
+        // number sits between the two queued ones at the same instant.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        q.schedule(t, "before");
+        let outside = q.reserve_seq();
+        q.schedule(t, "after");
+        assert_eq!(q.pop_below(t, outside), Some((t, "before")));
+        assert_eq!(q.pop_below(t, outside), None);
+        q.advance_to(t);
+        assert_eq!(q.now(), t);
+        assert_eq!(q.pop_below(t, outside + 2), Some((t, "after")));
+    }
+
+    #[test]
+    fn advance_to_moves_the_clock_without_popping() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(5), "queued");
+        q.advance_to(SimTime::from_secs(2));
+        assert_eq!(q.now(), SimTime::from_secs(2));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(5), "queued")));
     }
 
     #[test]
@@ -450,12 +503,22 @@ mod tests {
             Some((entry.at, entry.event))
         }
 
-        fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-            if self.heap.peek()?.at < horizon {
+        fn pop_below(&mut self, at: SimTime, seq: u64) -> Option<(SimTime, E)> {
+            let head = self.heap.peek()?;
+            if (head.at, head.seq) < (at, seq) {
                 self.pop()
             } else {
                 None
             }
+        }
+
+        fn reserve_seq(&mut self) -> u64 {
+            self.seq += 1;
+            self.seq - 1
+        }
+
+        fn advance_to(&mut self, at: SimTime) {
+            self.now = at;
         }
 
         fn clear(&mut self) {
@@ -486,8 +549,8 @@ mod tests {
             self.now = at;
             Some((at, seq))
         }
-        fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, u64)> {
-            if self.pending.first()?.0 < horizon {
+        fn pop_below(&mut self, at: SimTime, seq: u64) -> Option<(SimTime, u64)> {
+            if *self.pending.first()? < (at, seq) {
                 self.pop()
             } else {
                 None
@@ -496,19 +559,21 @@ mod tests {
     }
 
     proptest! {
-        /// Satellite property: under arbitrary interleavings of
-        /// schedule / pop / pop_before / clear — including manufactured
-        /// FIFO ties and `SimTime` extremes — the calendar queue agrees
-        /// step-for-step with the sorted-`Vec` model AND with the
-        /// retained `HeapQueue` oracle.
+        /// Under arbitrary interleavings of schedule / pop / bounded pop
+        /// / clear / sequence reservation / clock advance — including
+        /// manufactured FIFO ties and `SimTime` extremes — the calendar
+        /// queue agrees step-for-step with the sorted-`Vec` model AND
+        /// with the retained `HeapQueue` oracle.
         ///
         /// Ops are encoded as `(kind, value)` pairs: kinds 0-2 schedule
         /// at `now + value`, 3-4 schedule at `now` (FIFO ties), 5
-        /// schedules at `SimTime::MAX` (extreme), 6-7 pop, 8 pops
-        /// before `now + value`, 9 clears.
+        /// schedules at `SimTime::MAX` (extreme), 6-7 pop, 8 pops below
+        /// the key `(now + value, value mod (next seq + 1))`, 9 clears,
+        /// 10 reserves a sequence number, 11 advances the clock to
+        /// `now + value` or the head, whichever is earlier.
         #[test]
         fn prop_calendar_queue_matches_model_and_heap(
-            ops in proptest::collection::vec((0u8..10, 0u64..10_000), 1..300),
+            ops in proptest::collection::vec((0u8..12, 0u64..10_000), 1..300),
         ) {
             let mut q = EventQueue::new();
             let mut heap = HeapQueue::new();
@@ -540,10 +605,27 @@ mod tests {
                         prop_assert_eq!(heap.pop(), want);
                     }
                     8 => {
-                        let horizon = model.now + crate::SimDuration::from_micros(val);
-                        let want = model.pop_before(horizon);
-                        prop_assert_eq!(q.pop_before(horizon), want);
-                        prop_assert_eq!(heap.pop_before(horizon), want);
+                        let at = model.now + crate::SimDuration::from_micros(val);
+                        let seq = val % (model.seq + 1);
+                        let want = model.pop_below(at, seq);
+                        prop_assert_eq!(q.pop_below(at, seq), want);
+                        prop_assert_eq!(heap.pop_below(at, seq), want);
+                    }
+                    10 => {
+                        let want = model.seq;
+                        model.seq += 1;
+                        prop_assert_eq!(q.reserve_seq(), want);
+                        prop_assert_eq!(heap.reserve_seq(), want);
+                    }
+                    11 => {
+                        let mut at = model.now + crate::SimDuration::from_micros(val);
+                        if let Some(&(head, _)) = model.pending.first() {
+                            at = at.min(head);
+                        }
+                        model.now = at;
+                        q.advance_to(at);
+                        heap.advance_to(at);
+                        prop_assert_eq!(q.now(), at);
                     }
                     _ => {
                         q.clear();

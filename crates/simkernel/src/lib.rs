@@ -41,7 +41,7 @@
 //! let mut in_system = 0u32;
 //! // Queue lengths seen by the last 100 arrivals.
 //! let mut seen = SlidingWindow::new(100);
-//! while let Some((now, ev)) = q.pop_before(SimTime::from_secs(60)) {
+//! while let Some((now, ev)) = q.pop_below(SimTime::from_secs(60), 0) {
 //!     match ev {
 //!         Ev::Arrival => {
 //!             in_system += 1;

@@ -1,5 +1,7 @@
 //! The three TPC-W traffic mixes as customer-behaviour Markov chains.
 
+use std::sync::{Arc, OnceLock};
+
 use simkernel::Pcg64;
 
 use crate::interaction::Interaction;
@@ -61,9 +63,13 @@ impl Mix {
         }
     }
 
-    /// This mix's transition matrix.
+    /// This mix's transition matrix. Every call shares one copy of the
+    /// rows per mix, so a fleet of browsers holds three matrices, not
+    /// one per browser.
     pub fn matrix(self) -> MixMatrix {
-        MixMatrix::for_mix(self)
+        static MATRICES: OnceLock<[MixMatrix; 3]> = OnceLock::new();
+        // `Mix::ALL` lists the mixes in declaration order.
+        MATRICES.get_or_init(|| Mix::ALL.map(MixMatrix::for_mix))[self as usize].clone()
     }
 }
 
@@ -78,10 +84,11 @@ impl std::fmt::Display for Mix {
 /// Row `i` gives the probability of the next interaction given the
 /// current one. Use [`MixMatrix::sample_next`] to walk the chain and
 /// [`MixMatrix::stationary_distribution`] to inspect its long-run
-/// behaviour.
+/// behaviour. The rows are immutable and shared, so a clone costs a
+/// reference count, not 1.5 KB.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MixMatrix {
-    rows: Vec<[f64; 14]>,
+    rows: Arc<[[f64; 14]]>,
 }
 
 /// Relative within-class popularity of each interaction (independent of
@@ -172,7 +179,7 @@ impl MixMatrix {
         let rows = a
             .rows
             .iter()
-            .zip(&b.rows)
+            .zip(b.rows.iter())
             .map(|(ra, rb)| {
                 let mut row = [0.0f64; 14];
                 for (out, (pa, pb)) in row.iter_mut().zip(ra.iter().zip(rb)) {
@@ -234,6 +241,11 @@ mod tests {
     fn matrices_are_stochastic() {
         for mix in Mix::ALL {
             assert!(mix.matrix().is_stochastic(), "{mix} matrix not stochastic");
+            assert_eq!(
+                mix.matrix(),
+                MixMatrix::for_mix(mix),
+                "{mix} shares another's rows"
+            );
         }
     }
 

@@ -15,19 +15,50 @@ use std::collections::BinaryHeap;
 /// request id and phase in it.
 pub type TaskToken = (usize, u8);
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct VirtFinish(f64);
+/// Task ids must fit in the 56 bits beneath the phase byte of a key.
+const MAX_TASK_ID: usize = (1 << 56) - 1;
 
-impl Eq for VirtFinish {}
-impl PartialOrd for VirtFinish {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// One heap key ordered exactly like `(vf.total_cmp, id, phase)`: the
+/// virtual finish time's bits, mapped so that unsigned order is
+/// `f64::total_cmp` order, above the token.
+fn pack(vf: f64, (id, phase): TaskToken) -> u128 {
+    assert!(id <= MAX_TASK_ID, "task id {id} does not fit a CPU key");
+    let bits = vf.to_bits();
+    let ordered = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    (ordered as u128) << 64 | (id as u128) << 8 | phase as u128
 }
-impl Ord for VirtFinish {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
+
+/// The virtual finish time of a key made by [`pack`].
+fn key_finish(key: u128) -> f64 {
+    let ordered = (key >> 64) as u64;
+    f64::from_bits(if ordered >> 63 == 1 {
+        ordered & !(1 << 63)
+    } else {
+        !ordered
+    })
+}
+
+/// The token of a key made by [`pack`].
+fn key_token(key: u128) -> TaskToken {
+    ((key as u64 >> 8) as usize, key as u8)
+}
+
+/// Whole microseconds until a completion `q` µs away, rounded up and at
+/// least 1: equal to `q.ceil().max(1.0) as u64` for every `f64`, NaN,
+/// ±0, ±∞ and values past 2⁶⁴ included, without `f64::ceil`, which the
+/// baseline x86-64 target compiles to a library call.
+fn ceil_micros(q: f64) -> u64 {
+    let t = q as u64;
+    let t = if (t as f64) < q {
+        t.saturating_add(1)
+    } else {
+        t
+    };
+    t.max(1)
 }
 
 /// A processor-sharing CPU for one VM.
@@ -51,7 +82,9 @@ pub struct PsCpu {
     last: SimTime,
     /// Per-task progress in work-µs per real-µs.
     speed: f64,
-    heap: BinaryHeap<Reverse<(VirtFinish, TaskToken)>>,
+    /// Runnable tasks keyed by [`pack`]: earliest virtual finish first,
+    /// ties broken by token.
+    heap: BinaryHeap<Reverse<u128>>,
     cores: f64,
     overhead: f64,
     extra_load: f64,
@@ -153,8 +186,7 @@ impl PsCpu {
             "work must be positive"
         );
         self.advance(now);
-        self.heap
-            .push(Reverse((VirtFinish(self.virt + work_us), token)));
+        self.heap.push(Reverse(pack(self.virt + work_us, token)));
         self.recompute_speed();
     }
 
@@ -162,25 +194,26 @@ impl PsCpu {
     /// idle.
     pub fn next_completion(&mut self, now: SimTime) -> Option<SimTime> {
         self.advance(now);
-        let Reverse((VirtFinish(vf), _)) = *self.heap.peek()?;
-        let remaining = (vf - self.virt).max(0.0);
-        let eta_us = (remaining / self.speed).ceil().max(1.0);
-        Some(now + SimDuration::from_micros(eta_us as u64))
+        let &Reverse(key) = self.heap.peek()?;
+        let remaining = (key_finish(key) - self.virt).max(0.0);
+        let eta_us = ceil_micros(remaining / self.speed);
+        Some(now + SimDuration::from_micros(eta_us))
     }
 
-    /// Removes and returns every task whose work is complete at `now`
-    /// (in completion order).
-    pub fn pop_ready(&mut self, now: SimTime) -> Vec<TaskToken> {
+    /// Moves every task whose work is complete at `now` into `done`, in
+    /// completion order, after clearing it. The caller owns the buffer,
+    /// so completing tasks allocates nothing.
+    pub fn pop_ready(&mut self, now: SimTime, done: &mut Vec<TaskToken>) {
         self.advance(now);
-        let mut done = Vec::new();
-        while let Some(Reverse((VirtFinish(vf), _))) = self.heap.peek() {
+        done.clear();
+        while let Some(&Reverse(key)) = self.heap.peek() {
             // Completion events are scheduled with a ceil'd ETA, so at
             // the event time the virtual clock may sit a hair past or
             // (after an intervening speed change) a hair before the
             // finish point; the 1 µs tolerance absorbs the rounding.
-            if *vf <= self.virt + 1.0 {
-                let Reverse((_, token)) = self.heap.pop().expect("peeked");
-                done.push(token);
+            if key_finish(key) <= self.virt + 1.0 {
+                self.heap.pop();
+                done.push(key_token(key));
             } else {
                 break;
             }
@@ -188,7 +221,6 @@ impl PsCpu {
         if !done.is_empty() {
             self.recompute_speed();
         }
-        done
     }
 }
 
@@ -203,14 +235,20 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
+    fn ready(cpu: &mut PsCpu, now: SimTime) -> Vec<TaskToken> {
+        let mut done = vec![(usize::MAX, u8::MAX)];
+        cpu.pop_ready(now, &mut done);
+        done
+    }
+
     #[test]
     fn single_task_runs_at_full_speed() {
         let mut cpu = PsCpu::new(4.0, 0.0);
         cpu.push(T0, 20_000.0, (1, 0));
         let eta = cpu.next_completion(T0).unwrap();
         assert_eq!(eta, at(20));
-        assert!(cpu.pop_ready(at(19)).is_empty());
-        assert_eq!(cpu.pop_ready(at(20)), vec![(1, 0)]);
+        assert!(ready(&mut cpu, at(19)).is_empty());
+        assert_eq!(ready(&mut cpu, at(20)), vec![(1, 0)]);
         assert!(cpu.is_empty());
     }
 
@@ -221,7 +259,7 @@ mod tests {
             cpu.push(T0, 10_000.0, (i, 0));
         }
         assert_eq!(cpu.next_completion(T0).unwrap(), at(10));
-        assert_eq!(cpu.pop_ready(at(10)).len(), 4);
+        assert_eq!(ready(&mut cpu, at(10)).len(), 4);
     }
 
     #[test]
@@ -233,7 +271,7 @@ mod tests {
         }
         let eta = cpu.next_completion(T0).unwrap();
         assert_eq!(eta, at(40));
-        assert_eq!(cpu.pop_ready(at(40)).len(), 8);
+        assert_eq!(ready(&mut cpu, at(40)).len(), 8);
     }
 
     #[test]
@@ -245,7 +283,7 @@ mod tests {
         cpu.push(at(5), 10_000.0, (2, 0));
         let eta = cpu.next_completion(at(5)).unwrap();
         assert_eq!(eta, at(15));
-        assert_eq!(cpu.pop_ready(at(15)), vec![(1, 0)]);
+        assert_eq!(ready(&mut cpu, at(15)), vec![(1, 0)]);
         // Task 2 has 5 ms left, alone now: finishes at 20 ms.
         let eta2 = cpu.next_completion(at(15)).unwrap();
         assert_eq!(eta2, at(20));
@@ -257,7 +295,7 @@ mod tests {
         cpu.push(T0, 10_000.0, (1, 0));
         cpu.push(T0, 20_000.0, (2, 0));
         // Shared until t=20ms when task 1 (10 ms work at 1/2 speed) ends.
-        assert_eq!(cpu.pop_ready(at(20)), vec![(1, 0)]);
+        assert_eq!(ready(&mut cpu, at(20)), vec![(1, 0)]);
         // Task 2 did 10 ms of its 20 ms; alone it needs 10 more.
         assert_eq!(cpu.next_completion(at(20)).unwrap(), at(30));
     }
@@ -276,7 +314,7 @@ mod tests {
             let mut done = 0;
             while let Some(eta) = cpu.next_completion(t) {
                 t = eta;
-                done += cpu.pop_ready(t).len();
+                done += ready(&mut cpu, t).len();
             }
             assert_eq!(done, n);
             let secs = t.as_secs_f64();
@@ -315,7 +353,7 @@ mod tests {
         cpu.set_extra_load(T0, 1.0); // churn equivalent to one task
         assert_eq!(cpu.next_completion(T0).unwrap(), at(20));
         cpu.set_extra_load(at(20), 0.0);
-        assert_eq!(cpu.pop_ready(at(20)), vec![(1, 0)]);
+        assert_eq!(ready(&mut cpu, at(20)), vec![(1, 0)]);
     }
 
     #[test]
@@ -324,7 +362,131 @@ mod tests {
         PsCpu::new(1.0, 0.0).push(T0, 0.0, (0, 0));
     }
 
+    /// The tuple-keyed heap entry the packed key replaced, kept as its
+    /// ordering oracle.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct VirtFinish(f64);
+
+    impl Eq for VirtFinish {}
+    impl PartialOrd for VirtFinish {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for VirtFinish {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.0.total_cmp(&other.0)
+        }
+    }
+
+    /// Pops `tasks` from a packed-key heap and from the tuple-keyed
+    /// oracle heap; both orders, as (finish bits, token), must agree.
+    fn assert_same_pop_order(tasks: &[(f64, TaskToken)]) {
+        let mut packed: BinaryHeap<Reverse<u128>> = BinaryHeap::new();
+        let mut tuples: BinaryHeap<Reverse<(VirtFinish, TaskToken)>> = BinaryHeap::new();
+        for &(vf, token) in tasks {
+            packed.push(Reverse(pack(vf, token)));
+            tuples.push(Reverse((VirtFinish(vf), token)));
+        }
+        while let Some(Reverse((VirtFinish(vf), token))) = tuples.pop() {
+            let Reverse(key) = packed.pop().expect("same length");
+            assert_eq!(key_finish(key).to_bits(), vf.to_bits());
+            assert_eq!(key_token(key), token);
+        }
+        assert!(packed.is_empty());
+    }
+
+    #[test]
+    fn packed_keys_pop_like_tuple_keys_at_the_edges() {
+        let finishes = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0 + f64::EPSILON,
+            2f64.powi(52),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let mut tasks = Vec::new();
+        for (i, &vf) in finishes.iter().enumerate() {
+            // Equal finish times, ordered by id, then by phase.
+            for token in [(i, 3), (i, 0), (MAX_TASK_ID, 0), (0, u8::MAX), (i + 1, 1)] {
+                tasks.push((vf, token));
+            }
+        }
+        assert_same_pop_order(&tasks);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a CPU key")]
+    fn task_ids_past_56_bits_are_rejected() {
+        pack(1.0, (MAX_TASK_ID + 1, 0));
+    }
+
+    #[test]
+    fn integer_ceil_matches_f64_ceil_at_the_edges() {
+        let two52 = 2f64.powi(52);
+        let two64 = 2f64.powi(64);
+        let edges = [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -1e-300,
+            -3.5,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            1.5,
+            2.0,
+            123_456.000_1,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            2f64.powi(53) + 2.0,
+            two64 - 2048.0,
+            two64,
+            two64 * 2.0,
+            f64::MAX,
+        ];
+        for q in edges {
+            assert_eq!(ceil_micros(q), q.ceil().max(1.0) as u64, "q = {q:e}");
+        }
+    }
+
     proptest! {
+        /// The integer ceil agrees with `f64::ceil` on arbitrary bit
+        /// patterns (every sign, exponent and NaN payload) and on the
+        /// durations the simulator actually computes.
+        #[test]
+        fn prop_integer_ceil_matches_f64_ceil(bits: u64, micros in 0.0f64..1e9) {
+            let q = f64::from_bits(bits);
+            prop_assert_eq!(ceil_micros(q), q.ceil().max(1.0) as u64);
+            prop_assert_eq!(ceil_micros(micros), micros.ceil().max(1.0) as u64);
+        }
+
+        /// Random finish times with many exact ties pop in the tuple
+        /// heap's order.
+        #[test]
+        fn prop_packed_keys_pop_like_tuple_keys(
+            raw in proptest::collection::vec((0u64..16, 0usize..8, 0u8..4), 1..64),
+        ) {
+            let tasks: Vec<(f64, TaskToken)> = raw
+                .iter()
+                .map(|&(vf, id, phase)| (vf as f64 * 0.25 - 1.0, (id, phase)))
+                .collect();
+            assert_same_pop_order(&tasks);
+        }
+
         /// Work conservation: regardless of arrival pattern, total
         /// completion time of a batch is at least total_work/cores and at
         /// most total_work (for load ≥ cores and no overhead).
@@ -338,7 +500,7 @@ mod tests {
             let mut done = 0;
             while let Some(eta) = cpu.next_completion(t) {
                 t = eta;
-                done += cpu.pop_ready(t).len();
+                done += ready(&mut cpu, t).len();
             }
             prop_assert_eq!(done, works.len());
             let total: f64 = works.iter().sum();
@@ -359,7 +521,7 @@ mod tests {
             let mut t = T0;
             while let Some(eta) = cpu.next_completion(t) {
                 t = eta;
-                order.extend(cpu.pop_ready(t).into_iter().map(|(i, _)| i));
+                order.extend(ready(&mut cpu, t).into_iter().map(|(i, _)| i));
             }
             prop_assert_eq!(order.len(), works.len());
             for pair in order.windows(2) {

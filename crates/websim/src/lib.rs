@@ -46,4 +46,4 @@ mod system;
 pub use config::{ConfigError, Param, ServerConfig};
 pub use metrics::PerfSample;
 pub use model::ModelParams;
-pub use system::{measure_config, SystemSpec, ThreeTierSystem, Tier};
+pub use system::{measure_config, SystemSpec, ThreeTierSystem, Tier, EVENT_KINDS};

@@ -9,7 +9,7 @@ use tpcw::{DemandProfile, Fleet, Mix, SessionId, ThinkDist};
 use vmstack::{Host, ResourceLevel, VmId, VmSpec};
 
 use crate::config::ServerConfig;
-use crate::cpu::PsCpu;
+use crate::cpu::{PsCpu, TaskToken};
 use crate::disk::Disk;
 use crate::metrics::PerfSample;
 use crate::model::ModelParams;
@@ -22,6 +22,8 @@ struct SimMetrics {
     completed: obs::Counter,
     refused: obs::Counter,
     response_ms: obs::Histogram,
+    /// `websim_events_<kind>_total`, in [`EVENT_KINDS`] order.
+    events: [obs::Counter; EVENT_KINDS.len()],
 }
 
 impl SimMetrics {
@@ -34,6 +36,7 @@ impl SimMetrics {
                 completed: r.counter("websim_requests_completed_total"),
                 refused: r.counter("websim_requests_refused_total"),
                 response_ms: r.histogram("websim_interval_mean_rt_ms"),
+                events: EVENT_KINDS.map(|kind| r.counter(&format!("websim_events_{kind}_total"))),
             }
         })
     }
@@ -195,6 +198,47 @@ const PHASE_APP_FIRST: u8 = 1;
 const PHASE_DB: u8 = 2;
 const PHASE_APP_SECOND: u8 = 3;
 
+/// The kinds of event the loop dispatches and counts. Each names a
+/// `websim_events_<kind>_total` counter, which the counts are added to
+/// once per interval. A superseded CPU tick is one that is no longer its
+/// tier's next completion; a stale keep-alive expiry or fault clear is
+/// one whose generation is no longer current. Either changes nothing
+/// but the clock.
+pub const EVENT_KINDS: [&str; 13] = [
+    "issue",
+    "retry",
+    "web_swap",
+    "app_swap",
+    "disk_done",
+    "cpu_tick",
+    "cpu_tick_superseded",
+    "keepalive_expire",
+    "keepalive_stale",
+    "maintain",
+    "session_sweep",
+    "fault_clear",
+    "fault_clear_stale",
+];
+
+/// Indices into [`EVENT_KINDS`] and the system's event counts.
+mod kind {
+    pub const ISSUE: usize = 0;
+    pub const RETRY: usize = 1;
+    pub const WEB_SWAP: usize = 2;
+    pub const APP_SWAP: usize = 3;
+    pub const DISK_DONE: usize = 4;
+    pub const CPU_TICK: usize = 5;
+    pub const CPU_TICK_SUPERSEDED: usize = 6;
+    pub const KEEPALIVE_EXPIRE: usize = 7;
+    pub const KEEPALIVE_STALE: usize = 8;
+    pub const MAINTAIN: usize = 9;
+    pub const SESSION_SWEEP: usize = 10;
+    pub const FAULT_CLEAR: usize = 11;
+    pub const FAULT_CLEAR_STALE: usize = 12;
+}
+
+/// Calendar-queue events. CPU completion ticks are not among them: the
+/// system keeps those apart (see [`ThreeTierSystem::run_interval`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// Browser `b` issues its next request.
@@ -207,9 +251,6 @@ enum Ev {
     AppSwap(ReqId),
     /// The database disk completed the in-service aggregated I/O.
     DiskDone(ReqId),
-    /// A processor-sharing CPU may have completed tasks (generation-
-    /// checked; stale ticks are ignored).
-    CpuTick(usize, u64),
     /// A keep-alive hold for browser `b` (generation `g`) timed out.
     KeepaliveExpire(usize, u64),
     /// Once-per-second pool maintenance (spawn/kill, scheduler rebalance).
@@ -269,8 +310,17 @@ pub struct ThreeTierSystem {
     apache: WorkerPool,
     tomcat: WorkerPool,
     cpus: [PsCpu; 2],
-    tick_gen: [u64; 2],
-    scheduled_tick: [Option<SimTime>; 2],
+    /// Both tiers' pending completion ticks as `(time, seq, tier)`,
+    /// sorted descending so the earliest is last. `seq` comes from the
+    /// queue's own counter, so ticks and queued events share one order.
+    ticks: Vec<(SimTime, u64, usize)>,
+    /// Each tier's live tick, the one at its next completion. Any other
+    /// pending tick is superseded but still fires: advancing both CPUs'
+    /// clocks at its instant rounds their virtual time differently than
+    /// one longer step would.
+    live_tick: [Option<(SimTime, u64)>; 2],
+    /// Tasks a tick completed; kept to reuse its allocation.
+    cpu_done: Vec<TaskToken>,
     db_busy: u32,
     db_queue: VecDeque<ReqId>,
     disk: Disk,
@@ -278,7 +328,12 @@ pub struct ThreeTierSystem {
     app_queue: VecDeque<ReqId>,
     requests: Vec<Option<ReqState>>,
     free_ids: Vec<ReqId>,
-    holds: HashMap<usize, u64>,
+    /// Keep-alive hold generation per browser index, 0 for none. It only
+    /// grows, so a browser removed by a workload change keeps its hold
+    /// until that expires.
+    holds: Vec<u64>,
+    /// Number of nonzero entries in `holds`.
+    live_holds: usize,
     hold_gen: u64,
     sessions: HashMap<SessionId, SimTime>,
     response_ms: Vec<f64>,
@@ -299,6 +354,10 @@ pub struct ThreeTierSystem {
     /// mean-1 log-normal jitter multiplied into its CPU demands. `None`
     /// (the default) draws nothing and is bit-exact.
     service_tail: Option<LogNormal>,
+    /// Events dispatched so far, per [`EVENT_KINDS`] entry.
+    events: [u64; EVENT_KINDS.len()],
+    /// The part of `events` already added to the registry's counters.
+    events_folded: [u64; EVENT_KINDS.len()],
 }
 
 impl ThreeTierSystem {
@@ -347,8 +406,9 @@ impl ThreeTierSystem {
             apache,
             tomcat,
             cpus,
-            tick_gen: [0, 0],
-            scheduled_tick: [None, None],
+            ticks: Vec::new(),
+            live_tick: [None, None],
+            cpu_done: Vec::new(),
             db_busy: 0,
             db_queue: VecDeque::new(),
             disk: Disk::new(spec.model.disk_elevator_gain, spec.model.disk_max_depth),
@@ -356,7 +416,8 @@ impl ThreeTierSystem {
             app_queue: VecDeque::new(),
             requests: Vec::new(),
             free_ids: Vec::new(),
-            holds: HashMap::new(),
+            holds: vec![0; spec.clients],
+            live_holds: 0,
             hold_gen: 0,
             sessions: HashMap::new(),
             response_ms: Vec::new(),
@@ -367,6 +428,8 @@ impl ThreeTierSystem {
             stalled: [false, false],
             stall_gen: [0, 0],
             service_tail: None,
+            events: [0; EVENT_KINDS.len()],
+            events_folded: [0; EVENT_KINDS.len()],
         }
     }
 
@@ -407,10 +470,11 @@ impl ThreeTierSystem {
         );
         // Graceful restart drops idle keep-alive connections; their
         // expiry events become stale no-ops.
-        for _ in 0..self.holds.len() {
+        for _ in 0..self.live_holds {
             self.apache.unhold_to_idle();
         }
-        self.holds.clear();
+        self.holds.fill(0);
+        self.live_holds = 0;
         // New worker generations start small and ramp back up.
         self.apache.restart(self.model.start_servers);
         self.tomcat.restart(self.model.start_servers);
@@ -431,6 +495,9 @@ impl ThreeTierSystem {
         }
         let old = self.fleet.len();
         self.fleet.resize(clients);
+        if clients > self.holds.len() {
+            self.holds.resize(clients, 0);
+        }
         if self.started && clients > old {
             let now = self.queue.now();
             let think = Exponential::with_mean(tpcw::MEAN_THINK_TIME_SECS);
@@ -554,8 +621,11 @@ impl ThreeTierSystem {
 
     fn on_fault_clear(&mut self, now: SimTime, vm: usize, gen: u64) {
         if gen == self.stall_gen[vm] {
+            self.events[kind::FAULT_CLEAR] += 1;
             self.stalled[vm] = false;
             self.apply_effective_cores(now);
+        } else {
+            self.events[kind::FAULT_CLEAR_STALE] += 1;
         }
     }
 
@@ -577,6 +647,11 @@ impl ThreeTierSystem {
     /// Runs the simulation for `interval` of simulated time and returns
     /// the application-level performance observed during it.
     ///
+    /// Events come from two sources: the calendar queue, and the tiers'
+    /// pending CPU ticks. Every step dispatches whichever has the
+    /// smallest `(time, seq)` key, so the interleaving is the one a
+    /// single queue holding both would pop.
+    ///
     /// # Panics
     ///
     /// Panics if `interval` is zero.
@@ -586,8 +661,18 @@ impl ThreeTierSystem {
             self.bootstrap();
         }
         let horizon = self.queue.now() + interval;
-        while let Some((now, ev)) = self.queue.pop_before(horizon) {
-            self.dispatch(now, ev);
+        loop {
+            let tick = self.ticks.last().filter(|t| t.0 < horizon).copied();
+            let (bound, seq) = tick.map_or((horizon, 0), |(at, seq, _)| (at, seq));
+            if let Some((now, ev)) = self.queue.pop_below(bound, seq) {
+                self.dispatch(now, ev);
+            } else if let Some((now, seq, vm)) = tick {
+                self.ticks.pop();
+                self.queue.advance_to(now);
+                self.on_cpu_tick(vm, (now, seq));
+            } else {
+                break;
+            }
             self.resync_cpu_ticks();
         }
         let sample = PerfSample::from_parts(
@@ -601,6 +686,10 @@ impl ThreeTierSystem {
             m.completed.add(sample.completed);
             m.refused.add(sample.refused);
             m.response_ms.record_ms(sample.mean_response_ms);
+            for (k, counter) in m.events.iter().enumerate() {
+                counter.add(self.events[k] - self.events_folded[k]);
+            }
+            self.events_folded = self.events;
         }
         sample
     }
@@ -619,43 +708,75 @@ impl ThreeTierSystem {
 
     fn dispatch(&mut self, now: SimTime, ev: Ev) {
         match ev {
-            Ev::Issue(b) => self.on_issue(now, b),
-            Ev::Retry(id) => self.admit(now, id),
-            Ev::WebSwap(id) => self.push_web_work(now, id),
-            Ev::AppSwap(id) => self.push_app_first_work(now, id),
-            Ev::DiskDone(id) => self.on_disk_done(now, id),
-            Ev::CpuTick(vm, gen) => self.on_cpu_tick(now, vm, gen),
+            Ev::Issue(b) => {
+                self.events[kind::ISSUE] += 1;
+                self.on_issue(now, b);
+            }
+            Ev::Retry(id) => {
+                self.events[kind::RETRY] += 1;
+                self.admit(now, id);
+            }
+            Ev::WebSwap(id) => {
+                self.events[kind::WEB_SWAP] += 1;
+                self.push_web_work(now, id);
+            }
+            Ev::AppSwap(id) => {
+                self.events[kind::APP_SWAP] += 1;
+                self.push_app_first_work(now, id);
+            }
+            Ev::DiskDone(id) => {
+                self.events[kind::DISK_DONE] += 1;
+                self.on_disk_done(now, id);
+            }
             Ev::KeepaliveExpire(b, gen) => self.on_keepalive_expire(b, gen),
-            Ev::Maintain => self.on_maintain(now),
-            Ev::SessionSweep => self.on_session_sweep(now),
+            Ev::Maintain => {
+                self.events[kind::MAINTAIN] += 1;
+                self.on_maintain(now);
+            }
+            Ev::SessionSweep => {
+                self.events[kind::SESSION_SWEEP] += 1;
+                self.on_session_sweep(now);
+            }
             Ev::FaultClear(vm, gen) => self.on_fault_clear(now, vm, gen),
         }
     }
 
     // ----- processor-sharing plumbing ---------------------------------
 
+    /// Gives each busy tier a tick at its next completion unless one is
+    /// already pending for that instant. The tick takes the queue's next
+    /// sequence number, exactly where scheduling it there would have.
     fn resync_cpu_ticks(&mut self) {
         let now = self.queue.now();
         for vm in [WEB, APPDB] {
             let eta = self.cpus[vm].next_completion(now);
-            match (eta, self.scheduled_tick[vm]) {
-                (None, _) => self.scheduled_tick[vm] = None,
-                (Some(e), Some(t)) if t == e => {}
+            match (eta, self.live_tick[vm]) {
+                (None, _) => self.live_tick[vm] = None,
+                (Some(e), Some((t, _))) if t == e => {}
                 (Some(e), _) => {
-                    self.tick_gen[vm] += 1;
-                    self.scheduled_tick[vm] = Some(e);
-                    self.queue.schedule(e, Ev::CpuTick(vm, self.tick_gen[vm]));
+                    let seq = self.queue.reserve_seq();
+                    self.live_tick[vm] = Some((e, seq));
+                    // `seq` is the largest yet, so the new tick goes
+                    // before every pending one that is not later.
+                    let pos = self.ticks.partition_point(|&(at, _, _)| at > e);
+                    self.ticks.insert(pos, (e, seq, vm));
                 }
             }
         }
     }
 
-    fn on_cpu_tick(&mut self, now: SimTime, vm: usize, gen: u64) {
-        if gen != self.tick_gen[vm] {
-            return; // superseded by a later arrival/departure
+    fn on_cpu_tick(&mut self, vm: usize, tick: (SimTime, u64)) {
+        if self.live_tick[vm] != Some(tick) {
+            // Superseded by a later arrival/departure.
+            self.events[kind::CPU_TICK_SUPERSEDED] += 1;
+            return;
         }
-        self.scheduled_tick[vm] = None;
-        for (id, phase) in self.cpus[vm].pop_ready(now) {
+        self.events[kind::CPU_TICK] += 1;
+        self.live_tick[vm] = None;
+        let now = tick.0;
+        let mut done = std::mem::take(&mut self.cpu_done);
+        self.cpus[vm].pop_ready(now, &mut done);
+        for &(id, phase) in &done {
             match phase {
                 PHASE_WEB => self.on_web_done(now, id),
                 PHASE_APP_FIRST => self.on_app_first_done(now, id),
@@ -664,6 +785,7 @@ impl ThreeTierSystem {
                 other => unreachable!("unknown phase {other}"),
             }
         }
+        self.cpu_done = done;
     }
 
     // ----- request lifecycle ------------------------------------------
@@ -697,10 +819,10 @@ impl ThreeTierSystem {
         if new_session {
             // A fresh session opens a new TCP connection; any stale hold
             // for this browser's old connection is closed.
-            if self.holds.remove(&browser).is_some() {
+            if self.take_hold(browser) {
                 self.apache.unhold_to_idle();
             }
-        } else if self.holds.remove(&browser).is_some() {
+        } else if self.take_hold(browser) {
             self.apache.unhold_to_busy();
             self.req_mut(id).reused_connection = true;
             self.start_web(now, id);
@@ -875,7 +997,10 @@ impl ThreeTierSystem {
         if browser_alive && keepalive > 0 && persists {
             self.apache.hold();
             self.hold_gen += 1;
-            self.holds.insert(req.browser, self.hold_gen);
+            if self.holds[req.browser] == 0 {
+                self.live_holds += 1;
+            }
+            self.holds[req.browser] = self.hold_gen;
             self.queue.schedule(
                 now + SimDuration::from_secs(keepalive as u64),
                 Ev::KeepaliveExpire(req.browser, self.hold_gen),
@@ -894,11 +1019,24 @@ impl ThreeTierSystem {
     }
 
     fn on_keepalive_expire(&mut self, browser: usize, gen: u64) {
-        if self.holds.get(&browser) == Some(&gen) {
-            self.holds.remove(&browser);
+        if self.holds[browser] == gen {
+            self.events[kind::KEEPALIVE_EXPIRE] += 1;
+            self.take_hold(browser);
             self.apache.unhold_to_idle();
             self.serve_accept_queue();
+        } else {
+            self.events[kind::KEEPALIVE_STALE] += 1;
         }
+    }
+
+    /// Drops browser `b`'s keep-alive hold; `false` if it had none.
+    fn take_hold(&mut self, b: usize) -> bool {
+        let held = self.holds[b] != 0;
+        if held {
+            self.holds[b] = 0;
+            self.live_holds -= 1;
+        }
+        held
     }
 
     fn serve_accept_queue(&mut self) {
@@ -1045,6 +1183,7 @@ pub fn measure_config(
 mod tests {
     use super::*;
     use crate::config::Param;
+    use vmstack::VmSpec;
 
     fn small_spec() -> SystemSpec {
         SystemSpec::default().with_clients(80).with_seed(7)
@@ -1386,5 +1525,153 @@ mod tests {
             SimDuration::from_secs(60),
         );
         assert!(s.is_measurable());
+    }
+
+    /// One fixed schedule through every path the standard sampling never
+    /// takes: memory pressure on both tiers (swap waits), a backlog and
+    /// `MaxClients` small enough to refuse (retries), overlapping stalls,
+    /// service and think tails, a fleet that grows, shrinks and grows
+    /// again, a mix blend, a resource-level change and reconfigurations
+    /// while keep-alive holds are live.
+    fn pinned_schedule() -> (ThreeTierSystem, Vec<PerfSample>) {
+        let mut spec = SystemSpec::default()
+            .with_clients(80)
+            .with_seed(23)
+            .with_level(ResourceLevel::Level3);
+        spec.web_vm = VmSpec::new(2, 230);
+        spec.model.appdb_base_mb = 1_800.0;
+        spec.model.accept_backlog = 4;
+        let mut sys = ThreeTierSystem::new(spec);
+        let cfg = |p: Param, v: u32| ServerConfig::default().with(p, v).unwrap();
+        let mut samples = Vec::new();
+        let mut run = |sys: &mut ThreeTierSystem| samples.push(run_secs(sys, 30));
+        run(&mut sys);
+        sys.set_config(cfg(Param::MaxClients, 5));
+        run(&mut sys);
+        sys.inject_stall(Tier::AppDb, SimDuration::from_secs(5));
+        sys.inject_stall(Tier::AppDb, SimDuration::from_secs(8));
+        sys.inject_stall(Tier::Web, SimDuration::from_secs(3));
+        run(&mut sys);
+        sys.set_config(
+            cfg(Param::MaxClients, 300)
+                .with(Param::MaxThreads, 300)
+                .unwrap(),
+        );
+        sys.set_service_tail(Some(0.8));
+        sys.set_think_tail(Some(1.0));
+        run(&mut sys);
+        sys.set_workload(120, Mix::Shopping);
+        run(&mut sys);
+        sys.set_workload(50, Mix::Shopping);
+        run(&mut sys);
+        sys.set_mix_blend(Mix::Shopping, Mix::Ordering, 0.4);
+        run(&mut sys);
+        sys.set_resource_level(ResourceLevel::Level1);
+        sys.set_config(cfg(Param::KeepaliveTimeout, 21));
+        run(&mut sys);
+        sys.set_workload(100, Mix::Ordering);
+        run(&mut sys);
+        sys.set_service_tail(None);
+        sys.set_think_tail(None);
+        run(&mut sys);
+        (sys, samples)
+    }
+
+    /// `(mean, p95, throughput)` bits, completions and refusals of each
+    /// of [`pinned_schedule`]'s intervals, as the loop produced them when
+    /// CPU ticks still rode the calendar queue. Any change to event
+    /// order, tick timing or float rounding moves them.
+    const PINNED: [(u64, u64, u64, u64, u64); 10] = [
+        (
+            0x406f06ba21c6ab2d,
+            0x407cac083126e979,
+            0x4025666666666666,
+            321,
+            0,
+        ),
+        (
+            0x40bca9706bf10fca,
+            0x40d5810624dd2f1b,
+            0x400b333333333333,
+            102,
+            423,
+        ),
+        (
+            0x40ce14cabfbffcf3,
+            0x40e70a3d70a3d70a,
+            0x3ff6eeeeeeeeeeef,
+            43,
+            587,
+        ),
+        (
+            0x40b399d7ac2bd2c2,
+            0x40e020c49ba5e354,
+            0x402b777777777777,
+            412,
+            21,
+        ),
+        (
+            0x40761de3587a5e80,
+            0x40816872b020c49c,
+            0x402f000000000000,
+            465,
+            0,
+        ),
+        (
+            0x4074a10b3b3478c7,
+            0x4080e5604189374c,
+            0x401d333333333333,
+            219,
+            0,
+        ),
+        (
+            0x4071d8ff4cd01e48,
+            0x4081eb851eb851ec,
+            0x401f99999999999a,
+            237,
+            0,
+        ),
+        (
+            0x405e5618aa8d6945,
+            0x40716872b020c49c,
+            0x401e444444444444,
+            227,
+            0,
+        ),
+        (
+            0x406f973475d6b999,
+            0x407e353f7ced9168,
+            0x402addddddddddde,
+            403,
+            0,
+        ),
+        (
+            0x4075adc40b802d4a,
+            0x408374bc6a7ef9db,
+            0x402b666666666666,
+            411,
+            0,
+        ),
+    ];
+
+    #[test]
+    fn pinned_schedule_keeps_its_bits_and_fires_every_event_kind() {
+        let (sys, samples) = pinned_schedule();
+        let got: Vec<_> = samples
+            .iter()
+            .map(|s| {
+                (
+                    s.mean_response_ms.to_bits(),
+                    s.p95_response_ms.to_bits(),
+                    s.throughput_rps.to_bits(),
+                    s.completed,
+                    s.refused,
+                )
+            })
+            .collect();
+        assert_eq!(got, PINNED);
+        for (kind, count) in EVENT_KINDS.iter().zip(sys.events) {
+            assert!(count > 0, "no {kind} event fired");
+        }
     }
 }

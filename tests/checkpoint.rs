@@ -213,6 +213,90 @@ fn corrupted_files_yield_typed_errors() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The little-endian `u64` at byte `at` of `bytes`.
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// Rewrites one little-endian `u64` inside section `name` of a raw
+/// snapshot and recomputes that section's CRC, as a crafted file would.
+/// `offset` maps the section's payload to the position to rewrite.
+fn rewrite_u64(bytes: &mut [u8], name: &str, offset: fn(&[u8]) -> usize, value: u64) {
+    let mut at = 16;
+    loop {
+        let name_len = u16::from_le_bytes([bytes[at], bytes[at + 1]]) as usize;
+        let this = &bytes[at + 2..at + 2 + name_len];
+        let len_at = at + 2 + name_len;
+        let payload_len = u64_at(bytes, len_at) as usize;
+        let payload_at = len_at + 12;
+        if this == name.as_bytes() {
+            let payload = &mut bytes[payload_at..payload_at + payload_len];
+            let pos = offset(payload);
+            payload[pos..pos + 8].copy_from_slice(&value.to_le_bytes());
+            let crc = ckpt::crc32(payload);
+            bytes[len_at + 8..payload_at].copy_from_slice(&crc.to_le_bytes());
+            return;
+        }
+        at = payload_at + payload_len;
+    }
+}
+
+// Where the entry counts sit. `rac.state` holds five words, the
+// predicted map (a length and one word per state), then the measured
+// count and its 16-byte entries, then the recent count. `rac.guard`
+// ends with the veto count and its 24-byte vetoes.
+fn measured_count_at(state: &[u8]) -> usize {
+    48 + 8 * u64_at(state, 40) as usize
+}
+
+fn recent_count_at(state: &[u8]) -> usize {
+    let at = measured_count_at(state);
+    at + 8 + 16 * u64_at(state, at) as usize
+}
+
+fn veto_count_at(guard: &[u8]) -> usize {
+    (0..)
+        .map(|n| guard.len() - 8 - 24 * n)
+        .find(|&at| u64_at(guard, at) as usize == (guard.len() - 8 - at) / 24)
+        .expect("a veto count")
+}
+
+/// Entry counts are read from the payload, and restore allocates for
+/// them; a CRC-valid file that claims 2⁴⁰ entries must fail with a
+/// typed error, not abort the process on the allocation.
+#[test]
+fn crafted_entry_counts_are_rejected_before_allocating() {
+    let scn = rac_bench::scenario::resolve("flash-crowd")
+        .expect("bundled scenario")
+        .scaled(1, 3);
+    let dir = temp_dir("crafted-count");
+    let options = CheckpointOptions {
+        path: dir.join("scenario-flash-crowd.ckpt"),
+        every: 5,
+        stop_after: Some(10),
+    };
+    let outcome = run_tuners_checkpointed(&scn, shared_library(), &options, None).expect("runs");
+    assert!(matches!(outcome, LineupOutcome::Interrupted { .. }));
+    let clean = std::fs::read(&options.path).expect("snapshot written");
+    for (section, offset) in [
+        ("rac.state", measured_count_at as fn(&[u8]) -> usize),
+        ("rac.state", recent_count_at),
+        ("rac.guard", veto_count_at),
+    ] {
+        let mut bytes = clean.clone();
+        rewrite_u64(&mut bytes, section, offset, 1 << 40);
+        let snap = Snapshot::from_bytes(&bytes).expect("the CRC was recomputed");
+        let err = run_tuners_checkpointed(&scn, shared_library(), &options, Some(&snap))
+            .map(|_| ())
+            .expect_err("a crafted count must not restore");
+        assert!(
+            matches!(err, CkptError::Truncated { .. } | CkptError::Corrupt { .. }),
+            "{section}: {err:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Runs the checkpointed line-up inside its own trace writer (a fresh
 /// "process"), returning the rendered CSV (empty if interrupted) and
 /// the serialized trace.
