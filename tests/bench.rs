@@ -12,7 +12,9 @@
 //!
 //! The same exact-bytes check pins an `Experiment::run` phase schedule
 //! (`phases.csv` / `phases.trace.jsonl`), so paper-figure sessions and
-//! scenario sessions are both covered by a golden.
+//! scenario sessions are both covered by a golden, and a quick `stormy`
+//! tournament (`bench-tournament-stormy.csv`) pins generated scenarios:
+//! the most varied traffic the simulator serves.
 //!
 //! Regenerate (only after an *intentional* output change) with:
 //!
@@ -31,7 +33,9 @@ use rac::{
     PolicyLibrary, RacAgent, SimMeasurer, SlaReward, StaticDefault, TrialAndError, Tuner,
 };
 use rac_bench::scenario::{resolve, run_tuners, scenario_table};
+use rac_bench::tournament::{self, TournamentOptions};
 use rac_bench::{paper_system_spec, standard_settings, ONLINE_LEVELS, SLA_MS};
+use scenario::Difficulty;
 use simkernel::SimDuration;
 
 /// Same deterministic single-context library the scenario suite trains:
@@ -192,4 +196,22 @@ fn phase_schedule_output_pinned_across_thread_counts() {
         trace_1, trace_8,
         "phase trace diverged between RAC_THREADS=1 and 8"
     );
+}
+
+/// `figures tournament 6 --quick --profile stormy` (seed 42): six
+/// generated scenarios with stalls, blackouts, heavy tails, mix drift
+/// and VM reallocation, each run by all three arms from cold. It fires
+/// every simulator event kind but the stale fault clear, which
+/// `websim`'s pinned schedule covers. The matchups run on the global
+/// runner, so CI checks this golden at `RAC_THREADS` 1 and 8.
+#[test]
+fn stormy_tournament_matchups_pinned() {
+    let opts = TournamentOptions {
+        scenarios: 6,
+        seed: 42,
+        quick: true,
+        profile: Some(Difficulty::Stormy),
+    };
+    let csv = tournament::matchups_table(&tournament::run(&opts)).render_csv();
+    check_golden_exact("bench-tournament-stormy.csv", &csv);
 }
