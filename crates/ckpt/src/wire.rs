@@ -56,9 +56,14 @@ impl Writer {
         self.put_u64(v as u64);
     }
 
-    /// Appends an `f32` as its exact bit pattern.
-    pub fn put_f32(&mut self, v: f32) {
-        self.put_u32(v.to_bits());
+    /// Appends `f32`s as their exact bit patterns, back to back, after
+    /// one reservation for the iterator's lower size bound.
+    pub fn put_f32s(&mut self, values: impl IntoIterator<Item = f32>) {
+        let values = values.into_iter();
+        self.buf.reserve(values.size_hint().0.saturating_mul(4));
+        for v in values {
+            self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
     }
 
     /// Appends an `f64` as its exact bit pattern.
@@ -169,9 +174,21 @@ impl<'a> Reader<'a> {
         Ok(count)
     }
 
-    /// Reads an `f32` from its bit pattern.
-    pub fn get_f32(&mut self) -> Result<f32, CkptError> {
-        Ok(f32::from_bits(self.get_u32()?))
+    /// Reads `n` `f32`s written by [`Writer::put_f32s`]. A count whose
+    /// bytes overflow `usize` or run past the payload is
+    /// [`CkptError::Truncated`], reported before anything is allocated.
+    pub fn get_f32s(&mut self, n: usize) -> Result<Vec<f32>, CkptError> {
+        let len = n.checked_mul(4).ok_or_else(|| CkptError::Truncated {
+            detail: format!(
+                "section `{}` claims {n} f32 values, more bytes than memory holds",
+                self.section
+            ),
+        })?;
+        let bytes = self.take(len)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect())
     }
 
     /// Reads an `f64` from its bit pattern.
@@ -225,7 +242,7 @@ mod tests {
         w.put_u8(7);
         w.put_u32(0xdead_beef);
         w.put_u64(u64::MAX - 1);
-        w.put_f32(-0.0);
+        w.put_f32s([-0.0]);
         w.put_f64(f64::NAN);
         w.put_bool(true);
         w.put_str("naïve");
@@ -235,11 +252,59 @@ mod tests {
         assert_eq!(r.get_u8().unwrap(), 7);
         assert_eq!(r.get_u32().unwrap(), 0xdead_beef);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.get_f32().unwrap().to_bits(), (-0.0f32).to_bits());
+        assert_eq!(r.get_f32s(1).unwrap()[0].to_bits(), (-0.0f32).to_bits());
         assert!(r.get_f64().unwrap().is_nan());
         assert!(r.get_bool().unwrap());
         assert_eq!(r.get_str().unwrap(), "naïve");
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn f32_runs_round_trip_bit_for_bit() {
+        let values = [
+            f32::from_bits(0x7fc0_0001), // quiet NaN with a payload
+            f32::from_bits(0x7f80_0001), // signalling NaN
+            f32::from_bits(0xffc1_2345), // negative NaN
+            0.0,
+            -0.0,
+            f32::from_bits(1),            // smallest subnormal
+            -f32::from_bits(0x007f_ffff), // largest subnormal, negated
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            -1.5,
+        ];
+        let mut w = Writer::new();
+        w.put_f32s(values);
+        let bytes = w.into_bytes();
+        // The same bytes as one little-endian `u32` per value.
+        let mut per_value = Writer::new();
+        for v in values {
+            per_value.put_u32(v.to_bits());
+        }
+        assert_eq!(bytes, per_value.into_bytes());
+
+        let mut r = Reader::new(&bytes, "t");
+        let got = r.get_f32s(values.len()).unwrap();
+        r.finish().unwrap();
+        let bits = |vs: &[f32]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&values));
+    }
+
+    #[test]
+    fn f32_counts_past_the_payload_are_truncated() {
+        let mut w = Writer::new();
+        w.put_f32s([1.0, 2.0]);
+        let bytes = w.into_bytes();
+        // `usize::MAX` values would overflow the byte count. Neither it
+        // nor one value past the payload may panic or allocate the
+        // values.
+        for n in [usize::MAX, 3] {
+            assert!(matches!(
+                Reader::new(&bytes, "t").get_f32s(n),
+                Err(CkptError::Truncated { .. })
+            ));
+        }
+        assert_eq!(Reader::new(&bytes, "t").get_f32s(2).unwrap(), [1.0, 2.0]);
     }
 
     #[test]

@@ -71,9 +71,7 @@ pub(crate) fn decode_context(r: &mut Reader<'_>) -> Result<SystemContext, CkptEr
 pub(crate) fn encode_qtable(w: &mut Writer, q: &QTable) {
     w.put_usize(q.states());
     w.put_usize(q.actions());
-    for v in q.values() {
-        w.put_f32(v);
-    }
+    w.put_f32s(q.values());
 }
 
 /// Decodes a Q-table, enforcing the expected shape.
@@ -96,11 +94,7 @@ pub(crate) fn decode_qtable(
         .ok_or_else(|| CkptError::Corrupt {
             detail: "Q-table shape overflows".to_string(),
         })?;
-    let mut values = Vec::with_capacity(len);
-    for _ in 0..len {
-        values.push(r.get_f32()?);
-    }
-    Ok(QTable::from_raw(states, actions, values))
+    Ok(QTable::from_raw(states, actions, r.get_f32s(len)?))
 }
 
 /// Encodes one offline-trained initial policy.
@@ -111,9 +105,7 @@ pub(crate) fn decode_qtable(
 pub fn encode_policy(w: &mut Writer, p: &InitialPolicy) {
     encode_qtable(w, &p.qtable);
     w.put_usize(p.perf_ms.len());
-    for &v in &p.perf_ms {
-        w.put_f32(v);
-    }
+    w.put_f32s(p.perf_ms.iter().copied());
     w.put_f64(p.fit.r_squared);
     w.put_f64(p.fit.rmse);
     w.put_usize(p.fit.samples);
@@ -138,10 +130,7 @@ pub fn decode_policy(
             detail: format!("policy performance map has {len} states, expected {states}"),
         });
     }
-    let mut perf_ms = Vec::with_capacity(len);
-    for _ in 0..len {
-        perf_ms.push(r.get_f32()?);
-    }
+    let perf_ms = r.get_f32s(len)?;
     let fit = numerics::FitQuality {
         r_squared: r.get_f64()?,
         rmse: r.get_f64()?,

@@ -39,11 +39,6 @@ pub fn take_reload() -> bool {
     RELOAD.swap(false, Ordering::Relaxed)
 }
 
-/// Test/seam hook: request shutdown as if a signal had arrived.
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::Relaxed);
-}
-
 #[cfg(unix)]
 mod imp {
     use super::{RELOAD, SHUTDOWN, SIGHUP, SIGINT, SIGTERM};

@@ -8,7 +8,7 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a microsecond-resolution simulated
 //!   clock with total ordering and saturating arithmetic.
-//! * [`EventQueue`] — a calendar-queue future-event list with
+//! * [`EventQueue`] — a binary-heap future-event list with
 //!   deterministic FIFO tie-breaking for events scheduled at the same
 //!   instant, which makes whole-simulation runs reproducible.
 //! * [`Pcg64`] — a small, fast, seedable PRNG (PCG XSH-RR variant) plus the
@@ -34,8 +34,9 @@
 //!
 //! let mut q = EventQueue::new();
 //! let mut rng = Pcg64::seed_from_u64(7);
-//! let arrivals = Exponential::new(0.01); // one arrival per 100 us on average
-//! let service = Exponential::new(0.02);
+//! let arrivals = Exponential::with_mean(100e-6); // seconds between arrivals
+//! let service = Exponential::with_mean(50e-6);
+//! let draw = |d: &Exponential, rng: &mut Pcg64| SimDuration::from_secs_f64(d.sample(rng));
 //!
 //! q.schedule(SimTime::ZERO, Ev::Arrival);
 //! let mut in_system = 0u32;
@@ -46,15 +47,15 @@
 //!         Ev::Arrival => {
 //!             in_system += 1;
 //!             seen.push(in_system as f64);
-//!             q.schedule(now + SimDuration::from_micros(arrivals.sample_micros(&mut rng)), Ev::Arrival);
+//!             q.schedule(now + draw(&arrivals, &mut rng), Ev::Arrival);
 //!             if in_system == 1 {
-//!                 q.schedule(now + SimDuration::from_micros(service.sample_micros(&mut rng)), Ev::Departure);
+//!                 q.schedule(now + draw(&service, &mut rng), Ev::Departure);
 //!             }
 //!         }
 //!         Ev::Departure => {
 //!             in_system -= 1;
 //!             if in_system > 0 {
-//!                 q.schedule(now + SimDuration::from_micros(service.sample_micros(&mut rng)), Ev::Departure);
+//!                 q.schedule(now + draw(&service, &mut rng), Ev::Departure);
 //!             }
 //!         }
 //!     }

@@ -164,20 +164,20 @@ impl Pcg64 {
     }
 }
 
-/// Exponential distribution parameterized by rate (events per microsecond
-/// when used with [`Exponential::sample_micros`]).
+/// Exponential distribution with a given mean; samples come in the
+/// mean's unit.
 ///
 /// # Example
 ///
 /// ```
-/// use simkernel::Pcg64;
 /// use simkernel::rng::Exponential;
+/// use simkernel::{Pcg64, SimDuration};
 ///
 /// let mut rng = Pcg64::seed_from_u64(1);
-/// // Mean inter-arrival of 7 simulated seconds (rate per microsecond):
-/// let think = Exponential::new(1.0 / 7_000_000.0);
-/// let sample = think.sample_micros(&mut rng);
-/// assert!(sample > 0);
+/// // Mean think time of 7 simulated seconds:
+/// let think = Exponential::with_mean(7.0);
+/// let sample = SimDuration::from_secs_f64(think.sample(&mut rng));
+/// assert!(sample > SimDuration::ZERO);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exponential {
@@ -185,19 +185,6 @@ pub struct Exponential {
 }
 
 impl Exponential {
-    /// Creates an exponential distribution with the given rate λ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not finite and positive.
-    pub fn new(rate: f64) -> Self {
-        assert!(
-            rate.is_finite() && rate > 0.0,
-            "rate must be positive, got {rate}"
-        );
-        Exponential { rate }
-    }
-
     /// Creates an exponential distribution with the given mean (1/λ).
     ///
     /// # Panics
@@ -211,15 +198,10 @@ impl Exponential {
         Exponential { rate: 1.0 / mean }
     }
 
-    /// Draws a sample (same unit as the rate's denominator).
+    /// Draws a sample (same unit as the mean).
     pub fn sample(&self, rng: &mut Pcg64) -> f64 {
         // Inverse CDF; 1 - f64() is in (0, 1] so ln() is finite.
         -(1.0 - rng.f64()).ln() / self.rate
-    }
-
-    /// Draws a sample rounded to whole microseconds (at least 1).
-    pub fn sample_micros(&self, rng: &mut Pcg64) -> u64 {
-        (self.sample(rng).round() as u64).max(1)
     }
 }
 
@@ -267,11 +249,6 @@ impl LogNormal {
             mu: mean.ln() - sigma * sigma / 2.0,
             sigma,
         }
-    }
-
-    /// The σ of the underlying normal.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
     }
 
     /// Draws a sample (always positive) via one Box–Muller normal draw.
@@ -384,15 +361,6 @@ mod tests {
         let n = 200_000;
         let mean: f64 = (0..n).map(|_| d.sample(&mut rng)).sum::<f64>() / n as f64;
         assert!((mean - 250.0).abs() < 5.0, "mean {mean}");
-    }
-
-    #[test]
-    fn exponential_sample_micros_at_least_one() {
-        let mut rng = Pcg64::seed_from_u64(21);
-        let d = Exponential::with_mean(0.0001);
-        for _ in 0..100 {
-            assert!(d.sample_micros(&mut rng) >= 1);
-        }
     }
 
     #[test]

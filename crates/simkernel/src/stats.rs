@@ -140,22 +140,6 @@ impl DurationHistogram {
             self.counts.len() - 1,
         )))
     }
-
-    /// Resets the histogram to empty without deallocating.
-    pub fn clear(&mut self) {
-        self.counts.fill(0);
-        self.total = 0;
-        self.sum_micros = 0;
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &DurationHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum_micros += other.sum_micros;
-    }
 }
 
 impl Default for DurationHistogram {
@@ -293,18 +277,6 @@ mod tests {
         let h = DurationHistogram::new();
         assert_eq!(h.percentile(50.0), None);
         assert_eq!(h.mean(), None);
-    }
-
-    #[test]
-    fn histogram_clear_and_merge() {
-        let mut a = DurationHistogram::new();
-        let mut b = DurationHistogram::new();
-        a.record(SimDuration::from_millis(10));
-        b.record(SimDuration::from_millis(20));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        a.clear();
-        assert_eq!(a.count(), 0);
     }
 
     #[test]

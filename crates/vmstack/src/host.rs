@@ -98,13 +98,9 @@ pub struct Vm {
     id: VmId,
     spec: VmSpec,
     weight: f64,
-    memory_model: MemoryModel,
     /// Effective cores granted by the host scheduler; defaults to the vCPU
     /// count and is refreshed by [`Host::rebalance`] under host contention.
     effective_cores: f64,
-    /// Per-runnable-task concurrency overhead (context switches, cache
-    /// pressure).
-    concurrency_overhead: f64,
 }
 
 impl Vm {
@@ -141,18 +137,18 @@ impl Vm {
     pub fn cpu_multiplier(&self, runnable_tasks: f64) -> f64 {
         let tasks = runnable_tasks.max(0.0);
         let sharing = (tasks / self.effective_cores).max(1.0);
-        let overhead = 1.0 + self.concurrency_overhead * tasks;
+        let overhead = 1.0 + Host::CONCURRENCY_OVERHEAD * tasks;
         sharing * overhead
     }
 
     /// Memory-pressure factor (≥ 1) for a guest working set of
-    /// `used_memory_mb`; see [`MemoryModel::slowdown`]. Unlike
-    /// [`cpu_multiplier`](Vm::cpu_multiplier) this models swapping, whose
-    /// cost is I/O *waiting* — callers typically convert the excess over
-    /// 1.0 into additive latency rather than stretching CPU time.
+    /// `used_memory_mb` under the default [`MemoryModel`]; see
+    /// [`MemoryModel::slowdown`]. Unlike [`cpu_multiplier`](Vm::cpu_multiplier)
+    /// this models swapping, whose cost is I/O *waiting* — callers
+    /// typically convert the excess over 1.0 into additive latency rather
+    /// than stretching CPU time.
     pub fn memory_slowdown(&self, used_memory_mb: f64) -> f64 {
-        self.memory_model
-            .slowdown(used_memory_mb, self.spec.memory_mb as f64)
+        MemoryModel::default().slowdown(used_memory_mb, self.spec.memory_mb as f64)
     }
 
     /// Combined latency multiplier: CPU sharing/overhead × memory
@@ -173,13 +169,12 @@ pub struct Host {
     scheduler: CreditScheduler,
     memory_mb: u64,
     vms: Vec<Vm>,
-    memory_model: MemoryModel,
-    concurrency_overhead: f64,
 }
 
 impl Host {
-    /// Default per-task concurrency overhead used for new VMs.
-    pub const DEFAULT_CONCURRENCY_OVERHEAD: f64 = 0.0015;
+    /// Per-runnable-task concurrency overhead of every VM (context
+    /// switches, cache pressure).
+    pub const CONCURRENCY_OVERHEAD: f64 = 0.0015;
 
     /// Creates a host with `cores` physical cores and `memory_mb` MiB of
     /// memory.
@@ -196,25 +191,7 @@ impl Host {
             scheduler: CreditScheduler::new(cores as f64),
             memory_mb,
             vms: Vec::new(),
-            memory_model: MemoryModel::default(),
-            concurrency_overhead: Self::DEFAULT_CONCURRENCY_OVERHEAD,
         }
-    }
-
-    /// Overrides the memory-pressure model applied to newly created VMs.
-    pub fn set_memory_model(&mut self, model: MemoryModel) {
-        self.memory_model = model;
-    }
-
-    /// Overrides the per-task concurrency overhead applied to newly
-    /// created VMs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `overhead` is negative or non-finite.
-    pub fn set_concurrency_overhead(&mut self, overhead: f64) {
-        assert!(overhead.is_finite() && overhead >= 0.0);
-        self.concurrency_overhead = overhead;
     }
 
     /// Total host memory in MiB.
@@ -248,9 +225,7 @@ impl Host {
             id,
             spec,
             weight: 256.0,
-            memory_model: self.memory_model,
             effective_cores: spec.vcpus() as f64,
-            concurrency_overhead: self.concurrency_overhead,
         });
         Ok(id)
     }

@@ -65,11 +65,6 @@ impl Disk {
         self.queue.len() + usize::from(self.busy_with.is_some())
     }
 
-    /// Returns `true` when nothing is outstanding.
-    pub fn is_idle(&self) -> bool {
-        self.busy_with.is_none()
-    }
-
     /// Throughput multiplier at the current queue depth (1.0 when only a
     /// single operation is outstanding).
     pub fn speedup(&self) -> f64 {

@@ -237,8 +237,9 @@ mod kind {
     pub const FAULT_CLEAR_STALE: usize = 12;
 }
 
-/// Calendar-queue events. CPU completion ticks are not among them: the
-/// system keeps those apart (see [`ThreeTierSystem::run_interval`]).
+/// The events the [`EventQueue`] holds. CPU completion ticks are not
+/// among them: the system keeps those apart (see
+/// [`ThreeTierSystem::run_interval`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// Browser `b` issues its next request.
@@ -388,7 +389,7 @@ impl ThreeTierSystem {
             config.max_spare_threads(),
             config.min_spare_threads(),
         );
-        let overhead = Host::DEFAULT_CONCURRENCY_OVERHEAD;
+        let overhead = Host::CONCURRENCY_OVERHEAD;
         let cpus = [
             PsCpu::new(host.vm(web_vm).effective_cores(), overhead),
             PsCpu::new(host.vm(appdb_vm).effective_cores(), overhead),
@@ -647,7 +648,7 @@ impl ThreeTierSystem {
     /// Runs the simulation for `interval` of simulated time and returns
     /// the application-level performance observed during it.
     ///
-    /// Events come from two sources: the calendar queue, and the tiers'
+    /// Events come from two sources: the event queue, and the tiers'
     /// pending CPU ticks. Every step dispatches whichever has the
     /// smallest `(time, seq)` key, so the interleaving is the one a
     /// single queue holding both would pop.
@@ -1579,7 +1580,7 @@ mod tests {
 
     /// `(mean, p95, throughput)` bits, completions and refusals of each
     /// of [`pinned_schedule`]'s intervals, as the loop produced them when
-    /// CPU ticks still rode the calendar queue. Any change to event
+    /// CPU ticks still rode the event queue. Any change to event
     /// order, tick timing or float rounding moves them.
     const PINNED: [(u64, u64, u64, u64, u64); 10] = [
         (

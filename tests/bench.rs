@@ -1,14 +1,14 @@
-//! Differential golden suite for the PR-6 hot-path rewrites.
+//! Differential golden suite for the hot-path rewrites.
 //!
-//! The bench campaign (calendar-queue future-event list, precomputed
-//! Q-sweep tables, batched interval statistics) is only admissible if it
-//! is *invisible* to every simulation output. This suite pins the
-//! `figures scenario` CSV **and** decision-trace bytes for all three
-//! bundled scenarios, at both ends of the `RAC_THREADS` matrix that CI
-//! exercises (1 and 8 worker threads): the goldens were captured from
-//! the pre-optimization tree, so any behavioral drift introduced by a
-//! rewrite — a reordered tie, a float rounded differently, an event
-//! popped in another order — fails byte comparison here.
+//! A rewrite of the simulator or the tuner (the future-event list, its
+//! CPU-tick side list, the Q-sweep order, batched interval statistics)
+//! is only admissible if it is *invisible* to every simulation output.
+//! This suite pins the `figures scenario` CSV **and** decision-trace
+//! bytes for all three bundled scenarios, at both ends of the
+//! `RAC_THREADS` matrix that CI exercises (1 and 8 worker threads): the
+//! goldens were captured before the rewrites, so any behavioral drift
+//! one introduces — a reordered tie, a float rounded differently, an
+//! event popped in another order — fails byte comparison here.
 //!
 //! The same exact-bytes check pins an `Experiment::run` phase schedule
 //! (`phases.csv` / `phases.trace.jsonl`), so paper-figure sessions and
