@@ -1184,7 +1184,6 @@ pub fn measure_config(
 mod tests {
     use super::*;
     use crate::config::Param;
-    use vmstack::VmSpec;
 
     fn small_spec() -> SystemSpec {
         SystemSpec::default().with_clients(80).with_seed(7)
@@ -1534,14 +1533,19 @@ mod tests {
     /// service and think tails, a fleet that grows, shrinks and grows
     /// again, a mix blend, a resource-level change and reconfigurations
     /// while keep-alive holds are live.
+    ///
+    /// It runs on the standard testbed, so load alone must cross each
+    /// threshold. The web VM swaps above 385 Apache workers (150 MB plus
+    /// 3 MB each, past 85% of 1,536 MB). The Level-3 app/db VM swaps once
+    /// its 1,100 MB base plus threads, sessions and DB connections pass
+    /// 1,740.8 MB (85% of 2,048 MB). A request is refused once 511
+    /// connections already wait for one of `MaxClients` workers. Hundreds
+    /// of browsers at Level-3 do all three.
     fn pinned_schedule() -> (ThreeTierSystem, Vec<PerfSample>) {
-        let mut spec = SystemSpec::default()
-            .with_clients(80)
+        let spec = SystemSpec::default()
+            .with_clients(700)
             .with_seed(23)
             .with_level(ResourceLevel::Level3);
-        spec.web_vm = VmSpec::new(2, 230);
-        spec.model.appdb_base_mb = 1_800.0;
-        spec.model.accept_backlog = 4;
         let mut sys = ThreeTierSystem::new(spec);
         let cfg = |p: Param, v: u32| ServerConfig::default().with(p, v).unwrap();
         let mut samples = Vec::new();
@@ -1554,23 +1558,23 @@ mod tests {
         sys.inject_stall(Tier::Web, SimDuration::from_secs(3));
         run(&mut sys);
         sys.set_config(
-            cfg(Param::MaxClients, 300)
-                .with(Param::MaxThreads, 300)
+            cfg(Param::MaxClients, 600)
+                .with(Param::MaxThreads, 600)
                 .unwrap(),
         );
         sys.set_service_tail(Some(0.8));
         sys.set_think_tail(Some(1.0));
         run(&mut sys);
-        sys.set_workload(120, Mix::Shopping);
+        sys.set_workload(900, Mix::Shopping);
         run(&mut sys);
-        sys.set_workload(50, Mix::Shopping);
+        sys.set_workload(300, Mix::Shopping);
         run(&mut sys);
         sys.set_mix_blend(Mix::Shopping, Mix::Ordering, 0.4);
         run(&mut sys);
         sys.set_resource_level(ResourceLevel::Level1);
         sys.set_config(cfg(Param::KeepaliveTimeout, 21));
         run(&mut sys);
-        sys.set_workload(100, Mix::Ordering);
+        sys.set_workload(800, Mix::Ordering);
         run(&mut sys);
         sys.set_service_tail(None);
         sys.set_think_tail(None);
@@ -1579,78 +1583,77 @@ mod tests {
     }
 
     /// `(mean, p95, throughput)` bits, completions and refusals of each
-    /// of [`pinned_schedule`]'s intervals, as the loop produced them when
-    /// CPU ticks still rode the event queue. Any change to event
-    /// order, tick timing or float rounding moves them.
+    /// of [`pinned_schedule`]'s intervals. Any change to event order,
+    /// tick timing or float rounding moves them.
     const PINNED: [(u64, u64, u64, u64, u64); 10] = [
         (
-            0x406f06ba21c6ab2d,
-            0x407cac083126e979,
-            0x4025666666666666,
-            321,
+            0x40a68bbaaba31e1f,
+            0x40b3f7ced916872b,
+            0x404ef33333333333,
+            1857,
             0,
         ),
         (
-            0x40bca9706bf10fca,
-            0x40d5810624dd2f1b,
-            0x400b333333333333,
-            102,
-            423,
-        ),
-        (
-            0x40ce14cabfbffcf3,
-            0x40e70a3d70a3d70a,
-            0x3ff6eeeeeeeeeeef,
-            43,
-            587,
-        ),
-        (
-            0x40b399d7ac2bd2c2,
-            0x40e020c49ba5e354,
-            0x402b777777777777,
-            412,
-            21,
-        ),
-        (
-            0x40761de3587a5e80,
-            0x40816872b020c49c,
-            0x402f000000000000,
-            465,
+            0x40bd3f9e45afae24,
+            0x40cd2f1a9fbe76c9,
+            0x4044222222222222,
+            1208,
             0,
         ),
         (
-            0x4074a10b3b3478c7,
-            0x4080e5604189374c,
-            0x401d333333333333,
-            219,
+            0x40cdee8e7b5affe7,
+            0x40d604189374bc6a,
+            0x403f4ccccccccccd,
+            939,
+            66,
+        ),
+        (
+            0x40b26efc83a6923e,
+            0x40cb22d0e5604189,
+            0x4053955555555555,
+            2350,
             0,
         ),
         (
-            0x4071d8ff4cd01e48,
-            0x4081eb851eb851ec,
-            0x401f99999999999a,
-            237,
+            0x40a89ef1568557d8,
+            0x40b26e978d4fdf3b,
+            0x405459999999999a,
+            2442,
             0,
         ),
         (
-            0x405e5618aa8d6945,
-            0x40716872b020c49c,
-            0x401e444444444444,
-            227,
+            0x4098301fcf16afb5,
+            0x40b1eb851eb851ec,
+            0x4048f77777777777,
+            1498,
             0,
         ),
         (
-            0x406f973475d6b999,
-            0x407e353f7ced9168,
-            0x402addddddddddde,
-            403,
+            0x407270cb5ec9a1a6,
+            0x408999999999999a,
+            0x40436eeeeeeeeeef,
+            1166,
             0,
         ),
         (
-            0x4075adc40b802d4a,
-            0x408374bc6a7ef9db,
-            0x402b666666666666,
-            411,
+            0x406ae2d7212ed350,
+            0x408c28f5c28f5c29,
+            0x4044911111111111,
+            1234,
+            0,
+        ),
+        (
+            0x40a5117f510e58f0,
+            0x40b999999999999a,
+            0x4052133333333333,
+            2169,
+            0,
+        ),
+        (
+            0x40b86ddf04376a9d,
+            0x40c374bc6a7ef9db,
+            0x404fbbbbbbbbbbbc,
+            1904,
             0,
         ),
     ];
