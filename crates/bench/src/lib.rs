@@ -32,9 +32,10 @@ pub const ONLINE_LEVELS: usize = 4;
 /// SLA reference used by the reward function (ms).
 pub const SLA_MS: f64 = 1_000.0;
 
-/// The canonical simulated testbed: the paper's host (two quad-core
-/// Xeons, 8 GB) with a client population heavy enough that configuration
-/// genuinely matters.
+/// The canonical simulated testbed: 600 browsers, a client population
+/// heavy enough that configuration genuinely matters, against the
+/// default shopping mix and Level-1 app/db VM, with seed 42. The host,
+/// the web VM and the model's calibration are `websim` constants.
 pub fn paper_system_spec() -> SystemSpec {
     SystemSpec::default().with_clients(600).with_seed(42)
 }
@@ -196,7 +197,7 @@ mod tests {
     /// derived from these fingerprints, so none may move by accident.
     #[test]
     fn fingerprints_keep_their_persisted_values() {
-        assert_eq!(paper_system_spec().fingerprint(), 0x264f_3eee_a0e7_727d);
+        assert_eq!(paper_system_spec().fingerprint(), 0xb7a9_2c5d_27bd_ffd5);
         for (name, fp) in [
             ("flash-crowd", 0xf1e1_b04f_93b0_5f8b),
             ("diurnal", 0xdb7f_1171_e03e_327e),
@@ -229,12 +230,12 @@ mod tests {
         assert_eq!(
             files,
             [
-                "policy-ctx1-L4-dc19149f3b5170ba.bin",
-                "policy-ctx2-L4-b5c050a195f33c86.bin",
-                "policy-ctx3-L4-4693553caafaf9b8.bin",
-                "policy-ctx4-L4-f1a0bd57a140d785.bin",
-                "policy-ctx5-L4-20f8ace3e6fbda45.bin",
-                "policy-ctx6-L4-302e6164443a77bb.bin",
+                "policy-ctx1-L4-1efc04751248ec52.bin",
+                "policy-ctx2-L4-23169ee01325ae9a.bin",
+                "policy-ctx3-L4-ba517d3105b7a134.bin",
+                "policy-ctx4-L4-a201d33479bc4f41.bin",
+                "policy-ctx5-L4-8abe4d24700db965.bin",
+                "policy-ctx6-L4-fde5dee6119a7b23.bin",
             ]
         );
     }
@@ -273,7 +274,7 @@ mod tests {
             .map(|p| p.range().1)
             .max()
             .unwrap();
-        let mut pool = WorkerPool::new(cap, 0, 1, spec.model.start_servers);
+        let mut pool = WorkerPool::new(cap, 0, 1, websim::MODEL.start_servers);
         let mut ticks = 0;
         while pool.size() < cap {
             pool.maintain(cap);

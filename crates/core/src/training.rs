@@ -21,6 +21,9 @@ use crate::runner::{MeasureJob, Runner};
 /// key: a cache filled by an older trainer is then a miss, never a
 /// stale hit. Bump it with any change that moves the bytes of a trained
 /// policy; `trained_library_bytes_are_pinned` fails on such a change.
+/// The simulator's calibration ([`websim::MODEL`]) and fixed testbed
+/// count as trainer code: the cache key's spec does not carry them, so
+/// a recalibration must bump this revision too.
 pub const TRAINING_REVISION: u32 = 1;
 
 /// Options for offline training-data collection.

@@ -749,6 +749,16 @@ mod tests {
     fn inject_validates_before_enqueue() {
         let dir = std::env::temp_dir().join(format!("racd-inj-{}", std::process::id()));
         let state = empty_state(&dir);
+        // A scenario that parses but would abort the process when
+        // compiled is rejected before it can poison the queue.
+        std::fs::create_dir_all(&dir).unwrap();
+        let huge = dir.join("huge.scn");
+        std::fs::write(&huge, "name huge\nduration 1000000000s\ninterval 1us\n").unwrap();
+        let reply = handle_command(&state, AdminCmd::Inject(huge.display().to_string()));
+        assert!(reply.starts_with("err scenario-invalid"), "got: {reply}");
+        assert!(reply.contains("1000000000000000 intervals"), "got: {reply}");
+        assert_eq!(state.queue.lock().unwrap().len(), 0);
+        assert_eq!(std::fs::read_dir(dir.join("queue")).unwrap().count(), 0);
         // Bundled names work.
         let reply = handle_command(&state, AdminCmd::Inject("flash-crowd".into()));
         assert_eq!(reply, "ok injected flash-crowd");

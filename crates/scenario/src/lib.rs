@@ -285,8 +285,8 @@ pub struct Scenario {
 
 impl Scenario {
     /// Number of measurement iterations the scenario spans
-    /// (`duration / interval`, rounded down; at least 1 by parser
-    /// validation).
+    /// (`duration / interval`, rounded down; at least 1 and at most
+    /// 100,000 by parser validation).
     pub fn iterations(&self) -> usize {
         (self.duration.as_micros() / self.interval.as_micros()) as usize
     }

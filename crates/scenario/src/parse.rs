@@ -91,6 +91,12 @@ impl fmt::Display for ParseWarning {
     }
 }
 
+/// The most measurement intervals a scenario may span. Compiling builds
+/// one boundary per interval, so an unbounded count can exhaust memory.
+/// The bundled scenarios span at most 24, generated ones at most 18, and
+/// the paper's longest run 90.
+const MAX_INTERVALS: u64 = 100_000;
+
 fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError {
         line,
@@ -331,6 +337,16 @@ impl Scenario {
         };
         if interval > duration {
             return err(0, "`interval` must not exceed `duration`");
+        }
+        let intervals = duration.as_micros() / interval.as_micros();
+        if intervals > MAX_INTERVALS {
+            return err(
+                0,
+                format!(
+                    "the scenario spans {intervals} intervals (`duration` / `interval`); \
+                     at most {MAX_INTERVALS} are allowed"
+                ),
+            );
         }
 
         let warnings = directives
@@ -808,6 +824,19 @@ tail at 105s service off
             assert!(e.message.contains(needle), "{src:?} -> {e}");
             assert!(!e.to_string().starts_with("line"));
         }
+    }
+
+    /// Compiling this file would allocate one boundary for each of its
+    /// 10^15 intervals, 8 PB, and abort the process.
+    #[test]
+    fn rejects_a_scenario_with_more_intervals_than_it_can_compile() {
+        let e = Scenario::parse("name huge\nduration 1000000000s\ninterval 1us\n").unwrap_err();
+        assert_eq!(e.line, 0, "{e}");
+        assert!(e.message.contains("1000000000000000 intervals"), "{e}");
+        assert!(e.message.contains("at most 100000"), "{e}");
+        let largest = Scenario::parse("name t\nduration 100000s\ninterval 1s\n").unwrap();
+        assert_eq!(largest.iterations(), 100_000);
+        assert!(Scenario::parse("name t\nduration 100001s\ninterval 1s\n").is_err());
     }
 
     #[test]

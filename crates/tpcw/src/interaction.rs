@@ -69,12 +69,10 @@ impl Interaction {
         Interaction::AdminConfirm,
     ];
 
-    /// Dense index in `0..14`, matching [`Interaction::ALL`].
+    /// Dense index in `0..14`, matching [`Interaction::ALL`], which lists
+    /// the interactions in declaration order.
     pub fn index(self) -> usize {
-        Interaction::ALL
-            .iter()
-            .position(|&i| i == self)
-            .expect("interaction in ALL")
+        self as usize
     }
 
     /// The interaction at a dense index.

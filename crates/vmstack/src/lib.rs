@@ -4,52 +4,83 @@
 //! the web system must be *re*-configured when the VM resources change
 //! (Levels 1–3: 4/3/2 virtual CPUs and 4/3/2 GB of memory). RAC itself
 //! never looks inside the hypervisor — it only observes application-level
-//! response time — so what this substrate must capture is the *causal
-//! channels* through which VM resources shape that response time:
+//! response time — so the substrate is only what shapes that response
+//! time from below:
 //!
-//! 1. **CPU capacity** — a VM's runnable tasks share its virtual CPUs;
-//!    the host's physical cores are shared between VMs by a
-//!    credit-scheduler-style proportional-share policy
-//!    ([`CreditScheduler`]).
-//! 2. **Concurrency overhead** — beyond the number of vCPUs, each extra
-//!    runnable task adds context-switch and cache-pressure cost, which is
-//!    what makes "more MaxClients" eventually *hurt* processing time (the
-//!    paper's Figure 2 counter-intuition).
+//! 1. **VM size** — a [`VmSpec`] gives a VM's virtual CPUs, which cap the
+//!    cores its tier's work can share, and its memory allocation.
+//! 2. **Resource levels** — the paper's three [`ResourceLevel`]s, which
+//!    the app/db VM switches between at runtime.
 //! 3. **Memory pressure** — worker processes, threads and sessions consume
 //!    guest memory; overshooting the VM allocation swaps, degrading
 //!    latency super-linearly ([`MemoryModel`]).
 //!
-//! [`Vm::service_multiplier`] folds all three into a single factor the
-//! web-system simulator multiplies into every CPU demand.
+//! The simulated testbed places two VMs with 2 and at most 4 vCPUs on the
+//! paper's eight cores, and 1.5 GB plus at most 4 GB of memory in its
+//! 8 GB, so the host never contends: in `websim` a tier's cores depend
+//! on its own VM's vCPUs and load alone.
 //!
 //! # Example
 //!
 //! ```
-//! use vmstack::{Host, ResourceLevel, VmSpec};
+//! use vmstack::{MemoryModel, ResourceLevel};
 //!
-//! let mut host = Host::new(8, 8192);
-//! let web = host.create_vm(VmSpec::new(2, 2048)).unwrap();
-//! let app_db = host.create_vm(ResourceLevel::Level1.vm_spec()).unwrap();
+//! // The paper's strongest and weakest levels (Section 2.2).
+//! let strong = ResourceLevel::Level1.vm_spec();
+//! let weak = ResourceLevel::Level3.vm_spec();
+//! assert_eq!((strong.vcpus(), weak.vcpus()), (4, 2));
 //!
-//! // A lightly loaded VM runs at full speed…
-//! let fast = host.vm(app_db).service_multiplier(2.0, 1024.0);
-//! // …a heavily loaded one is slower per unit of work.
-//! let slow = host.vm(app_db).service_multiplier(64.0, 1024.0);
-//! assert!(slow > fast);
-//!
-//! // Reconfigure at runtime (e.g. Level-1 -> Level-3), paper Section 2.2.
-//! host.reallocate(app_db, ResourceLevel::Level3.vm_spec()).unwrap();
-//! assert_eq!(host.vm(app_db).spec().vcpus(), 2);
-//! # let _ = web;
+//! // The same 1.9 GB working set is free on Level-1 but slows Level-3.
+//! let memory = MemoryModel::default();
+//! let free = memory.slowdown(1_900.0, strong.memory_mb() as f64);
+//! let slowed = memory.slowdown(1_900.0, weak.memory_mb() as f64);
+//! assert_eq!(free, 1.0);
+//! assert!(slowed > free);
 //! ```
 
-mod credit;
-mod host;
 mod memory;
 
-pub use credit::{loads as credit_loads, CreditScheduler, VmLoad};
-pub use host::{Host, HostError, Vm, VmId, VmSpec};
 pub use memory::MemoryModel;
+
+/// Static resource specification of a VM.
+///
+/// # Example
+///
+/// ```
+/// use vmstack::VmSpec;
+///
+/// let spec = VmSpec::new(4, 4096);
+/// assert_eq!(spec.vcpus(), 4);
+/// assert_eq!(spec.memory_mb(), 4096);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct VmSpec {
+    vcpus: u32,
+    memory_mb: u64,
+}
+
+impl VmSpec {
+    /// Creates a specification.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either resource is zero.
+    pub const fn new(vcpus: u32, memory_mb: u64) -> Self {
+        assert!(vcpus > 0, "a VM needs at least one vCPU");
+        assert!(memory_mb > 0, "a VM needs memory");
+        VmSpec { vcpus, memory_mb }
+    }
+
+    /// Number of virtual CPUs.
+    pub const fn vcpus(&self) -> u32 {
+        self.vcpus
+    }
+
+    /// Memory allocation in MiB.
+    pub const fn memory_mb(&self) -> u64 {
+        self.memory_mb
+    }
+}
 
 /// The three VM resource-provisioning levels used throughout the paper's
 /// evaluation (Section 2.2): Level-1 is the most powerful.

@@ -52,12 +52,10 @@ impl Param {
         Param::MaxSpareThreads,
     ];
 
-    /// Dense index in `0..8` matching [`Param::ALL`].
+    /// Dense index in `0..8` matching [`Param::ALL`], which lists the
+    /// parameters in declaration order.
     pub fn index(self) -> usize {
-        Param::ALL
-            .iter()
-            .position(|&p| p == self)
-            .expect("param in ALL")
+        self as usize
     }
 
     /// Inclusive `(low, high)` tuning range from Table 1.

@@ -146,8 +146,8 @@ impl PsCpu {
         self.speed = share / (1.0 + self.overhead * c);
     }
 
-    /// Updates the effective core count (host scheduler rebalance or VM
-    /// reallocation).
+    /// Updates the effective core count (maintenance tick, VM
+    /// reallocation or stall).
     ///
     /// # Panics
     ///

@@ -17,8 +17,13 @@
 //! | `min/maxSpareThreads` | thread pool ramp vs. churn |
 //!
 //! Requests come from closed-loop TPC-W emulated browsers
-//! ([`tpcw::Fleet`]); CPU time stretches with VM load and memory pressure
-//! ([`vmstack::Vm::service_multiplier`]).
+//! ([`tpcw::Fleet`]). Each tier's CPU is a processor-sharing server
+//! ([`cpu::PsCpu`]) whose tasks slow down with concurrency, on as many
+//! cores as its runnable load at the last one-second maintenance tick,
+//! up to its VM's vCPUs. Memory pressure on a VM
+//! ([`vmstack::MemoryModel`]) adds page-in waits, and on the app/db VM
+//! it also shrinks the database's page cache. The calibration is
+//! [`MODEL`].
 //!
 //! See [`ThreeTierSystem`] for the main entry point and
 //! [`measure_config`] for one-shot measurements.
@@ -45,5 +50,5 @@ mod system;
 
 pub use config::{ConfigError, Param, ServerConfig};
 pub use metrics::PerfSample;
-pub use model::ModelParams;
+pub use model::{ModelParams, MODEL};
 pub use system::{measure_config, SystemSpec, ThreeTierSystem, Tier, EVENT_KINDS};

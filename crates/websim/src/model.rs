@@ -1,23 +1,22 @@
 //! Calibration constants of the performance model.
 //!
 //! Everything that turns configuration + load into time lives here, in
-//! one place, so that the model can be calibrated (and ablated by the
-//! benchmark suite) without touching the simulator mechanics.
+//! one place, so that the model can be recalibrated without touching the
+//! simulator mechanics.
 
-/// Tunable constants of the three-tier performance model.
+/// The constants of the three-tier performance model, named.
 ///
-/// The defaults are calibrated so that the qualitative shapes of the
-/// paper's Section-2 motivation hold on the simulated testbed: concave
-/// response-time curves per parameter, workload-specific optima, and an
-/// optimal `MaxClients` that *decreases* as the VM gets stronger.
+/// The simulator runs one calibration, [`MODEL`]. It is code, not part
+/// of [`SystemSpec`](crate::SystemSpec): a recalibration moves trained
+/// policies, so it must bump `rac::TRAINING_REVISION` like any other
+/// change to the trainer.
 ///
 /// # Example
 ///
 /// ```
-/// use websim::ModelParams;
+/// use websim::MODEL;
 ///
-/// let m = ModelParams::default();
-/// assert!(m.demand_scale >= 1.0);
+/// assert!(MODEL.demand_scale >= 1.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelParams {
@@ -29,8 +28,8 @@ pub struct ModelParams {
     pub connection_setup_us: u64,
     /// Probability that a client keeps its connection open (idle) across
     /// a think time instead of closing it after the page. TPC-W's RBE
-    /// mostly re-connects; real browsers mostly persist — the default is
-    /// a mixed population. Idle-open connections are what make long
+    /// mostly re-connects; real browsers mostly persist — the calibration
+    /// is a mixed population. Idle-open connections are what make long
     /// `KeepAliveTimeout`s expensive.
     pub keepalive_persist_p: f64,
     /// Apache base memory footprint (MiB).
@@ -86,36 +85,37 @@ pub struct ModelParams {
     pub retry_backoff_secs: f64,
 }
 
-impl Default for ModelParams {
-    fn default() -> Self {
-        ModelParams {
-            demand_scale: 1.5,
-            connection_setup_us: 2_000,
-            keepalive_persist_p: 0.25,
-            apache_base_mb: 150.0,
-            per_worker_mb: 3.0,
-            appdb_base_mb: 1_100.0,
-            per_thread_mb: 1.2,
-            per_session_mb: 0.15,
-            per_db_conn_mb: 4.0,
-            fork_cpu_us: 25_000,
-            thread_create_cpu_us: 3_000,
-            session_create_cpu_us: 8_000,
-            swap_unit_ms: 300.0,
-            disk_access_ms: 8.0,
-            accesses_per_query: 3.0,
-            db_working_set_mb: 3_000.0,
-            min_cache_mb: 64.0,
-            min_miss_rate: 0.03,
-            disk_elevator_gain: 0.5,
-            disk_max_depth: 32.0,
-            start_servers: 16,
-            db_connections: 100,
-            accept_backlog: 511,
-            retry_backoff_secs: 3.0,
-        }
-    }
-}
+/// The calibration every simulation runs with. It makes the qualitative
+/// shapes of the paper's Section-2 motivation hold on the simulated
+/// testbed: concave response-time curves per parameter, workload-specific
+/// optima, and an optimal `MaxClients` that *decreases* as the VM gets
+/// stronger.
+pub const MODEL: ModelParams = ModelParams {
+    demand_scale: 1.5,
+    connection_setup_us: 2_000,
+    keepalive_persist_p: 0.25,
+    apache_base_mb: 150.0,
+    per_worker_mb: 3.0,
+    appdb_base_mb: 1_100.0,
+    per_thread_mb: 1.2,
+    per_session_mb: 0.15,
+    per_db_conn_mb: 4.0,
+    fork_cpu_us: 25_000,
+    thread_create_cpu_us: 3_000,
+    session_create_cpu_us: 8_000,
+    swap_unit_ms: 300.0,
+    disk_access_ms: 8.0,
+    accesses_per_query: 3.0,
+    db_working_set_mb: 3_000.0,
+    min_cache_mb: 64.0,
+    min_miss_rate: 0.03,
+    disk_elevator_gain: 0.5,
+    disk_max_depth: 32.0,
+    start_servers: 16,
+    db_connections: 100,
+    accept_backlog: 511,
+    retry_backoff_secs: 3.0,
+};
 
 #[cfg(test)]
 mod tests {
@@ -123,14 +123,14 @@ mod tests {
 
     #[test]
     fn defaults_sane() {
-        let m = ModelParams::default();
+        let m = MODEL;
         assert!(m.demand_scale > 0.0);
         assert!(m.per_worker_mb > 0.0);
         assert!(m.db_connections > 0);
         assert!(m.accept_backlog > 0);
         assert!(m.retry_backoff_secs > 0.0);
-        // A full 600-worker Apache must overflow a small web VM — that
+        // A full 600-worker Apache must overflow the 1.5 GB web VM — that
         // pressure is part of the MaxClients tradeoff.
-        assert!(m.apache_base_mb + 600.0 * m.per_worker_mb > 1_024.0);
+        assert!(m.apache_base_mb + 600.0 * m.per_worker_mb > 1_536.0);
     }
 }

@@ -6,13 +6,13 @@ use std::sync::OnceLock;
 use simkernel::rng::{Exponential, LogNormal};
 use simkernel::{EventQueue, Pcg64, SimDuration, SimTime};
 use tpcw::{DemandProfile, Fleet, Mix, SessionId, ThinkDist};
-use vmstack::{Host, ResourceLevel, VmId, VmSpec};
+use vmstack::{MemoryModel, ResourceLevel, VmSpec};
 
 use crate::config::ServerConfig;
 use crate::cpu::{PsCpu, TaskToken};
 use crate::disk::Disk;
 use crate::metrics::PerfSample;
-use crate::model::ModelParams;
+use crate::model::MODEL;
 use crate::pool::WorkerPool;
 
 /// Resolved-once obs handles for interval-level simulator metrics (the
@@ -42,12 +42,13 @@ impl SimMetrics {
     }
 }
 
-/// Static description of the simulated testbed: hardware, VM placement,
-/// workload and model calibration.
+/// What varies between simulated testbeds: the app/db VM's level, the
+/// workload and the seed.
 ///
-/// Mirrors the paper's setup: one physical machine (two quad-core Xeons,
-/// 8 GB) running Xen, with Apache on one VM and Tomcat + MySQL on a
-/// second VM whose resources are varied between Levels 1–3.
+/// The rest is fixed and mirrors the paper's setup: one physical machine
+/// (two quad-core Xeons, 8 GB) running Xen, with Apache on a 2-vCPU,
+/// 1.5 GB VM and Tomcat + MySQL on a second VM whose resources are varied
+/// between Levels 1–3. The model's calibration is [`MODEL`](crate::MODEL).
 ///
 /// # Example
 ///
@@ -64,20 +65,12 @@ impl SimMetrics {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemSpec {
-    /// Physical cores on the host.
-    pub host_cores: u32,
-    /// Physical memory on the host (MiB).
-    pub host_memory_mb: u64,
-    /// The web-tier VM (fixed; the paper varies only the app/db VM).
-    pub web_vm: VmSpec,
     /// Resource level of the app/db VM.
     pub appdb_level: ResourceLevel,
     /// Number of emulated browsers.
     pub clients: usize,
     /// TPC-W traffic mix.
     pub mix: Mix,
-    /// Performance-model calibration.
-    pub model: ModelParams,
     /// RNG seed; equal seeds reproduce runs bit-for-bit.
     pub seed: u64,
 }
@@ -85,13 +78,9 @@ pub struct SystemSpec {
 impl Default for SystemSpec {
     fn default() -> Self {
         SystemSpec {
-            host_cores: 8,
-            host_memory_mb: 8_192,
-            web_vm: VmSpec::new(2, 1_536),
             appdb_level: ResourceLevel::Level1,
             clients: 600,
             mix: Mix::Shopping,
-            model: ModelParams::default(),
             seed: 42,
         }
     }
@@ -122,11 +111,11 @@ impl SystemSpec {
         self
     }
 
-    /// A 64-bit FNV-1a fingerprint of the complete spec — hardware, VM
-    /// placement, workload, every model-calibration constant, and the
-    /// seed. Two specs with equal fingerprints produce bit-identical
-    /// simulations, which is what makes memoizing measurement results
-    /// safe (see `rac::runner`).
+    /// A 64-bit FNV-1a fingerprint of the complete spec — the app/db
+    /// level, the workload and the seed. Everything else a simulation
+    /// reads is code, so two specs with equal fingerprints produce
+    /// bit-identical simulations in one build, which is what makes
+    /// memoizing measurement results safe (see `rac::runner`).
     ///
     /// The hash covers the spec's canonical `Debug` rendering. Rust
     /// renders floats with shortest-round-trip formatting, so the
@@ -169,6 +158,17 @@ type ReqId = usize;
 
 const WEB: usize = 0;
 const APPDB: usize = 1;
+
+/// The web-tier VM. The paper varies only the app/db VM.
+const WEB_VM: VmSpec = VmSpec::new(2, 1_536);
+
+/// Per-runnable-task concurrency overhead of both tiers' CPUs (context
+/// switches, cache pressure).
+const CONCURRENCY_OVERHEAD: f64 = 0.0015;
+
+/// Fewest cores a tier runs on between maintenance ticks, however idle
+/// it was at the last one.
+const MIN_CORES: f64 = 0.25;
 
 /// Effective core count of a stalled tier. `PsCpu` requires a strictly
 /// positive capacity, so a stall is modelled as a capacity so small that
@@ -254,7 +254,7 @@ enum Ev {
     DiskDone(ReqId),
     /// A keep-alive hold for browser `b` (generation `g`) timed out.
     KeepaliveExpire(usize, u64),
-    /// Once-per-second pool maintenance (spawn/kill, scheduler rebalance).
+    /// Once-per-second pool maintenance (spawn/kill, tier cores).
     Maintain,
     /// Periodic expired-session sweep.
     SessionSweep,
@@ -299,11 +299,12 @@ struct ReqState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ThreeTierSystem {
-    model: ModelParams,
-    host: Host,
-    web_vm: VmId,
-    appdb_vm: VmId,
     appdb_level: ResourceLevel,
+    /// The app/db VM, at `appdb_level`.
+    appdb_vm: VmSpec,
+    /// Each tier's cores, as [`on_maintain`](Self::on_maintain) last set
+    /// them: its runnable load clamped to `[MIN_CORES, vCPUs]`.
+    cores: [f64; 2],
     config: ServerConfig,
     fleet: Fleet,
     rng: Pcg64,
@@ -365,17 +366,9 @@ impl ThreeTierSystem {
     /// Builds the system (VMs placed, pools at their configured spare
     /// levels, browsers idle). Nothing runs until the first
     /// [`run_interval`](ThreeTierSystem::run_interval).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the VMs do not fit on the host (the default spec always
-    /// fits).
     pub fn new(spec: SystemSpec) -> Self {
-        let mut host = Host::new(spec.host_cores, spec.host_memory_mb);
-        let web_vm = host.create_vm(spec.web_vm).expect("web VM fits host");
-        let appdb_vm = host
-            .create_vm(spec.appdb_level.vm_spec())
-            .expect("app/db VM fits host");
+        let appdb_vm = spec.appdb_level.vm_spec();
+        let cores = [f64::from(WEB_VM.vcpus()), f64::from(appdb_vm.vcpus())];
         let config = ServerConfig::default();
         let apache = WorkerPool::new(
             config.max_clients(),
@@ -389,17 +382,11 @@ impl ThreeTierSystem {
             config.max_spare_threads(),
             config.min_spare_threads(),
         );
-        let overhead = Host::CONCURRENCY_OVERHEAD;
-        let cpus = [
-            PsCpu::new(host.vm(web_vm).effective_cores(), overhead),
-            PsCpu::new(host.vm(appdb_vm).effective_cores(), overhead),
-        ];
+        let cpus = cores.map(|c| PsCpu::new(c, CONCURRENCY_OVERHEAD));
         ThreeTierSystem {
-            model: spec.model,
-            host,
-            web_vm,
-            appdb_vm,
             appdb_level: spec.appdb_level,
+            appdb_vm,
+            cores,
             config,
             fleet: Fleet::new(spec.clients, spec.mix),
             rng: Pcg64::seed_from_u64(spec.seed),
@@ -412,7 +399,7 @@ impl ThreeTierSystem {
             cpu_done: Vec::new(),
             db_busy: 0,
             db_queue: VecDeque::new(),
-            disk: Disk::new(spec.model.disk_elevator_gain, spec.model.disk_max_depth),
+            disk: Disk::new(MODEL.disk_elevator_gain, MODEL.disk_max_depth),
             accept_queue: VecDeque::new(),
             app_queue: VecDeque::new(),
             requests: Vec::new(),
@@ -477,8 +464,8 @@ impl ThreeTierSystem {
         self.holds.fill(0);
         self.live_holds = 0;
         // New worker generations start small and ramp back up.
-        self.apache.restart(self.model.start_servers);
-        self.tomcat.restart(self.model.start_servers);
+        self.apache.restart(MODEL.start_servers);
+        self.tomcat.restart(MODEL.start_servers);
         self.serve_accept_queue();
         self.resync_cpu_ticks();
     }
@@ -510,12 +497,12 @@ impl ThreeTierSystem {
     }
 
     /// Changes the app/db VM's resource allocation at runtime (the
-    /// paper's VM reconfiguration events).
+    /// paper's VM reconfiguration events). Until the next maintenance
+    /// tick the tier runs on all of the new level's vCPUs.
     pub fn set_resource_level(&mut self, level: ResourceLevel) {
-        self.host
-            .reallocate(self.appdb_vm, level.vm_spec())
-            .expect("paper levels always fit the host");
         self.appdb_level = level;
+        self.appdb_vm = level.vm_spec();
+        self.cores[APPDB] = f64::from(self.appdb_vm.vcpus());
         let now = self.queue.now();
         self.apply_effective_cores(now);
         self.resync_cpu_ticks();
@@ -630,16 +617,15 @@ impl ThreeTierSystem {
         }
     }
 
-    /// Applies the host's current effective core allocation to both
-    /// tier CPUs, respecting active stall faults — the single place
-    /// core capacity is written, so the per-second rebalance cannot
-    /// silently lift a stall.
+    /// Applies each tier's current cores to its CPU, respecting active
+    /// stall faults — the single place core capacity is written, so the
+    /// per-second maintenance cannot silently lift a stall.
     fn apply_effective_cores(&mut self, now: SimTime) {
-        for (vm, id) in [(WEB, self.web_vm), (APPDB, self.appdb_vm)] {
+        for vm in [WEB, APPDB] {
             let cores = if self.stalled[vm] {
                 STALLED_CORES
             } else {
-                self.host.vm(id).effective_cores()
+                self.cores[vm]
             };
             self.cpus[vm].set_cores(now, cores);
         }
@@ -831,11 +817,11 @@ impl ThreeTierSystem {
         }
         if self.apache.try_acquire() {
             self.start_web(now, id);
-        } else if self.accept_queue.len() < self.model.accept_backlog as usize {
+        } else if self.accept_queue.len() < MODEL.accept_backlog as usize {
             self.accept_queue.push_back(id);
         } else {
             self.refused += 1;
-            let backoff = SimDuration::from_secs_f64(self.model.retry_backoff_secs);
+            let backoff = SimDuration::from_secs_f64(MODEL.retry_backoff_secs);
             self.queue.schedule(now + backoff, Ev::Retry(id));
         }
     }
@@ -855,9 +841,9 @@ impl ThreeTierSystem {
             let req = self.req(id);
             (req.demand, req.reused_connection, req.jitter)
         };
-        let mut cpu_us = demand.web_cpu_us as f64 * self.model.demand_scale;
+        let mut cpu_us = demand.web_cpu_us as f64 * MODEL.demand_scale;
         if !reused {
-            cpu_us += self.model.connection_setup_us as f64;
+            cpu_us += MODEL.connection_setup_us as f64;
         }
         self.cpus[WEB].push(now, cpu_us * self.latency_factor * jitter, (id, PHASE_WEB));
     }
@@ -889,10 +875,10 @@ impl ThreeTierSystem {
             let req = self.req(id);
             (req.demand, req.session, req.jitter)
         };
-        let mut cpu_us = demand.app_cpu_us as f64 / 2.0 * self.model.demand_scale;
+        let mut cpu_us = demand.app_cpu_us as f64 / 2.0 * MODEL.demand_scale;
         if demand.uses_session {
             if !self.sessions.contains_key(&session) {
-                cpu_us += self.model.session_create_cpu_us as f64;
+                cpu_us += MODEL.session_create_cpu_us as f64;
             }
             self.sessions.insert(session, now);
         }
@@ -906,7 +892,7 @@ impl ThreeTierSystem {
     fn on_app_first_done(&mut self, now: SimTime, id: ReqId) {
         if self.req(id).demand.db_cpu_us == 0 {
             self.start_app_second(now, id);
-        } else if self.db_busy < self.model.db_connections {
+        } else if self.db_busy < MODEL.db_connections {
             self.db_busy += 1;
             self.start_db(now, id);
         } else {
@@ -919,7 +905,7 @@ impl ThreeTierSystem {
             let req = self.req(id);
             (req.demand, req.jitter)
         };
-        let cpu_us = demand.db_cpu_us as f64 * self.model.demand_scale;
+        let cpu_us = demand.db_cpu_us as f64 * MODEL.demand_scale;
         self.cpus[APPDB].push(
             now,
             (cpu_us * self.latency_factor * jitter).max(1.0),
@@ -930,10 +916,8 @@ impl ThreeTierSystem {
     /// Database CPU finished: pay for buffer-pool misses with disk I/O.
     fn on_db_cpu_done(&mut self, now: SimTime, id: ReqId) {
         let queries = self.req(id).demand.db_queries as f64;
-        let disk_ms = queries
-            * self.model.accesses_per_query
-            * self.db_miss_rate()
-            * self.model.disk_access_ms;
+        let disk_ms =
+            queries * MODEL.accesses_per_query * self.db_miss_rate() * MODEL.disk_access_ms;
         if disk_ms < 0.05 {
             self.finish_db(now, id);
         } else if let Some(eta) = self.disk.submit(now, disk_ms, id) {
@@ -966,7 +950,7 @@ impl ThreeTierSystem {
             let req = self.req(id);
             (req.demand, req.jitter)
         };
-        let cpu_us = demand.app_cpu_us as f64 / 2.0 * self.model.demand_scale;
+        let cpu_us = demand.app_cpu_us as f64 / 2.0 * MODEL.demand_scale;
         self.cpus[APPDB].push(
             now,
             (cpu_us * self.latency_factor * jitter).max(1.0),
@@ -994,7 +978,7 @@ impl ThreeTierSystem {
 
         let browser_alive = req.browser < self.fleet.len();
         let keepalive = self.config.keepalive_timeout_secs();
-        let persists = self.rng.chance(self.model.keepalive_persist_p);
+        let persists = self.rng.chance(MODEL.keepalive_persist_p);
         if browser_alive && keepalive > 0 && persists {
             self.apache.hold();
             self.hold_gen += 1;
@@ -1053,10 +1037,10 @@ impl ThreeTierSystem {
 
     fn on_maintain(&mut self, now: SimTime) {
         let am = self.apache.maintain(self.accept_queue.len() as u32);
-        let web_churn = am.spawned as f64 * self.model.fork_cpu_us as f64 / 1e6;
+        let web_churn = am.spawned as f64 * MODEL.fork_cpu_us as f64 / 1e6;
         self.cpus[WEB].set_extra_load(now, web_churn);
         let tm = self.tomcat.maintain(self.app_queue.len() as u32);
-        let appdb_churn = tm.spawned as f64 * self.model.thread_create_cpu_us as f64 / 1e6;
+        let appdb_churn = tm.spawned as f64 * MODEL.thread_create_cpu_us as f64 / 1e6;
         self.cpus[APPDB].set_extra_load(now, appdb_churn);
 
         self.serve_accept_queue();
@@ -1065,8 +1049,12 @@ impl ThreeTierSystem {
             self.start_app_first(now, id);
         }
 
-        let demands = [self.cpus[WEB].load(), self.cpus[APPDB].load()];
-        self.host.rebalance(&demands);
+        // The host's eight cores cover both VMs' vCPUs, so no tier waits
+        // for another: each runs on its load, up to its vCPUs.
+        for (vm, spec) in [(WEB, WEB_VM), (APPDB, self.appdb_vm)] {
+            let vcpus = f64::from(spec.vcpus());
+            self.cores[vm] = self.cpus[vm].load().min(vcpus).max(MIN_CORES);
+        }
         self.apply_effective_cores(now);
 
         self.queue
@@ -1085,24 +1073,26 @@ impl ThreeTierSystem {
 
     /// Additive page-in latency on the web VM (ms), from worker memory.
     fn web_swap_ms(&self) -> f64 {
-        let mem = self.model.apache_base_mb + self.apache.size() as f64 * self.model.per_worker_mb;
-        (self.host.vm(self.web_vm).memory_slowdown(mem) - 1.0) * self.model.swap_unit_ms
+        let mem = MODEL.apache_base_mb + self.apache.size() as f64 * MODEL.per_worker_mb;
+        let slowdown = MemoryModel::default().slowdown(mem, WEB_VM.memory_mb() as f64);
+        (slowdown - 1.0) * MODEL.swap_unit_ms
     }
 
     /// Guest memory consumed on the app/db VM (MiB), excluding the page
     /// cache.
     fn appdb_used_mb(&self) -> f64 {
-        self.model.appdb_base_mb
-            + self.tomcat.size() as f64 * self.model.per_thread_mb
-            + self.sessions.len() as f64 * self.model.per_session_mb
-            + self.db_busy as f64 * self.model.per_db_conn_mb
+        MODEL.appdb_base_mb
+            + self.tomcat.size() as f64 * MODEL.per_thread_mb
+            + self.sessions.len() as f64 * MODEL.per_session_mb
+            + self.db_busy as f64 * MODEL.per_db_conn_mb
     }
 
     /// Additive page-in latency on the app/db VM (ms), from threads,
     /// sessions and DB connections.
     fn appdb_swap_ms(&self) -> f64 {
         let mem = self.appdb_used_mb();
-        (self.host.vm(self.appdb_vm).memory_slowdown(mem) - 1.0) * self.model.swap_unit_ms
+        let slowdown = MemoryModel::default().slowdown(mem, self.appdb_vm.memory_mb() as f64);
+        (slowdown - 1.0) * MODEL.swap_unit_ms
     }
 
     /// Fraction of database page accesses that miss the page cache.
@@ -1112,9 +1102,9 @@ impl ThreeTierSystem {
     /// through which the VM's memory level (and the session-timeout and
     /// pool-size parameters) shapes database latency.
     fn db_miss_rate(&self) -> f64 {
-        let alloc = self.host.vm(self.appdb_vm).spec().memory_mb() as f64;
-        let cache = (alloc - self.appdb_used_mb()).max(self.model.min_cache_mb);
-        (1.0 - cache / self.model.db_working_set_mb).clamp(self.model.min_miss_rate, 1.0)
+        let alloc = self.appdb_vm.memory_mb() as f64;
+        let cache = (alloc - self.appdb_used_mb()).max(MODEL.min_cache_mb);
+        (1.0 - cache / MODEL.db_working_set_mb).clamp(MODEL.min_miss_rate, 1.0)
     }
 
     // ----- slab helpers ------------------------------------------------
@@ -1484,6 +1474,48 @@ mod tests {
         sys.set_resource_level(ResourceLevel::Level3);
         assert_eq!(sys.resource_level(), ResourceLevel::Level3);
         assert!(run_secs(&mut sys, 60).is_measurable());
+    }
+
+    /// The host's eight cores always cover both VMs' vCPUs, so at each
+    /// maintenance tick a tier's cores become its own runnable load, at
+    /// least `MIN_CORES` and at most its vCPUs. A level change gives the
+    /// app/db tier all of its new vCPUs until the next tick.
+    #[test]
+    fn maintenance_clamps_each_tiers_cores_to_its_load() {
+        let mut sys = ThreeTierSystem::new(SystemSpec::default().with_seed(11));
+        assert_eq!(sys.cores, [2.0, 4.0], "a new system runs on every vCPU");
+        let (mut idle, mut partial, mut full) = (0, 0, 0);
+        for _ in 0..300 {
+            sys.run_interval(SimDuration::from_millis(370));
+            let now = sys.queue.now();
+            sys.on_maintain(now);
+            for (vm, vcpus) in [(WEB, 2.0), (APPDB, 4.0)] {
+                let load = sys.cpus[vm].load();
+                let cores = sys.cores[vm];
+                assert_eq!(cores.to_bits(), load.min(vcpus).max(0.25).to_bits());
+                if load == 0.0 {
+                    assert_eq!(cores, 0.25, "an idle tier keeps a quarter core");
+                    idle += 1;
+                } else if load >= vcpus {
+                    assert_eq!(cores, vcpus);
+                    full += 1;
+                } else if load > 0.25 {
+                    assert_eq!(cores, load);
+                    partial += 1;
+                }
+            }
+        }
+        assert!(
+            idle > 0 && partial > 0 && full > 0,
+            "idle {idle}, partial {partial}, full {full} ticks"
+        );
+        let web = sys.cores[WEB];
+        sys.set_resource_level(ResourceLevel::Level3);
+        assert_eq!(sys.cores, [web, 2.0]);
+        let now = sys.queue.now();
+        sys.on_maintain(now);
+        let load = sys.cpus[APPDB].load();
+        assert_eq!(sys.cores[APPDB], load.clamp(0.25, 2.0));
     }
 
     #[test]
