@@ -1299,13 +1299,12 @@ fn load_resume(path: &Path) -> Result<ckpt::Snapshot, Exit> {
         .map_err(|e| Exit::Fail(2, format!("cannot resume from {}: {e}", path.display())))
 }
 
-/// Loads the policy-library sidecar of the line-up checkpoint
-/// `--warm-start` names.
-fn load_warm_start(path: &Path) -> Result<ckpt::Snapshot, Exit> {
-    let fail =
-        |path: &Path, e| Exit::Fail(2, format!("cannot warm-start from {}: {e}", path.display()));
-    let sidecar = rac_bench::checkpoint::library_sidecar(path).map_err(|e| fail(path, e))?;
-    ckpt::Snapshot::load(&sidecar).map_err(|e| fail(&sidecar, e))
+/// Reads the policy library of the line-up checkpoint `--warm-start`
+/// names. A library trained on another lattice is a typed mismatch
+/// here, at the seeding boundary, instead of a panic mid-run.
+fn load_warm_start(path: &Path) -> Result<PolicyLibrary, Exit> {
+    rac_bench::checkpoint::warm_start_library(path)
+        .map_err(|e| Exit::Fail(2, format!("cannot warm-start from {}: {e}", path.display())))
 }
 
 /// Entry point for `figures scenario ...`: lists the bundled scenarios
@@ -1353,28 +1352,16 @@ fn run_scenarios<'a>(args: &'a Args, opts: &'a Options, console: &'a Console) ->
         .map(|arg| scenario_operand(arg, opts))
         .collect::<Result<_, _>>()?;
     let resume = flags.resume.as_deref().map(load_resume).transpose()?;
-    let warm_start = match flags.warm_start.as_deref() {
-        Some(path) => {
-            // The checked variant turns a snapshot trained on a
-            // different lattice into a typed mismatch here, at the
-            // seeding boundary, instead of a panic mid-run.
-            let lib = rac::library_from_snapshot_checked(
-                &load_warm_start(path)?,
-                rac_bench::standard_lattice().num_states(),
-                rac::Action::COUNT,
-            )
-            .map_err(|e| {
-                Exit::Fail(2, format!("cannot warm-start from {}: {e}", path.display()))
-            })?;
-            console.note(format!(
-                "  warm start: {} policies from {}",
-                lib.len(),
-                path.display()
-            ));
-            Some(lib)
-        }
-        None => None,
-    };
+    let mut warm_start = None;
+    if let Some(path) = &flags.warm_start {
+        let lib = load_warm_start(path)?;
+        console.note(format!(
+            "  warm start: {} policies from {}",
+            lib.len(),
+            path.display()
+        ));
+        warm_start = Some(lib);
+    }
 
     job(format!("scenario {}", args.operands.join(" ")), move || {
         // A resumed line-up runs on the library its snapshot names.

@@ -5,8 +5,8 @@
 //! Output goes through the obs console exporter; `--quiet` (or
 //! `RAC_OBS=off`) suppresses it, which makes the bin usable as a pure
 //! cache-validity check via its exit status: 0 when all six standard
-//! policies load, 1 when any is missing or unreadable (after reporting
-//! the others).
+//! policies load, 1 when any is missing or rejected by its snapshot or
+//! shape checks (after reporting the others).
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -43,7 +43,7 @@ fn main() -> ExitCode {
     for (i, (_, file)) in (1..).zip(rac_bench::standard_policy_files()) {
         let path = std::path::Path::new("results/cache").join(file);
         let Some(policy) = cache::load_policy(&path, &lattice) else {
-            console.note(format!("ctx{i}: no cache"));
+            console.note(format!("ctx{i}: no cache, or rejected"));
             missing += 1;
             continue;
         };

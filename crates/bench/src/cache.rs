@@ -1,93 +1,76 @@
 //! On-disk cache for offline-trained initial policies.
 //!
 //! Offline training is the slow step of the pipeline, so the harness
-//! caches each context's [`InitialPolicy`] in a small self-describing
-//! binary file (little-endian, std-only — no serialization dependency).
+//! caches each context's [`InitialPolicy`] as a one-section [`ckpt`]
+//! snapshot, encoded with [`rac::encode_policy`] like the library
+//! sidecar and the fleet's donors. A file that fails its magic,
+//! version, CRC or shape is rejected, never served.
 
-use std::fs;
-use std::io::{self, Write};
+use std::fs::File;
+use std::io::{self, Read as _};
 use std::path::Path;
 
-use numerics::FitQuality;
+use ckpt::{CkptError, Snapshot, SnapshotWriter};
 use rac::{Action, ConfigLattice, InitialPolicy};
-use rl::QTable;
 
-const MAGIC: &[u8; 8] = b"RACPOL01";
+/// The one section of a cached policy.
+const SECTION_POLICY: &str = "rac.policy";
 
-/// Stores a policy at `path`, creating parent directories as needed.
+/// Stores a policy at `path` atomically, creating parent directories as
+/// needed.
 ///
 /// # Errors
 ///
 /// Returns any underlying I/O error.
 pub fn store_policy(path: &Path, policy: &InitialPolicy) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    let states = policy.perf_ms.len();
-    let actions = policy.qtable.actions();
-    let mut buf = Vec::with_capacity(16 + states * 4 * (1 + actions));
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&(states as u64).to_le_bytes());
-    buf.extend_from_slice(&(actions as u64).to_le_bytes());
-    buf.extend_from_slice(&policy.fit.r_squared.to_le_bytes());
-    buf.extend_from_slice(&policy.fit.rmse.to_le_bytes());
-    buf.extend_from_slice(&(policy.fit.samples as u64).to_le_bytes());
-    buf.extend_from_slice(&(policy.samples as u64).to_le_bytes());
-    buf.extend_from_slice(&(policy.passes as u64).to_le_bytes());
-    for &p in &policy.perf_ms {
-        buf.extend_from_slice(&p.to_le_bytes());
-    }
-    for s in 0..states {
-        for a in 0..actions {
-            buf.extend_from_slice(&(policy.qtable.get(s, a) as f32).to_le_bytes());
-        }
-    }
-    let tmp = path.with_extension("tmp");
-    fs::File::create(&tmp)?.write_all(&buf)?;
-    fs::rename(&tmp, path)
+    let mut snap = SnapshotWriter::new();
+    snap.section(SECTION_POLICY, |w| rac::encode_policy(w, policy));
+    snap.write_atomic(path).map(drop).map_err(io::Error::other)
 }
 
-/// Loads a policy from `path` if it exists and matches the lattice;
-/// returns `None` on a miss or any corruption (the caller retrains).
+/// Loads a policy from `path` if it exists, checks out and matches the
+/// lattice; returns `None` on a miss or a rejection (the caller
+/// retrains).
 pub fn load_policy(path: &Path, lattice: &ConfigLattice) -> Option<InitialPolicy> {
-    let buf = fs::read(path).ok()?;
-    let (header, values) = buf.split_at_checked(MAGIC.len() + 7 * 8)?;
-    let (magic, fields) = header.split_at(MAGIC.len());
-    if magic != MAGIC {
-        return None;
-    }
-    let field = |i: usize| -> [u8; 8] { fields[8 * i..8 * (i + 1)].try_into().expect("8 bytes") };
-    let states = u64::from_le_bytes(field(0)) as usize;
-    let actions = u64::from_le_bytes(field(1)) as usize;
-    if states != lattice.num_states() || actions != Action::COUNT {
-        return None;
-    }
-    // The rest is exactly the performance map, then the Q-table in
-    // row-major order, all `f32`.
-    if values.len() != 4 * states * (1 + actions) {
-        return None;
-    }
-    let mut values = values
-        .chunks_exact(4)
-        .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")));
-    let perf_ms = values.by_ref().take(states).collect();
-    Some(InitialPolicy {
-        qtable: QTable::from_raw(states, actions, values.collect()),
-        perf_ms,
-        fit: FitQuality {
-            r_squared: f64::from_le_bytes(field(2)),
-            rmse: f64::from_le_bytes(field(3)),
-            samples: u64::from_le_bytes(field(4)) as usize,
-        },
-        samples: u64::from_le_bytes(field(5)) as usize,
-        passes: u64::from_le_bytes(field(6)) as usize,
-    })
+    read_policy(path, lattice, &mut Vec::new()).ok().flatten()
+}
+
+/// Reads the policy cached at `path` through `buf`, which keeps the
+/// file's bytes for reuse: `Ok(None)` when there is no file, an error
+/// when the file cannot be read, fails a snapshot check, or holds a
+/// policy of another shape than `lattice`'s.
+///
+/// # Errors
+///
+/// Any [`CkptError`] reading, verifying or decoding the file.
+pub fn read_policy(
+    path: &Path,
+    lattice: &ConfigLattice,
+    buf: &mut Vec<u8>,
+) -> Result<Option<InitialPolicy>, CkptError> {
+    buf.clear();
+    match File::open(path).and_then(|mut file| file.read_to_end(buf)) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        read => read.map_err(|source| CkptError::Io {
+            path: path.to_path_buf(),
+            context: "read cached policy",
+            source,
+        })?,
+    };
+    let snap = Snapshot::from_vec(std::mem::take(buf))?;
+    let mut r = snap.section(SECTION_POLICY)?;
+    let policy = rac::decode_policy(&mut r, lattice.num_states(), Action::COUNT)?;
+    r.finish()?;
+    *buf = snap.into_bytes();
+    Ok(Some(policy))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rac::{train_initial_policy, OfflineSettings, SlaReward};
+    use rl::QTable;
+    use std::fs;
 
     fn tiny_policy(lattice: &ConfigLattice) -> InitialPolicy {
         train_initial_policy(
@@ -99,10 +82,30 @@ mod tests {
         .unwrap()
     }
 
+    /// The cache layout before snapshots: the magic `RACPOL` with
+    /// version `01`, seven 8-byte header fields, then the performance
+    /// map and the Q-table as raw `f32`s.
+    fn legacy_bytes(p: &InitialPolicy) -> Vec<u8> {
+        let mut w = ckpt::wire::Writer::new();
+        for b in [&b"RACPOL"[..], b"01"].concat() {
+            w.put_u8(b);
+        }
+        w.put_usize(p.perf_ms.len());
+        w.put_usize(p.qtable.actions());
+        w.put_f64(p.fit.r_squared);
+        w.put_f64(p.fit.rmse);
+        w.put_usize(p.fit.samples);
+        w.put_usize(p.samples);
+        w.put_usize(p.passes);
+        w.put_f32s(p.perf_ms.iter().copied());
+        w.put_f32s(p.qtable.values());
+        w.into_bytes()
+    }
+
     #[test]
     fn round_trip() {
         let dir = std::env::temp_dir().join(format!("rac-cache-test-{}", std::process::id()));
-        let path = dir.join("p.bin");
+        let path = dir.join("p.ckpt");
         let lattice = ConfigLattice::new(3);
         let policy = tiny_policy(&lattice);
         store_policy(&path, &policy).unwrap();
@@ -113,38 +116,64 @@ mod tests {
         assert_eq!(loaded.fit, policy.fit);
         let bits = |q: &QTable| q.values().map(f32::to_bits).collect::<Vec<_>>();
         assert_eq!(bits(&loaded.qtable), bits(&policy.qtable));
+        // Bit-exact: storing the loaded policy writes the same bytes,
+        // and no temp file is left behind.
+        let again = dir.join("again.ckpt");
+        store_policy(&again, &loaded).unwrap();
+        assert_eq!(fs::read(&again).unwrap(), fs::read(&path).unwrap());
+        assert!(!ckpt::temp_path(&path).exists());
         let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
     fn lattice_mismatch_misses() {
         let dir = std::env::temp_dir().join(format!("rac-cache-test2-{}", std::process::id()));
-        let path = dir.join("p.bin");
+        let path = dir.join("p.ckpt");
         let small = ConfigLattice::new(3);
         store_policy(&path, &tiny_policy(&small)).unwrap();
         let big = ConfigLattice::new(4);
         assert!(load_policy(&path, &big).is_none());
+        let err = read_policy(&path, &big, &mut Vec::new()).unwrap_err();
+        assert!(matches!(err, CkptError::Mismatch { .. }), "{err}");
         let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
     fn missing_and_corrupt_files_miss() {
         let lattice = ConfigLattice::new(3);
-        assert!(load_policy(Path::new("/nonexistent/rac.bin"), &lattice).is_none());
+        let missing = Path::new("/nonexistent/rac.ckpt");
+        assert!(load_policy(missing, &lattice).is_none());
+        assert!(read_policy(missing, &lattice, &mut Vec::new())
+            .unwrap()
+            .is_none());
         let dir = std::env::temp_dir().join(format!("rac-cache-test3-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("junk.bin");
-        fs::write(&path, b"not a policy").unwrap();
-        assert!(load_policy(&path, &lattice).is_none());
-        // Cut inside the Q-table (the file's tail), and one byte too long.
-        store_policy(&path, &tiny_policy(&lattice)).unwrap();
+        let path = dir.join("junk.ckpt");
+        let rejected = |bytes: &[u8]| {
+            fs::write(&path, bytes).unwrap();
+            assert!(load_policy(&path, &lattice).is_none());
+            read_policy(&path, &lattice, &mut Vec::new()).unwrap_err()
+        };
+        let err = rejected(b"not a policy, not a snapshot");
+        assert!(matches!(err, CkptError::BadMagic), "{err}");
+        let policy = tiny_policy(&lattice);
+        store_policy(&path, &policy).unwrap();
         let whole = fs::read(&path).unwrap();
-        fs::write(&path, &whole[..whole.len() - 6]).unwrap();
-        assert!(load_policy(&path, &lattice).is_none());
+        // Cut inside the Q-table (the file's tail), and one byte too long.
+        let err = rejected(&whole[..whole.len() - 6]);
+        assert!(matches!(err, CkptError::Truncated { .. }), "{err}");
         let mut long = whole.clone();
         long.push(0);
-        fs::write(&path, &long).unwrap();
-        assert!(load_policy(&path, &lattice).is_none());
+        assert!(matches!(rejected(&long), CkptError::Corrupt { .. }));
+        // One flipped bit in the payload fails its CRC.
+        let mut flipped = whole.clone();
+        flipped[whole.len() / 2] ^= 0x01;
+        assert!(matches!(rejected(&flipped), CkptError::CrcMismatch { .. }));
+        // A policy in the pre-snapshot layout under the new name.
+        assert!(matches!(
+            rejected(&legacy_bytes(&policy)),
+            CkptError::BadMagic
+        ));
         fs::write(&path, &whole).unwrap();
         assert!(load_policy(&path, &lattice).is_some());
         let _ = fs::remove_dir_all(dir);

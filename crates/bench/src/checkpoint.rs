@@ -311,10 +311,8 @@ pub(crate) fn run_plain_lineup(
 }
 
 /// The policy-library sidecar of the line-up checkpoint at `checkpoint`:
-/// the file a later run reads the checkpointed run's library from
-/// (`figures scenario --warm-start`, `figures fleet --warm-start`,
-/// `racd upgrade`). Load it with [`Snapshot::load`] and read it with
-/// [`rac::library_from_snapshot`].
+/// the file [`warm_start_library`] reads the checkpointed run's library
+/// from.
 ///
 /// # Errors
 ///
@@ -333,6 +331,20 @@ pub fn library_sidecar(checkpoint: &Path) -> Result<PathBuf, CkptError> {
 /// at `checkpoint`: `library-<fp>.ckpt` in the same directory.
 fn sidecar_path(checkpoint: &Path, fp: u64) -> PathBuf {
     checkpoint.with_file_name(format!("library-{fp:016x}.ckpt"))
+}
+
+/// The library the line-up checkpoint at `checkpoint` ran with, read
+/// from its sidecar and checked against the standard lattice: what
+/// `--warm-start` and `racd upgrade` seed from. A library that is empty
+/// or of another lattice is [`CkptError::Mismatch`].
+pub fn warm_start_library(checkpoint: &Path) -> Result<PolicyLibrary, CkptError> {
+    read_library(&library_sidecar(checkpoint)?)
+}
+
+/// Loads a library sidecar and decodes it on the standard lattice.
+fn read_library(sidecar: &Path) -> Result<PolicyLibrary, CkptError> {
+    let states = crate::standard_lattice().num_states();
+    rac::library_from_snapshot(&Snapshot::load(sidecar)?, states, rac::Action::COUNT)
 }
 
 /// The `lineup.meta` section: what the snapshot was taken against, the
@@ -593,10 +605,7 @@ fn decode_lineup(
     let sidecar = library.map(|fp| sidecar_path(checkpoint, fp));
     let tuner: Box<dyn PersistTuner> = match tuner_index {
         0 => {
-            let library = match &sidecar {
-                Some(path) => Some(rac::library_from_snapshot(&Snapshot::load(path)?)?),
-                None => None,
-            };
+            let library = sidecar.as_deref().map(read_library).transpose()?;
             Box::new(RacAgent::restore(snap, library)?)
         }
         1 => Box::new(TrialAndError::restore(snap)?),

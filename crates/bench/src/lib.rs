@@ -17,10 +17,12 @@ pub mod profile;
 pub mod scenario;
 pub mod tournament;
 
+use std::fs;
 use std::path::Path;
+use std::sync::Mutex;
 
 use rac::{
-    build_policy_library, paper_contexts, ConfigLattice, InitialPolicy, PolicyLibrary, RacSettings,
+    build_policy_library, paper_contexts, ConfigLattice, PolicyLibrary, RacSettings, Runner,
     SlaReward, SystemContext, TrainingOptions, TRAINING_REVISION,
 };
 use simkernel::{Fnv1a, SimDuration};
@@ -89,7 +91,7 @@ pub fn standard_policy_files() -> Vec<(SystemContext, String)> {
 }
 
 /// The cache file name of the policy trained for `context` from `spec`
-/// under `options`: `<stem>-L4-<fingerprint>.bin`. The fingerprint is a
+/// under `options`: `<stem>-L4-<fingerprint>.ckpt`. The fingerprint is a
 /// 64-bit FNV-1a hash of the spec with the context applied, the
 /// warm-up, the measurement window, the offline settings and the
 /// [`TRAINING_REVISION`], so a policy trained from other inputs or by
@@ -105,7 +107,7 @@ fn policy_file(
         .write(format!("{spec:?}{options:?}").as_bytes())
         .write(&TRAINING_REVISION.to_le_bytes())
         .finish();
-    format!("{stem}-L{ONLINE_LEVELS}-{hash:016x}.bin")
+    format!("{stem}-L{ONLINE_LEVELS}-{hash:016x}.ckpt")
 }
 
 /// Convenience: train the library fresh with cheap settings, for smoke
@@ -146,11 +148,13 @@ pub fn daemon_quick_library(cache_dir: &Path) -> PolicyLibrary {
 }
 
 /// A standard-lattice library over `entries`, each a context and the
-/// cache file under `cache_dir` that holds its policy. Every context
-/// whose file is missing or unreadable is trained in one
-/// [`build_policy_library`] call and then stored. The library lists the
-/// entries in order, and each policy is moved into it, never copied. A
-/// fully cached library starts no runner batch.
+/// cache file under `cache_dir` that holds its policy. The files are
+/// read, checked and decoded in parallel on the runner. Every context
+/// whose file is missing or rejected is trained in one
+/// [`build_policy_library`] call and then stored; a rejected file is
+/// also warned about and counted in `rac_policy_cache_rejected_total`.
+/// The library lists the entries in order, and each policy is moved
+/// into it, never copied. A fully cached library starts no runner batch.
 fn cached_library(
     cache_dir: &Path,
     entries: &[(SystemContext, String)],
@@ -158,17 +162,48 @@ fn cached_library(
     options: TrainingOptions,
 ) -> PolicyLibrary {
     let lattice = standard_lattice();
-    let cached: Vec<Option<InitialPolicy>> = entries
-        .iter()
-        .map(|(_, file)| cache::load_policy(&cache_dir.join(file), &lattice))
-        .collect();
+    // The workers read into buffers that this thread allocated, one per
+    // worker, reused from file to file. A buffer that a worker allocates
+    // and frees stays in that worker's malloc arena, where the caller
+    // never reuses it: that raised a checkpointed lineup's peak RSS by
+    // 8 MB. And a fresh buffer per file pays its page faults again.
+    let runner = Runner::global();
+    let len = (entries.iter())
+        .filter_map(|(_, file)| fs::metadata(cache_dir.join(file)).ok())
+        .map(|meta| meta.len() as usize)
+        .max();
+    let buffers: Mutex<Vec<Vec<u8>>> = Mutex::new(
+        (0..runner.threads().min(entries.len()))
+            .map(|_| {
+                let mut buf = Vec::new();
+                // A file too large to hold fails its read instead.
+                let _ = buf.try_reserve_exact(len.unwrap_or(0));
+                buf
+            })
+            .collect(),
+    );
+    let cached = runner.run_tasks(entries.len(), |i| {
+        let mut buf = buffers.lock().unwrap().pop().unwrap_or_default();
+        let read = cache::read_policy(&cache_dir.join(&entries[i].1), &lattice, &mut buf);
+        buffers.lock().unwrap().push(buf);
+        read
+    });
     let mut missing = Vec::new();
-    for ((context, file), policy) in entries.iter().zip(&cached) {
-        if policy.is_none() {
-            eprintln!("  [offline] training initial policy for {context} ({file})");
-            missing.push(*context);
-        }
-    }
+    let cached: Vec<_> = (entries.iter().zip(cached))
+        .map(|((context, file), read)| {
+            let policy = read.unwrap_or_else(|e| {
+                eprintln!("  [offline] warning: rejected cached policy {file}: {e}");
+                let rejected = obs::Registry::global().counter("rac_policy_cache_rejected_total");
+                rejected.inc();
+                None
+            });
+            if policy.is_none() {
+                eprintln!("  [offline] training initial policy for {context} ({file})");
+                missing.push(*context);
+            }
+            policy
+        })
+        .collect();
     let mut trained =
         build_policy_library(spec, &missing, &lattice, SlaReward::new(SLA_MS), options).into_iter();
     let mut library = PolicyLibrary::new();
@@ -210,7 +245,7 @@ mod tests {
         let mut lib = PolicyLibrary::new();
         lib.insert(
             SystemContext::new(tpcw::Mix::Shopping, vmstack::ResourceLevel::Level2),
-            InitialPolicy {
+            rac::InitialPolicy {
                 qtable: rl::QTable::from_raw(2, 2, vec![0.5, -1.0, 2.25, 0.0]),
                 perf_ms: vec![410.0, 395.5],
                 fit: numerics::FitQuality {
@@ -230,12 +265,12 @@ mod tests {
         assert_eq!(
             files,
             [
-                "policy-ctx1-L4-1efc04751248ec52.bin",
-                "policy-ctx2-L4-23169ee01325ae9a.bin",
-                "policy-ctx3-L4-ba517d3105b7a134.bin",
-                "policy-ctx4-L4-a201d33479bc4f41.bin",
-                "policy-ctx5-L4-8abe4d24700db965.bin",
-                "policy-ctx6-L4-fde5dee6119a7b23.bin",
+                "policy-ctx1-L4-1efc04751248ec52.ckpt",
+                "policy-ctx2-L4-23169ee01325ae9a.ckpt",
+                "policy-ctx3-L4-ba517d3105b7a134.ckpt",
+                "policy-ctx4-L4-a201d33479bc4f41.ckpt",
+                "policy-ctx5-L4-8abe4d24700db965.ckpt",
+                "policy-ctx6-L4-fde5dee6119a7b23.ckpt",
             ]
         );
     }
@@ -323,6 +358,69 @@ mod tests {
         );
         assert_eq!(again, first);
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_cached_policies_are_retrained_not_served() {
+        let dir = std::env::temp_dir().join(format!("rac-bench-corrupt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = paper_system_spec().with_clients(20);
+        let options = TrainingOptions {
+            warmup: SimDuration::from_secs(10),
+            measure: SimDuration::from_secs(20),
+            ..TrainingOptions::default()
+        };
+        let entries: Vec<(SystemContext, String)> = paper_contexts()[..3]
+            .iter()
+            .enumerate()
+            .map(|(i, &context)| {
+                let stem = format!("policy-test{i}");
+                (context, policy_file(&stem, &spec, context, options))
+            })
+            .collect();
+        let path = |i: usize| dir.join(&entries[i].1);
+        let library = || {
+            let writer = std::sync::Arc::new(obs::TraceWriter::new());
+            let library =
+                obs::trace::with_writer(&writer, || cached_library(&dir, &entries, &spec, options));
+            (library, writer.events())
+        };
+        let (clean, _) = library();
+        let originals: Vec<Vec<u8>> = (0..3).map(|i| std::fs::read(path(i)).unwrap()).collect();
+
+        // The 64-byte probe in the first file: the high byte of one
+        // Q-value every 1,024 states (the values start after the
+        // container header, the section header and the table's shape).
+        let mut probed = originals[0].clone();
+        let q_values = 16 + 2 + "rac.policy".len() + 8 + 4 + 16;
+        let states = standard_lattice().num_states();
+        for state in (0..states).step_by(1024) {
+            probed[q_values + 4 * state * rac::Action::COUNT + 3] = 0x7f;
+        }
+        std::fs::write(path(0), probed).unwrap();
+        // One flipped bit in the last file's payload.
+        let mut flipped = originals[2].clone();
+        let at = flipped.len() / 2;
+        flipped[at] ^= 0x04;
+        std::fs::write(path(2), flipped).unwrap();
+
+        let rejected = obs::Registry::global().counter("rac_policy_cache_rejected_total");
+        let before = rejected.get();
+        let (again, events) = library();
+        assert_eq!(rejected.get() - before, 2);
+        assert!(events.iter().any(|e| e.kind == "runner_batch"));
+        let retrained: Vec<&obs::Value> = events
+            .iter()
+            .filter(|e| e.kind == "offline_training")
+            .filter_map(|e| e.get("context"))
+            .collect();
+        let corrupted = [0, 2].map(|i| obs::Value::Str(entries[i].0.to_string()));
+        assert_eq!(retrained, corrupted.iter().collect::<Vec<_>>());
+        assert_eq!(again, clean);
+        for (i, original) in originals.iter().enumerate() {
+            assert_eq!(&std::fs::read(path(i)).unwrap(), original, "file {i}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -76,10 +76,10 @@ fn kill_and_resume_reproduces_the_uninterrupted_csvs() {
 
 #[test]
 fn mismatched_library_warm_start_fails_typed_before_any_tenant_runs() {
-    // Regression: a `--warm-start` snapshot whose library was trained on
-    // a different parameter lattice used to panic deep inside agent
-    // construction; it must surface `TransferError::LatticeMismatch` at
-    // fleet construction instead.
+    // Regression: a `--warm-start` library trained on a different
+    // parameter lattice used to panic deep inside agent construction; it
+    // must surface `TransferError::LatticeMismatch` at fleet
+    // construction instead.
     let wrong_levels = small_config().online_levels + 1;
     let lattice = rac::ConfigLattice::new(wrong_levels);
     let policy = rac::train_initial_policy(
@@ -92,11 +92,7 @@ fn mismatched_library_warm_start_fails_typed_before_any_tenant_runs() {
     let mut library = rac::PolicyLibrary::new();
     library.insert(rac::paper_contexts()[0], policy);
 
-    let mut w = SnapshotWriter::new();
-    rac::library_to_snapshot(&mut w, &library);
-    let snap = Snapshot::from_bytes(&w.to_bytes()).unwrap();
-
-    match FleetRun::with_library(small_config(), &snap) {
+    match FleetRun::with_library(small_config(), &library) {
         Err(FleetError::Transfer(TransferError::LatticeMismatch {
             policy_states,
             store_states,

@@ -12,10 +12,11 @@
 //!
 //! # Reading guarantees
 //!
-//! [`Snapshot::from_bytes`] rejects, with a distinct [`CkptError`]
-//! variant each: wrong magic, unsupported format version, truncation
-//! anywhere (header, section header, payload, or a section count the
-//! file is too short to hold), per-section CRC
+//! [`Snapshot::from_vec`] (which parses in place), [`Snapshot::load`]
+//! and [`Snapshot::from_bytes`] (which copies once) reject, with a
+//! distinct [`CkptError`] variant each: wrong magic, unsupported format
+//! version, truncation anywhere (header, section header, payload, or a
+//! section count the file is too short to hold), per-section CRC
 //! mismatches, and trailing bytes after the last section. A snapshot
 //! that decodes is exactly the snapshot that was written.
 //!

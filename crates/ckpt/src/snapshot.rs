@@ -20,6 +20,7 @@
 
 use std::fs::{self, File};
 use std::io::Write as _;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::crc::crc32;
@@ -68,16 +69,6 @@ impl SnapshotWriter {
         let mut w = Writer::new();
         fill(&mut w);
         self.sections.push((name.to_string(), w.into_bytes()));
-    }
-
-    /// Number of sections added so far.
-    pub fn len(&self) -> usize {
-        self.sections.len()
-    }
-
-    /// Whether no sections have been added.
-    pub fn is_empty(&self) -> bool {
-        self.sections.is_empty()
     }
 
     /// Serializes the snapshot to its on-disk byte form.
@@ -186,15 +177,24 @@ pub fn remove_stale_temp(path: &Path) -> Result<bool, CkptError> {
     }
 }
 
-/// A decoded, checksum-verified snapshot.
+/// A checksum-verified snapshot. It owns the file's bytes and keeps the
+/// range of each section's payload, so parsing copies nothing.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    sections: Vec<(String, Vec<u8>)>,
+    bytes: Vec<u8>,
+    sections: Vec<(String, Range<usize>)>,
 }
 
 impl Snapshot {
-    /// Parses and fully verifies a snapshot from its byte form.
+    /// Parses and fully verifies a snapshot from its byte form, which it
+    /// copies once.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CkptError> {
+        Snapshot::from_vec(bytes.to_vec())
+    }
+
+    /// Parses and fully verifies a snapshot in place, taking ownership
+    /// of its bytes.
+    pub fn from_vec(bytes: Vec<u8>) -> Result<Self, CkptError> {
         if bytes.len() < 16 {
             return Err(CkptError::Truncated {
                 detail: format!("file is {} bytes, header needs 16", bytes.len()),
@@ -240,18 +240,23 @@ impl Snapshot {
                     ),
                 });
             }
-            let payload = r.take(payload_len)?;
-            if crc32(payload) != expect_crc {
+            let start = bytes.len() - r.remaining();
+            if crc32(r.take(payload_len)?) != expect_crc {
                 return Err(CkptError::CrcMismatch { section: name });
             }
-            sections.push((name, payload.to_vec()));
+            sections.push((name, start..start + payload_len));
         }
         if r.remaining() != 0 {
             return Err(CkptError::Corrupt {
                 detail: format!("{} trailing bytes after the last section", r.remaining()),
             });
         }
-        Ok(Snapshot { sections })
+        Ok(Snapshot { bytes, sections })
+    }
+
+    /// The snapshot's bytes, for reuse as a buffer.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
     }
 
     /// Reads and verifies a snapshot file.
@@ -261,7 +266,7 @@ impl Snapshot {
             context: "read checkpoint file",
             source,
         })?;
-        Snapshot::from_bytes(&bytes)
+        Snapshot::from_vec(bytes)
     }
 
     /// A reader over the named section's payload, or
@@ -270,7 +275,7 @@ impl Snapshot {
         self.sections
             .iter()
             .find(|(n, _)| n == name)
-            .map(|(n, p)| Reader::new(p, n))
+            .map(|(n, range)| Reader::new(&self.bytes[range.clone()], n))
             .ok_or_else(|| CkptError::MissingSection {
                 section: name.to_string(),
             })
@@ -308,6 +313,22 @@ mod tests {
         let mut r = snap.section("beta").unwrap();
         assert_eq!(r.get_f64().unwrap(), 1.5);
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn from_vec_agrees_with_from_bytes() {
+        let writer = sample();
+        let bytes = writer.to_bytes();
+        let copied = Snapshot::from_bytes(&bytes).unwrap();
+        let owned = Snapshot::from_vec(bytes.clone()).unwrap();
+        assert_eq!(owned.sections, copied.sections);
+        assert_eq!(owned.bytes, bytes);
+        for (name, payload) in &writer.sections {
+            for snap in [&copied, &owned] {
+                let mut r = snap.section(name).unwrap();
+                assert_eq!(r.take(r.remaining()).unwrap(), payload.as_slice());
+            }
+        }
     }
 
     #[test]

@@ -87,10 +87,7 @@ pub use init::{train_initial_policy, InitialPolicy, OfflineSettings};
 pub use mdp::{ConfigMdp, ALPHA, GAMMA, THETA};
 pub use measure::{Acquisition, BreakerState, BreakerTransition, MeasurementChannel};
 pub use param::ConfigLattice;
-pub use persist::{
-    decode_policy, encode_policy, library_from_snapshot, library_from_snapshot_checked,
-    library_to_snapshot,
-};
+pub use persist::{decode_policy, encode_policy, library_from_snapshot, library_to_snapshot};
 pub use reward::SlaReward;
 pub use runner::{Measure, MeasureJob, Runner, SimMeasurer};
 pub use training::{

@@ -99,9 +99,9 @@ pub(crate) fn decode_qtable(
 
 /// Encodes one offline-trained initial policy.
 ///
-/// Public because the fleet transfer store persists donor policies
-/// outside any [`PolicyLibrary`]; the field order is part of the
-/// checkpoint wire format.
+/// Public because the fleet transfer store and the policy cache of
+/// `rac_bench` persist policies outside any [`PolicyLibrary`]; the
+/// field order is part of the checkpoint wire format.
 pub fn encode_policy(w: &mut Writer, p: &InitialPolicy) {
     encode_qtable(w, &p.qtable);
     w.put_usize(p.perf_ms.len());
@@ -206,39 +206,22 @@ pub fn library_to_snapshot(snap: &mut SnapshotWriter, lib: &PolicyLibrary) {
 }
 
 /// Reads the policy library a snapshot stores with
-/// [`library_to_snapshot`] — the warm-start path: a fresh run seeds its
-/// agent with the library a previous run learned with, without
-/// restoring any online state.
+/// [`library_to_snapshot`], trained on a `states` × `actions` lattice —
+/// the warm-start path: a fresh run seeds its agent with the library a
+/// previous run learned with, without restoring any online state.
+///
+/// A library from a run with different `online_levels` has a
+/// self-consistent shape header, but would blow up later inside agent
+/// construction; the shape check turns that into a typed error before
+/// any policy is handed out.
 ///
 /// # Errors
 ///
 /// Returns [`CkptError::MissingSection`] when the snapshot has no
 /// `rac.library` section, [`CkptError::Mismatch`] when the stored
-/// library is empty, and decoding errors as usual.
-pub fn library_from_snapshot(snap: &Snapshot) -> Result<PolicyLibrary, CkptError> {
-    let mut r = snap.section(SECTION_LIBRARY)?;
-    if !r.get_bool()? {
-        return Err(CkptError::Mismatch {
-            detail: "snapshot holds an empty policy library, nothing to warm-start from"
-                .to_string(),
-        });
-    }
-    let states = r.get_usize()?;
-    let actions = r.get_usize()?;
-    let lib = decode_library(&mut r, states, actions)?;
-    r.finish()?;
-    Ok(lib)
-}
-
-/// Like [`library_from_snapshot`], but additionally requires the stored
-/// library's lattice shape to match the lattice the caller is about to
-/// seed — the warm-start seeding boundary.
-///
-/// A snapshot from a run with different `online_levels` decodes cleanly
-/// (its shape header is self-consistent) but would blow up later inside
-/// agent construction; checking here turns that into a typed
-/// [`CkptError::Mismatch`] before any policy is handed out.
-pub fn library_from_snapshot_checked(
+/// library is empty or was trained on another lattice, and decoding
+/// errors as usual.
+pub fn library_from_snapshot(
     snap: &Snapshot,
     states: usize,
     actions: usize,
@@ -345,5 +328,40 @@ mod tests {
         let back = decode_library(&mut r, lattice.num_states(), Action::COUNT).unwrap();
         r.finish().unwrap();
         assert_eq!(back, lib);
+    }
+
+    #[test]
+    fn library_snapshot_reads_back_only_on_its_own_lattice() {
+        let lattice = ConfigLattice::new(2);
+        let policy = train_initial_policy(
+            &lattice,
+            SlaReward::new(1_000.0),
+            OfflineSettings { group_levels: 2 },
+            |c: &ServerConfig| 100.0 + c.max_clients() as f64 * 0.1,
+        )
+        .unwrap();
+        let mut lib = PolicyLibrary::new();
+        lib.insert(
+            SystemContext::new(Mix::Ordering, ResourceLevel::Level3),
+            policy,
+        );
+        let snapshot = |lib: &PolicyLibrary| {
+            let mut w = SnapshotWriter::new();
+            library_to_snapshot(&mut w, lib);
+            Snapshot::from_vec(w.to_bytes()).unwrap()
+        };
+        let states = lattice.num_states();
+        let back = library_from_snapshot(&snapshot(&lib), states, Action::COUNT).unwrap();
+        assert_eq!(back, lib);
+        let bigger = ConfigLattice::new(3).num_states();
+        for (states, actions) in [(bigger, Action::COUNT), (states, Action::COUNT + 1)] {
+            let err = library_from_snapshot(&snapshot(&lib), states, actions).unwrap_err();
+            assert!(matches!(err, CkptError::Mismatch { .. }), "{err}");
+        }
+        let empty = library_from_snapshot(&snapshot(&PolicyLibrary::new()), states, Action::COUNT);
+        assert!(matches!(empty, Err(CkptError::Mismatch { .. })));
+        let none = Snapshot::from_vec(SnapshotWriter::new().to_bytes()).unwrap();
+        let missing = library_from_snapshot(&none, states, Action::COUNT);
+        assert!(matches!(missing, Err(CkptError::MissingSection { .. })));
     }
 }

@@ -238,13 +238,17 @@ impl FleetRun {
         })
     }
 
-    /// A fresh run whose store is pre-seeded from a warm-start snapshot
-    /// (an offline-trained policy library): even the "cold" wave then
-    /// warm-starts, and the library donors compete with finished tenants
-    /// for nearest-neighbor selection.
-    pub fn with_library(config: FleetConfig, snap: &Snapshot) -> Result<Self, FleetError> {
+    /// A fresh run whose store is pre-seeded from a warm-start policy
+    /// library: even the "cold" wave then warm-starts, and the library
+    /// donors compete with finished tenants for nearest-neighbor
+    /// selection. A library of another lattice is a typed
+    /// [`TransferError::LatticeMismatch`].
+    pub fn with_library(
+        config: FleetConfig,
+        library: &rac::PolicyLibrary,
+    ) -> Result<Self, FleetError> {
         let mut run = FleetRun::new(config)?;
-        run.store.seed_from_snapshot(snap)?;
+        run.store.seed_from_library(library)?;
         Ok(run)
     }
 
@@ -819,16 +823,13 @@ mod tests {
         .unwrap();
         let mut lib = rac::PolicyLibrary::new();
         lib.insert(rac::paper_contexts()[0], policy);
-        let mut snap = SnapshotWriter::new();
-        rac::library_to_snapshot(&mut snap, &lib);
-        let snap = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
 
         let config = FleetConfig {
             tenants: 2,
             cold: 1,
             ..tiny_config()
         };
-        let mut run = FleetRun::with_library(config, &snap).unwrap();
+        let mut run = FleetRun::with_library(config, &lib).unwrap();
         assert_eq!(run.store().len(), 1);
         let runner = Runner::new(2);
         run.step(&runner).unwrap();
@@ -849,13 +850,10 @@ mod tests {
         .unwrap();
         let mut lib = rac::PolicyLibrary::new();
         lib.insert(rac::paper_contexts()[0], policy);
-        let mut snap = SnapshotWriter::new();
-        rac::library_to_snapshot(&mut snap, &lib);
-        let snap = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
 
         // tiny_config runs 3-level agents; the 2-level library must be
         // rejected with the typed transfer error, before any tenant runs.
-        match FleetRun::with_library(tiny_config(), &snap) {
+        match FleetRun::with_library(tiny_config(), &lib) {
             Err(FleetError::Transfer(TransferError::LatticeMismatch { .. })) => {}
             other => panic!("expected typed lattice mismatch, got {other:?}"),
         }

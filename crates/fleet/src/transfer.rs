@@ -1,10 +1,11 @@
 //! The fleet-wide policy transfer store.
 //!
-//! Generalizes the one-to-one `--warm-start` snapshot machinery
-//! (`rac::library_from_snapshot`) into a shared library: every finished
-//! tenant donates its learned policy ([`rac::RacAgent::learned_policy`])
-//! tagged with the tenant's feature vector, and a new tenant is seeded
-//! from the *nearest* donor under squared-Euclidean feature distance.
+//! Generalizes the one-to-one `--warm-start` machinery (a policy
+//! library read from a checkpoint's sidecar) into a shared library:
+//! every finished tenant donates its learned policy
+//! ([`rac::RacAgent::learned_policy`]) tagged with the tenant's feature
+//! vector, and a new tenant is seeded from the *nearest* donor under
+//! squared-Euclidean feature distance.
 //!
 //! Determinism: donors are kept in insertion order; nearest-neighbor
 //! scans that order and only replaces the best candidate on a *strictly*
@@ -14,8 +15,8 @@
 //! no dependence on thread count.
 
 use ckpt::wire::{Reader, Writer};
-use ckpt::{CkptError, Snapshot};
-use rac::InitialPolicy;
+use ckpt::CkptError;
+use rac::{InitialPolicy, PolicyLibrary};
 
 /// Typed errors at the policy-transfer seeding boundary.
 #[derive(Debug)]
@@ -142,23 +143,20 @@ impl TransferStore {
         Ok(())
     }
 
-    /// Seeds the store from a warm-start snapshot's embedded policy
-    /// library (the one-to-one `--warm-start` machinery, fleet-ified):
-    /// each per-context policy becomes a donor labeled
-    /// `library:<context>`, placed in feature space by its context's mix
-    /// and resource level at neutral client/SLA coordinates.
+    /// Seeds the store from a warm-start policy library (the
+    /// one-to-one `--warm-start` machinery, fleet-ified): each
+    /// per-context policy becomes a donor labeled `library:<context>`,
+    /// placed in feature space by its context's mix and resource level
+    /// at neutral client/SLA coordinates.
     ///
     /// Returns the number of donors added.
     ///
     /// # Errors
     ///
-    /// [`TransferError::Snapshot`] when the snapshot has no readable
-    /// library, and [`TransferError::LatticeMismatch`] when the library
-    /// was trained on a different lattice than the store's — the
-    /// satellite regression case: a mismatched warm start must fail
-    /// typed at this boundary, not panic later.
-    pub fn seed_from_snapshot(&mut self, snap: &Snapshot) -> Result<usize, TransferError> {
-        let library = rac::library_from_snapshot(snap)?;
+    /// [`TransferError::LatticeMismatch`] when the library was trained
+    /// on a different lattice than the store's: a mismatched warm start
+    /// fails typed at this boundary instead of panicking later.
+    pub fn seed_from_library(&mut self, library: &PolicyLibrary) -> Result<usize, TransferError> {
         let mut added = 0;
         for (ctx, policy) in library.iter() {
             let level = vmstack::ResourceLevel::ALL
@@ -296,15 +294,17 @@ mod tests {
         let mut snap = ckpt::SnapshotWriter::new();
         rac::library_to_snapshot(&mut snap, &lib);
         let snap = ckpt::Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+        // The library reads back on its own 2-level lattice.
+        let lib = rac::library_from_snapshot(&snap, states, Action::COUNT).unwrap();
 
         // Same lattice seeds fine...
         let mut ok_store = TransferStore::new(states, Action::COUNT);
-        assert_eq!(ok_store.seed_from_snapshot(&snap).unwrap(), 1);
+        assert_eq!(ok_store.seed_from_library(&lib).unwrap(), 1);
 
         // ...a 3-level store rejects the 2-level library, typed.
         let bigger = ConfigLattice::new(3).num_states();
         let mut store = TransferStore::new(bigger, Action::COUNT);
-        let err = store.seed_from_snapshot(&snap).unwrap_err();
+        let err = store.seed_from_library(&lib).unwrap_err();
         assert!(
             matches!(err, TransferError::LatticeMismatch { .. }),
             "got {err:?}"

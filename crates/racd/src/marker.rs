@@ -2,9 +2,10 @@
 //! presence at startup means the previous instance died without a
 //! clean shutdown.
 //!
-//! The marker is armed as the daemon starts and disarmed only on the
-//! graceful-exit path, *after* the worker has checkpointed and
-//! stopped. A SIGKILL (or panic that escapes the supervisor) leaves it
+//! The marker is armed once the daemon's start is accepted (operands
+//! queued, listeners bound), before any job runs, and disarmed only on
+//! the graceful-exit path, *after* the worker has checkpointed and
+//! stopped; a rejected start leaves it as it was. A SIGKILL (or panic that escapes the supervisor) leaves it
 //! behind, so the next start can tell a crash from a clean stop and
 //! deliberately take the recovery path: sweep stale `.tmp` checkpoint
 //! files, resume from the last committed snapshot, and report

@@ -197,22 +197,19 @@ fn inject(state: &Arc<ControlState>, operand: &str) -> String {
 /// checkpoint at `path` (read from its sidecar) seeds the RAC agent of
 /// every *subsequent* job. The running job keeps its state, and so does
 /// a resumed one, whose library is the one its own checkpoint names —
-/// swaps happen at job boundaries, never mid-lineup. Vetoed when the
-/// library's Q-table dimensions do not match this build's lattice.
+/// swaps happen at job boundaries, never mid-lineup. A checkpoint whose
+/// library does not fit this build's lattice (or that names none) is
+/// vetoed as `lattice-mismatch`; any other read error is
+/// `snapshot-unreadable`.
 fn upgrade(state: &Arc<ControlState>, path: &str) -> String {
-    let sidecar = rac_bench::checkpoint::library_sidecar(std::path::Path::new(path));
-    let snap = match sidecar.and_then(|sidecar| ckpt::Snapshot::load(&sidecar)) {
-        Ok(snap) => snap,
-        Err(e) => return format!("err snapshot-unreadable {path}: {e}"),
-    };
-    let states = rac_bench::standard_lattice().num_states();
-    match rac::library_from_snapshot_checked(&snap, states, rac::Action::COUNT) {
+    match rac_bench::checkpoint::warm_start_library(std::path::Path::new(path)) {
         Ok(lib) => {
             let n = lib.len();
             *state.library_override.lock().unwrap() = Some(lib);
             format!("ok upgraded {n} policies; applies from the next job")
         }
-        Err(e) => format!("err lattice-mismatch {e}"),
+        Err(e @ ckpt::CkptError::Mismatch { .. }) => format!("err lattice-mismatch {e}"),
+        Err(e) => format!("err snapshot-unreadable {path}: {e}"),
     }
 }
 
@@ -272,10 +269,6 @@ pub fn run(config: DaemonConfig, operands: &[String]) -> i32 {
     let dirty = marker.present();
     if dirty {
         eprintln!("racd: dirty marker present — previous instance crashed; will resume");
-    }
-    if let Err(e) = marker.arm() {
-        eprintln!("racd: cannot arm dirty marker: {e}");
-        return EXIT_STATE;
     }
     if let Err(e) = std::fs::create_dir_all(&config.results_dir) {
         eprintln!("racd: cannot create results dir: {e}");
@@ -340,6 +333,13 @@ pub fn run(config: DaemonConfig, operands: &[String]) -> i32 {
             }
         }
     };
+    // Armed once the start is accepted, and before the address file
+    // that scripts wait for: a start rejected earlier ran no job, so it
+    // leaves the marker as it found it.
+    if let Err(e) = marker.arm() {
+        eprintln!("racd: cannot arm dirty marker: {e}");
+        return EXIT_STATE;
+    }
     // The resolved admin address lands in the state dir so scripts
     // (the drill harness, CI) can find an OS-assigned port.
     let addr_file = config.state_dir.join("admin.addr");

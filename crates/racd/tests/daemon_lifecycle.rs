@@ -2,13 +2,17 @@
 //! queue, writes the scenario artifacts, cleans up its checkpoint and
 //! queue entry, and disarms the dirty marker — and a second daemon
 //! instance over the same scenario produces byte-identical CSV output.
+//! A start rejected for its operands or addresses leaves the marker as
+//! it found it.
 //!
-//! Kept to a single test function: the daemon shares process-global
-//! state (the health cell, signal flags), so phases run sequentially.
+//! The runs that drain a queue are kept to a single test function: the
+//! daemon shares process-global state (the health cell, signal flags),
+//! so their phases run sequentially. A rejected start stops before any
+//! of that state but the (idempotent) signal handlers.
 
 use std::path::Path;
 
-use racd::{DaemonConfig, DirtyMarker, EXIT_CLEAN};
+use racd::{DaemonConfig, DirtyMarker, EXIT_CLEAN, EXIT_USAGE};
 
 const SCN: &str = "name tiny\nduration 360s\ninterval 60s\nwarmup 60s\nclients 60\nseed 5\n\
                    at 60s intensity 1.4\nfault at 200s drop\n";
@@ -95,5 +99,44 @@ fn once_run_drains_queue_and_is_deterministic() {
     let c = std::fs::read(state_c.join("results/scenario-tiny.csv")).unwrap();
     assert_eq!(a, c, "a dirty start must not perturb the output bytes");
 
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn rejected_start_leaves_the_dirty_marker_as_it_found_it() {
+    let root = fresh_dir("reject");
+    let cache = root.join("cache");
+    let huge = root.join("huge.scn");
+    std::fs::write(&huge, "name huge\nduration 1000000000s\ninterval 1us\n").unwrap();
+    // A port this test holds, so binding it again fails.
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let taken = taken.local_addr().unwrap().to_string();
+    for was_dirty in [false, true] {
+        let state = root.join(format!("state-{was_dirty}"));
+        let marker = DirtyMarker::in_dir(&state);
+        if was_dirty {
+            marker.arm().unwrap();
+        }
+        let cfg = daemon_config(&state, &cache);
+        let mut serve = cfg.clone();
+        serve.serve_addr = Some(taken.clone());
+        let mut admin = cfg.clone();
+        admin.admin_addr = taken.clone();
+        let starts = [
+            ("an invalid operand", cfg, vec![huge.display().to_string()]),
+            ("a busy --serve address", serve, vec![]),
+            ("a busy admin address", admin, vec![]),
+        ];
+        for (why, cfg, operands) in starts {
+            assert_eq!(racd::run(cfg, &operands), EXIT_USAGE, "{why}");
+            assert_eq!(
+                marker.present(),
+                was_dirty,
+                "a start rejected for {why} changed a marker that was {}",
+                if was_dirty { "present" } else { "absent" }
+            );
+        }
+        assert!(!cache.exists(), "a rejected start trained nothing");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -1,8 +1,9 @@
 //! Online statistics for simulation measurement.
 //!
 //! The RAC agent is non-intrusive: the only signal it consumes is
-//! application-level performance sampled over an interval. These
-//! accumulators compute those samples without storing raw observations.
+//! application-level performance sampled over an interval. `websim`
+//! keeps each response time of an interval in a `Vec` and, when the
+//! interval closes, bins them into a [`DurationHistogram`] for the p95.
 
 use crate::time::SimDuration;
 

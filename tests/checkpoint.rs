@@ -23,8 +23,8 @@ use rac::{
     SimMeasurer, SlaReward, Tuner,
 };
 use rac_bench::checkpoint::{
-    library_sidecar, run_tuners_checkpointed, run_tuners_checkpointed_with, CheckpointOptions,
-    LineupCommand, LineupOutcome,
+    library_sidecar, run_tuners_checkpointed, run_tuners_checkpointed_with, warm_start_library,
+    CheckpointOptions, LineupCommand, LineupOutcome,
 };
 use rac_bench::scenario::{run_tuners, scenario_table};
 use rac_bench::{paper_system_spec, standard_settings, ONLINE_LEVELS, SLA_MS};
@@ -379,9 +379,7 @@ fn finished_run_checkpoint_warm_starts_the_library() {
         run_tuners_checkpointed(&scn, shared_library(), &options, None).expect("lineup runs");
     assert!(matches!(outcome, LineupOutcome::Complete(_)));
 
-    let sidecar = library_sidecar(&path).expect("final checkpoint names its library");
-    let snap = Snapshot::load(&sidecar).expect("library sidecar persisted");
-    let lib = rac::library_from_snapshot(&snap).expect("library section present");
+    let lib = warm_start_library(&path).expect("final checkpoint names its persisted library");
     assert_eq!(
         &lib,
         shared_library(),
