@@ -350,9 +350,9 @@ fn run(argv: &[String], grammar: &Grammar, entry: Entry) -> Result<(), Exit> {
 
 /// The one way a checked run ends. Begun, it marks the `/healthz` job
 /// running; dropped — on success, error or panic alike — it writes the
-/// process-wide metrics next to the CSVs (`results/metrics.{prom,csv}`,
-/// unless observability is off or nothing was recorded) and finishes
-/// the job as done (`ok`) or failed.
+/// process-wide metrics, the peak-RSS gauge refreshed, next to the CSVs
+/// (`results/metrics.{prom,csv}`, unless observability is off or
+/// nothing was recorded) and finishes the job as done (`ok`) or failed.
 struct Lifecycle<'a> {
     opts: &'a Options,
     console: &'a Console,
@@ -377,8 +377,10 @@ impl Drop for Lifecycle<'_> {
         if !obs::enabled() {
             return;
         }
-        let snapshot = obs::Registry::global().snapshot();
-        if !snapshot.is_empty() {
+        let registry = obs::Registry::global();
+        if !registry.is_empty() {
+            obs::process::refresh();
+            let snapshot = registry.snapshot();
             let _ = std::fs::create_dir_all(&self.opts.results_dir);
             for (file, text) in [
                 ("metrics.prom", obs::export::render_prometheus(&snapshot)),
@@ -1584,6 +1586,13 @@ fn run_profile<'a>(args: &'a Args, opts: &'a Options, console: &'a Console) -> C
         let events = rac_bench::profile::simulator_event_counts();
         let wall_s = started.elapsed().as_secs_f64();
         print!("{}", rac_bench::profile::event_rate_table(&events, wall_s));
+        if let Some(bytes) = obs::process::peak_rss_bytes() {
+            println!(
+                "peak RSS: {:.1} MB ({} {bytes})",
+                bytes as f64 / 1e6,
+                obs::process::PEAK_RSS_BYTES
+            );
+        }
         let folded_path = opts
             .results_dir
             .join(format!("profile-{}.folded", scn.name));

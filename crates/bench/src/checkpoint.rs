@@ -457,8 +457,8 @@ impl CkptSink<'_> {
             });
         }
         let library = self.store_library()?;
-        let bytes = self.encode(status.tuner_index, library, done, progress, tuner);
-        write(&self.options.path, &bytes)?;
+        let snap = self.encode(status.tuner_index, library, done, progress, tuner);
+        write(&self.options.path, &snap)?;
         Ok(if stop {
             BoundaryAction::Stop
         } else {
@@ -480,7 +480,7 @@ impl CkptSink<'_> {
                 if !path.exists() {
                     let mut snap = SnapshotWriter::new();
                     rac::library_to_snapshot(&mut snap, library);
-                    write(&path, &snap.to_bytes())?;
+                    write(&path, &snap)?;
                 }
                 self.library = SinkLibrary::Stored(fp);
                 Ok(Some(fp))
@@ -495,7 +495,7 @@ impl CkptSink<'_> {
         done: &[(&'static str, Vec<IterationRecord>)],
         progress: &ScenarioProgress,
         tuner: &dyn PersistTuner,
-    ) -> Vec<u8> {
+    ) -> SnapshotWriter {
         let mut snap = SnapshotWriter::new();
         let meta = LineupMeta {
             spec_fp: self.spec_fp,
@@ -517,18 +517,19 @@ impl CkptSink<'_> {
             w.put_bool(prefix.is_some());
             w.put_str(prefix.as_deref().unwrap_or(""));
         });
-        snap.to_bytes()
+        snap
     }
 }
 
 /// Atomically writes one checkpoint file (snapshot or sidecar) and
-/// records it in the `rac_ckpt_*` metrics.
-fn write(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
+/// records it in the `rac_ckpt_*` metrics. The write time includes
+/// encoding any streamed section, the library's in a sidecar.
+fn write(path: &Path, snap: &SnapshotWriter) -> Result<(), CkptError> {
     let t0 = Instant::now();
-    ckpt::write_bytes_atomic(bytes, path)?;
+    let bytes = snap.write_atomic(path)?;
     let m = obs::Registry::global();
     m.counter("rac_ckpt_writes_total").inc();
-    m.counter("rac_ckpt_bytes_total").add(bytes.len() as u64);
+    m.counter("rac_ckpt_bytes_total").add(bytes);
     m.histogram("rac_ckpt_write_us")
         .record_us(t0.elapsed().as_micros() as u64);
     Ok(())

@@ -22,10 +22,13 @@
 //!
 //! # Writing guarantees
 //!
-//! [`SnapshotWriter::write_atomic`] serializes to [`temp_path`] (the
-//! path with its extension replaced by `tmp`), fsyncs, then renames over
+//! [`SnapshotWriter::write_atomic`] writes to [`temp_path`] (the path
+//! with its extension replaced by `tmp`), fsyncs, then renames over
 //! `path`. A crash at any point leaves either the old complete file or
-//! the new complete file — never a torn one.
+//! the new complete file — never a torn one. Each section goes to the
+//! file from its own buffer, so a snapshot is never copied whole in
+//! memory; a section added with [`SnapshotWriter::streamed_section`] is
+//! encoded piece by piece as it is written and never held whole at all.
 //!
 //! # Example
 //!
@@ -50,6 +53,5 @@ pub mod wire;
 pub use crc::crc32;
 pub use error::CkptError;
 pub use snapshot::{
-    remove_stale_temp, temp_path, write_bytes_atomic, Snapshot, SnapshotWriter, FORMAT_VERSION,
-    MAGIC,
+    remove_stale_temp, temp_path, PayloadSink, Snapshot, SnapshotWriter, FORMAT_VERSION, MAGIC,
 };

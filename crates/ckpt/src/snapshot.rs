@@ -19,11 +19,11 @@
 //! Strictly nothing after the last section; trailing bytes are rejected.
 
 use std::fs::{self, File};
-use std::io::Write as _;
+use std::io::{self, BufWriter, Cursor, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use crate::crc::crc32;
+use crate::crc::{crc32, crc32_combine};
 use crate::error::CkptError;
 use crate::wire::{Reader, Writer};
 
@@ -38,10 +38,35 @@ pub const MAGIC: [u8; 8] = *b"RACCKPT\0";
 /// constants from agent and tuner sections. Older files are refused.
 pub const FORMAT_VERSION: u32 = 3;
 
+/// Where a streamed section's payload goes, one piece at a time: the
+/// temp file of [`SnapshotWriter::write_atomic`] or the buffer of
+/// [`SnapshotWriter::to_bytes`].
+pub type PayloadSink<'a> = dyn FnMut(&[u8]) -> io::Result<()> + 'a;
+
+/// Hands a streamed section's payload to a [`PayloadSink`].
+type Stream = Box<dyn Fn(&mut PayloadSink<'_>) -> io::Result<()> + Send + Sync>;
+
+/// A section's payload.
+enum Payload {
+    /// Encoded once, when the section was added.
+    Buffered(Vec<u8>),
+    /// Encoded piece by piece each time the snapshot is written.
+    Streamed(Stream),
+}
+
+impl std::fmt::Debug for Payload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Payload::Buffered(bytes) => write!(f, "Buffered({} bytes)", bytes.len()),
+            Payload::Streamed(_) => f.write_str("Streamed"),
+        }
+    }
+}
+
 /// Builds a snapshot section by section, then serializes or persists it.
 #[derive(Debug, Default)]
 pub struct SnapshotWriter {
-    sections: Vec<(String, Vec<u8>)>,
+    sections: Vec<(String, Payload)>,
 }
 
 impl SnapshotWriter {
@@ -58,6 +83,29 @@ impl SnapshotWriter {
     /// length — section names are compile-time constants in practice,
     /// so either is a programming error.
     pub fn section(&mut self, name: &str, fill: impl FnOnce(&mut Writer)) {
+        let mut w = Writer::new();
+        fill(&mut w);
+        self.push(name, Payload::Buffered(w.into_bytes()));
+    }
+
+    /// Appends a section whose payload `stream` hands to its sink in
+    /// pieces, each time the snapshot is serialized or written, so a
+    /// payload too large to hold twice is never held whole. `stream`
+    /// must produce the same bytes on every call and fail only when its
+    /// sink does.
+    ///
+    /// # Panics
+    ///
+    /// As [`section`](Self::section).
+    pub fn streamed_section(
+        &mut self,
+        name: &str,
+        stream: impl Fn(&mut PayloadSink<'_>) -> io::Result<()> + Send + Sync + 'static,
+    ) {
+        self.push(name, Payload::Streamed(Box::new(stream)));
+    }
+
+    fn push(&mut self, name: &str, payload: Payload) {
         assert!(
             u16::try_from(name.len()).is_ok(),
             "section name too long: {name}"
@@ -66,37 +114,107 @@ impl SnapshotWriter {
             self.sections.iter().all(|(n, _)| n != name),
             "duplicate section: {name}"
         );
-        let mut w = Writer::new();
-        fill(&mut w);
-        self.sections.push((name.to_string(), w.into_bytes()));
+        self.sections.push((name.to_string(), payload));
     }
 
     /// Serializes the snapshot to its on-disk byte form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a streamed section fails although its sink did not,
+    /// which [`streamed_section`](Self::streamed_section) rules out.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let payload: usize = self
-            .sections
-            .iter()
-            .map(|(n, p)| 14 + n.len() + p.len())
+        let buffered: usize = (self.sections.iter())
+            .map(|(name, payload)| match payload {
+                Payload::Buffered(bytes) => 14 + name.len() + bytes.len(),
+                Payload::Streamed(_) => 14 + name.len(),
+            })
             .sum();
-        let mut out = Vec::with_capacity(16 + payload);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        for (name, payload) in &self.sections {
-            out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&crc32(payload).to_le_bytes());
-            out.extend_from_slice(payload);
-        }
-        out
+        let mut out = Cursor::new(Vec::with_capacity(16 + buffered));
+        self.write_to(&mut out)
+            .expect("a snapshot serializes into memory");
+        out.into_inner()
     }
 
     /// Persists the snapshot atomically: parent directories are created,
-    /// bytes go to [`temp_path`], the file is fsynced, then renamed over
-    /// `path`. Returns the number of bytes written.
+    /// the header and then each section's header and payload go from the
+    /// section's own buffer (or stream) to [`temp_path`], the file is
+    /// fsynced, then renamed over `path`. Returns the number of bytes
+    /// written, the length of [`to_bytes`](Self::to_bytes).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CkptError::Io`] (with path and context) when any
+    /// filesystem step fails.
     pub fn write_atomic(&self, path: &Path) -> Result<u64, CkptError> {
-        write_bytes_atomic(&self.to_bytes(), path)
+        if let Some(parent) = path.parent() {
+            if !parent.as_os_str().is_empty() {
+                fs::create_dir_all(parent)
+                    .map_err(io_error(path, "create checkpoint directory for"))?;
+            }
+        }
+        let tmp = temp_path(path);
+        let file = File::create(&tmp).map_err(io_error(&tmp, "create temp checkpoint file"))?;
+        let mut out = BufWriter::new(file);
+        let written = (self.write_to(&mut out))
+            .and_then(|written| out.flush().map(|()| written))
+            .map_err(io_error(&tmp, "write temp checkpoint file"))?;
+        (out.get_ref().sync_all()).map_err(io_error(&tmp, "sync temp checkpoint file"))?;
+        drop(out);
+        fs::rename(&tmp, path).map_err(io_error(path, "rename temp checkpoint over"))?;
+        Ok(written)
+    }
+
+    /// Writes the container into `out` and returns its length. A streamed
+    /// section's header goes out with a zero length and CRC first, and is
+    /// rewritten in place once its payload has been counted and summed.
+    fn write_to(&self, out: &mut (impl Write + Seek)) -> io::Result<u64> {
+        out.write_all(&MAGIC)?;
+        out.write_all(&FORMAT_VERSION.to_le_bytes())?;
+        out.write_all(&(self.sections.len() as u32).to_le_bytes())?;
+        let mut written = 16;
+        for (name, payload) in &self.sections {
+            let len = match payload {
+                Payload::Buffered(bytes) => {
+                    write_section_header(out, name, bytes.len() as u64, crc32(bytes))?;
+                    out.write_all(bytes)?;
+                    bytes.len() as u64
+                }
+                Payload::Streamed(stream) => {
+                    write_section_header(out, name, 0, 0)?;
+                    let (mut len, mut crc) = (0, 0);
+                    stream(&mut |piece: &[u8]| {
+                        crc = crc32_combine(crc, crc32(piece), piece.len());
+                        len += piece.len() as u64;
+                        out.write_all(piece)
+                    })?;
+                    out.seek(SeekFrom::Start(written))?;
+                    write_section_header(out, name, len, crc)?;
+                    out.seek(SeekFrom::End(0))?;
+                    len
+                }
+            };
+            written += 14 + name.len() as u64 + len;
+        }
+        Ok(written)
+    }
+}
+
+/// Writes one section header: name length, name, payload length, CRC.
+fn write_section_header(out: &mut impl Write, name: &str, len: u64, crc: u32) -> io::Result<()> {
+    out.write_all(&(name.len() as u16).to_le_bytes())?;
+    out.write_all(name.as_bytes())?;
+    out.write_all(&len.to_le_bytes())?;
+    out.write_all(&crc.to_le_bytes())
+}
+
+/// Wraps an I/O error of one filesystem step on `path`.
+fn io_error(path: &Path, context: &'static str) -> impl FnOnce(io::Error) -> CkptError {
+    let path = path.to_path_buf();
+    move |source| CkptError::Io {
+        path,
+        context,
+        source,
     }
 }
 
@@ -106,51 +224,6 @@ impl SnapshotWriter {
 /// that plants or looks for a torn write.
 pub fn temp_path(path: &Path) -> PathBuf {
     path.with_extension("tmp")
-}
-
-/// Atomically replaces `path` with `bytes` via a temp file + rename —
-/// the same crash-safety as [`SnapshotWriter::write_atomic`], for
-/// callers that already hold the serialized form. Parent directories
-/// are created; returns the number of bytes written.
-///
-/// # Errors
-///
-/// Returns [`CkptError::Io`] (with path and context) when any
-/// filesystem step fails.
-pub fn write_bytes_atomic(bytes: &[u8], path: &Path) -> Result<u64, CkptError> {
-    let io = |context: &'static str| {
-        let path = path.to_path_buf();
-        move |source: std::io::Error| CkptError::Io {
-            path,
-            context,
-            source,
-        }
-    };
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent).map_err(io("create checkpoint directory for"))?;
-        }
-    }
-    let tmp = temp_path(path);
-    {
-        let mut f = File::create(&tmp).map_err(|source| CkptError::Io {
-            path: tmp.clone(),
-            context: "create temp checkpoint file",
-            source,
-        })?;
-        f.write_all(bytes).map_err(|source| CkptError::Io {
-            path: tmp.clone(),
-            context: "write temp checkpoint file",
-            source,
-        })?;
-        f.sync_all().map_err(|source| CkptError::Io {
-            path: tmp.clone(),
-            context: "sync temp checkpoint file",
-            source,
-        })?;
-    }
-    fs::rename(&tmp, path).map_err(io("rename temp checkpoint over"))?;
-    Ok(bytes.len() as u64)
 }
 
 /// Removes the stale [`temp_path`] file left beside a checkpoint by a crash
@@ -301,6 +374,14 @@ mod tests {
         w
     }
 
+    /// The payload of one of `sample`'s sections, all of them buffered.
+    fn buffered(payload: &Payload) -> &[u8] {
+        match payload {
+            Payload::Buffered(bytes) => bytes,
+            Payload::Streamed(_) => unreachable!("sample() buffers its sections"),
+        }
+    }
+
     #[test]
     fn round_trips() {
         let bytes = sample().to_bytes();
@@ -326,7 +407,7 @@ mod tests {
         for (name, payload) in &writer.sections {
             for snap in [&copied, &owned] {
                 let mut r = snap.section(name).unwrap();
-                assert_eq!(r.take(r.remaining()).unwrap(), payload.as_slice());
+                assert_eq!(r.take(r.remaining()).unwrap(), buffered(payload));
             }
         }
     }
@@ -394,6 +475,7 @@ mod tests {
         let header = 16;
         let mut offset = header;
         for (name, payload) in &sample().sections {
+            let payload = buffered(payload);
             offset += 2 + name.len() + 8 + 4;
             for i in 0..payload.len() {
                 let mut bytes = clean.clone();
@@ -429,7 +511,7 @@ mod tests {
         for (name, payload) in &sample().sections {
             let header = 2 + name.len() + 8 + 4;
             headers.extend(offset..offset + header);
-            offset += header + payload.len();
+            offset += header + buffered(payload).len();
         }
         for at in headers {
             for value in [0x00, 0xff] {
@@ -474,6 +556,64 @@ mod tests {
         let snap = Snapshot::load(&path).unwrap();
         assert!(snap.has_section("alpha"));
         assert!(!temp_path(&path).exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `sample()` with its first section's payload streamed in pieces
+    /// of uneven sizes, empty ones included, and a third, empty section
+    /// streamed from no pieces at all.
+    fn streamed_sample() -> SnapshotWriter {
+        let mut w = SnapshotWriter::new();
+        w.streamed_section("alpha", |sink| {
+            let mut payload = Writer::new();
+            payload.put_u64(42);
+            payload.put_str("hello");
+            let bytes = payload.as_bytes();
+            for range in [0..0, 0..3, 3..3, 3..16, 16..bytes.len()] {
+                sink(&bytes[range])?;
+            }
+            Ok(())
+        });
+        w.section("beta", |w| w.put_f64(1.5));
+        w.streamed_section("gamma", |_| Ok(()));
+        w
+    }
+
+    #[test]
+    fn a_streamed_section_is_the_buffered_section_of_its_bytes() {
+        let mut expected = sample();
+        expected.section("gamma", |_| {});
+        let bytes = streamed_sample().to_bytes();
+        assert_eq!(bytes, expected.to_bytes());
+        assert_eq!(bytes, streamed_sample().to_bytes(), "not deterministic");
+        let snap = Snapshot::from_vec(bytes).unwrap();
+        let mut r = snap.section("alpha").unwrap();
+        assert_eq!(r.get_u64().unwrap(), 42);
+        assert_eq!(r.get_str().unwrap(), "hello");
+        r.finish().unwrap();
+        snap.section("gamma").unwrap().finish().unwrap();
+    }
+
+    #[test]
+    fn write_atomic_writes_exactly_to_bytes() {
+        let dir = std::env::temp_dir().join(format!("ckpt-in-place-{}", std::process::id()));
+        let path = dir.join("snap.ckpt");
+        let mut empty_section = SnapshotWriter::new();
+        empty_section.section("alpha", |w| w.put_u64(7));
+        empty_section.section("empty", |_| {});
+        empty_section.section("beta", |w| w.put_f64(1.5));
+        for (what, snap) in [
+            ("sample()", sample()),
+            ("an empty section", empty_section),
+            ("no sections", SnapshotWriter::new()),
+            ("streamed sections", streamed_sample()),
+        ] {
+            let written = snap.write_atomic(&path).unwrap();
+            let on_disk = std::fs::read(&path).unwrap();
+            assert_eq!(on_disk, snap.to_bytes(), "{what}");
+            assert_eq!(written, on_disk.len() as u64, "{what}");
+            assert!(!temp_path(&path).exists(), "{what}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

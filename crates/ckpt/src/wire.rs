@@ -26,6 +26,17 @@ impl Writer {
         self.buf
     }
 
+    /// The bytes appended since the writer was made or last cleared.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Drops the bytes written so far and keeps the buffer, so a payload
+    /// can be encoded piece by piece through one allocation.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);

@@ -268,9 +268,14 @@ impl ViolationDetector {
 /// switches to the "most suitable" policy — the one whose predicted
 /// performance at the current configuration best matches what is being
 /// measured.
+///
+/// The policies are large and never change once trained, so clones
+/// share them: cloning bumps a reference count, and
+/// [`insert`](Self::insert) copies the entries only if another clone
+/// still holds them.
 #[derive(Debug, Clone)]
 pub struct PolicyLibrary {
-    entries: Vec<(SystemContext, InitialPolicy)>,
+    entries: Arc<Vec<(SystemContext, InitialPolicy)>>,
     /// [`fingerprint`](Self::fingerprint) once computed, shared by
     /// clones; [`insert`](Self::insert) starts a fresh one.
     fingerprint: Arc<OnceLock<u64>>,
@@ -286,14 +291,14 @@ impl PolicyLibrary {
     /// Creates an empty library.
     pub fn new() -> Self {
         PolicyLibrary {
-            entries: Vec::new(),
+            entries: Arc::default(),
             fingerprint: Arc::default(),
         }
     }
 
-    /// Adds a context's policy.
+    /// Adds a context's policy, leaving every clone as it was.
     pub fn insert(&mut self, context: SystemContext, policy: InitialPolicy) {
-        self.entries.push((context, policy));
+        Arc::make_mut(&mut self.entries).push((context, policy));
         self.fingerprint = Arc::default();
     }
 
@@ -352,13 +357,14 @@ impl Default for PolicyLibrary {
     }
 }
 
-/// Moves the `(context, policy)` entries out, in insertion order.
+/// Moves the `(context, policy)` entries out, in insertion order,
+/// copying them only if a clone still shares them.
 impl IntoIterator for PolicyLibrary {
     type Item = (SystemContext, InitialPolicy);
     type IntoIter = std::vec::IntoIter<(SystemContext, InitialPolicy)>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.entries.into_iter()
+        Arc::unwrap_or_clone(self.entries).into_iter()
     }
 }
 
@@ -589,6 +595,25 @@ mod tests {
         );
         assert_ne!(lib.fingerprint(), fp);
         assert_eq!(clone.fingerprint(), fp);
+    }
+
+    #[test]
+    fn clones_share_their_policies_until_one_inserts() {
+        let ctx = SystemContext::new(Mix::Shopping, ResourceLevel::Level1);
+        let other = SystemContext::new(Mix::Ordering, ResourceLevel::Level3);
+        let mut lib = PolicyLibrary::new();
+        lib.insert(ctx, tiny_policy(1.0));
+        let fp = lib.fingerprint();
+        let mut clone = lib.clone();
+        let qtable = |lib: &PolicyLibrary| &lib.for_context(ctx).unwrap().qtable as *const _;
+        assert_eq!(qtable(&clone), qtable(&lib), "a clone copied its policy");
+        clone.insert(other, tiny_policy(10.0));
+        assert_eq!((lib.len(), clone.len()), (1, 2));
+        assert!(lib.for_context(other).is_none());
+        assert_eq!(lib.fingerprint.get(), Some(&fp));
+        assert_eq!(lib.fingerprint(), fp);
+        assert_ne!(clone.fingerprint(), fp);
+        assert_eq!(clone.for_context(ctx), lib.for_context(ctx));
     }
 
     #[test]

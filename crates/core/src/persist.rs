@@ -9,6 +9,8 @@
 //! baselines) implement their codecs in their own modules; this one
 //! holds the building blocks they share.
 
+use std::convert::Infallible;
+
 use ckpt::wire::{Reader, Writer};
 use ckpt::{CkptError, Snapshot, SnapshotWriter};
 use rl::QTable;
@@ -147,13 +149,25 @@ pub fn decode_policy(
     })
 }
 
-/// Encodes a policy library (contexts in insertion order).
-pub(crate) fn encode_library(w: &mut Writer, lib: &PolicyLibrary) {
+/// Appends the library's wire encoding to `w` — its entry count, then
+/// each context and policy in insertion order — and hands `emit` what
+/// `w` holds before each policy and at the end. So at most one policy
+/// is encoded at a time, through one buffer: what
+/// [`library_fingerprint`] hashes, and what [`library_to_snapshot`]
+/// writes after the section's shape header.
+fn stream_library<E>(
+    mut w: Writer,
+    lib: &PolicyLibrary,
+    mut emit: impl FnMut(&[u8]) -> Result<(), E>,
+) -> Result<(), E> {
     w.put_usize(lib.len());
     for (ctx, policy) in lib.iter() {
-        encode_context(w, ctx);
-        encode_policy(w, policy);
+        emit(w.as_bytes())?;
+        w.clear();
+        encode_context(&mut w, ctx);
+        encode_policy(&mut w, policy);
     }
+    emit(w.as_bytes())
 }
 
 /// Decodes a policy library of `states`-state policies.
@@ -172,36 +186,49 @@ pub(crate) fn decode_library(
     Ok(lib)
 }
 
-/// FNV-1a over the library's wire encoding ([`encode_library`]), the
-/// hash the spec and scenario fingerprints take over theirs. Callers go
-/// through the memoizing [`PolicyLibrary::fingerprint`].
+/// FNV-1a over the library's wire encoding ([`stream_library`]), the
+/// hash the spec and scenario fingerprints take over theirs, fed one
+/// policy at a time. Callers go through the memoizing
+/// [`PolicyLibrary::fingerprint`].
 pub(crate) fn library_fingerprint(lib: &PolicyLibrary) -> u64 {
-    let mut w = Writer::new();
-    encode_library(&mut w, lib);
-    simkernel::Fnv1a::new().write(&w.into_bytes()).finish()
+    let mut hash = simkernel::Fnv1a::new();
+    let Ok(()) = stream_library::<Infallible>(Writer::new(), lib, |bytes| {
+        hash.write(bytes);
+        Ok(())
+    });
+    hash.finish()
 }
 
-/// Writes a policy library into a snapshot as its `rac.library`
-/// section: the lattice shape, then every `(context, policy)` entry.
+/// Adds a policy library to a snapshot as its `rac.library` section:
+/// the lattice shape, then every `(context, policy)` entry.
 /// Checkpointed line-ups store their library this way, once, in a
 /// sidecar snapshot that their snapshots name by
 /// [`PolicyLibrary::fingerprint`]; [`library_from_snapshot`] reads it
 /// back.
 ///
+/// The section is streamed: the snapshot shares the library (a clone
+/// copies no policy), and each write encodes it one policy at a time
+/// through one buffer, so the payload is never held whole.
+///
 /// # Panics
 ///
 /// Panics if the snapshot already has a `rac.library` section.
 pub fn library_to_snapshot(snap: &mut SnapshotWriter, lib: &PolicyLibrary) {
-    snap.section(SECTION_LIBRARY, |w| {
+    let lib = lib.clone();
+    snap.streamed_section(SECTION_LIBRARY, move |sink| {
+        let mut w = Writer::new();
         match lib.iter().next() {
             Some((_, policy)) => {
                 w.put_bool(true);
                 w.put_usize(policy.qtable.states());
                 w.put_usize(policy.qtable.actions());
-                encode_library(w, lib);
+                stream_library(w, &lib, sink)
             }
-            None => w.put_bool(false),
-        };
+            None => {
+                w.put_bool(false);
+                sink(w.as_bytes())
+            }
+        }
     });
 }
 
@@ -255,6 +282,70 @@ mod tests {
     use crate::param::ConfigLattice;
     use crate::reward::SlaReward;
     use crate::Action;
+
+    /// The library's wire encoding built whole: the oracle the streamed
+    /// encoder must match byte for byte.
+    fn encode_library(w: &mut Writer, lib: &PolicyLibrary) {
+        w.put_usize(lib.len());
+        for (ctx, policy) in lib.iter() {
+            encode_context(w, ctx);
+            encode_policy(w, policy);
+        }
+    }
+
+    /// Three contexts of a 2-level lattice, each with its own landscape.
+    fn three_policy_library() -> PolicyLibrary {
+        let lattice = ConfigLattice::new(2);
+        let mut lib = PolicyLibrary::new();
+        for (i, &ctx) in crate::paper_contexts().iter().take(3).enumerate() {
+            let scale = 1.0 + i as f64;
+            let policy = train_initial_policy(
+                &lattice,
+                SlaReward::new(1_000.0),
+                OfflineSettings { group_levels: 2 },
+                |c: &ServerConfig| scale * (100.0 + c.max_clients() as f64 * 0.1),
+            )
+            .unwrap();
+            lib.insert(ctx, policy);
+        }
+        lib
+    }
+
+    #[test]
+    fn streamed_fingerprint_hashes_the_materialized_encoding() {
+        for lib in [three_policy_library(), PolicyLibrary::new()] {
+            let mut w = Writer::new();
+            encode_library(&mut w, &lib);
+            let oracle = simkernel::Fnv1a::new().write(&w.into_bytes()).finish();
+            assert_eq!(library_fingerprint(&lib), oracle, "{} policies", lib.len());
+        }
+    }
+
+    #[test]
+    fn streamed_sidecar_is_the_materialized_section() {
+        let dir = std::env::temp_dir().join(format!("rac-sidecar-{}", std::process::id()));
+        let path = dir.join("library.ckpt");
+        for lib in [three_policy_library(), PolicyLibrary::new()] {
+            let mut oracle = SnapshotWriter::new();
+            oracle.section(SECTION_LIBRARY, |w| match lib.iter().next() {
+                Some((_, policy)) => {
+                    w.put_bool(true);
+                    w.put_usize(policy.qtable.states());
+                    w.put_usize(policy.qtable.actions());
+                    encode_library(w, &lib);
+                }
+                None => w.put_bool(false),
+            });
+            let mut streamed = SnapshotWriter::new();
+            library_to_snapshot(&mut streamed, &lib);
+            let written = streamed.write_atomic(&path).unwrap();
+            let on_disk = std::fs::read(&path).unwrap();
+            assert_eq!(on_disk, oracle.to_bytes(), "{} policies", lib.len());
+            assert_eq!(written, on_disk.len() as u64);
+            assert_eq!(streamed.to_bytes(), on_disk);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn config_round_trips() {

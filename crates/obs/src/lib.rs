@@ -20,6 +20,8 @@
 //!   call tree exported as flamegraph folded stacks;
 //! * exporters ([`export`]): Prometheus text exposition (plus a
 //!   [`export::validate_prometheus`] syntax checker) and CSV;
+//! * a [`process`] gauge, `process_peak_rss_bytes`, read from the
+//!   operating system each time the metrics are exported;
 //! * a live plane: the embedded [`ObsServer`]
 //!   answering `GET /metrics`, `/healthz` (backed by the [`health`]
 //!   run-state cell) and `/profile` over plain HTTP/1.0;
@@ -70,6 +72,7 @@ pub mod console;
 pub mod event;
 pub mod export;
 pub mod health;
+pub mod process;
 pub mod profile;
 pub mod registry;
 pub mod serve;

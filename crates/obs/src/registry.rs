@@ -284,6 +284,11 @@ impl Registry {
         }
     }
 
+    /// Whether no metric has been registered yet.
+    pub fn is_empty(&self) -> bool {
+        self.metrics.lock().unwrap().is_empty()
+    }
+
     /// Snapshots every metric, sorted by name.
     pub fn snapshot(&self) -> Vec<MetricSnapshot> {
         let metrics = self.metrics.lock().unwrap();
@@ -367,7 +372,9 @@ mod tests {
     #[test]
     fn snapshot_is_sorted_and_complete() {
         let r = Registry::new();
+        assert!(r.is_empty() && r.snapshot().is_empty());
         r.counter("b_counter").add(5);
+        assert!(!r.is_empty());
         r.gauge("a_gauge").set(-2);
         r.histogram("c_hist").record_ms(10.0);
         let snap = r.snapshot();

@@ -31,7 +31,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::registry::Registry;
-use crate::{export, health, profile};
+use crate::{export, health, process, profile};
 
 /// How long the accept loop sleeps when no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
@@ -229,12 +229,15 @@ fn respond(path: &str) -> (u16, &'static str, &'static str, String) {
     // Ignore any query string: `/metrics?x=1` still scrapes.
     let path = path.split('?').next().unwrap_or(path);
     match path {
-        "/metrics" => (
-            200,
-            "OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            export::render_prometheus(&Registry::global().snapshot()),
-        ),
+        "/metrics" => {
+            process::refresh();
+            (
+                200,
+                "OK",
+                "text/plain; version=0.0.4; charset=utf-8",
+                export::render_prometheus(&Registry::global().snapshot()),
+            )
+        }
         "/healthz" => (
             200,
             "OK",
@@ -363,6 +366,11 @@ mod tests {
     fn routing_without_sockets() {
         let (status, _, _, _) = respond("/healthz");
         assert_eq!(status, 200);
+        // Each scrape reads the peak RSS afresh, where it is readable.
+        let (status, _, _, body) = respond("/metrics");
+        assert_eq!(status, 200);
+        let gauge = format!("\n{} ", process::PEAK_RSS_BYTES);
+        assert_eq!(body.contains(&gauge), process::peak_rss_bytes().is_some());
         let (status, _, _, body) = respond("/other");
         assert_eq!(status, 404);
         assert!(body.contains("/metrics"));

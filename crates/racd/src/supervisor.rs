@@ -176,21 +176,29 @@ pub fn handle_command(state: &Arc<ControlState>, cmd: AdminCmd) -> String {
 /// `inject <file-or-bundled-name>`: validate the scenario *before* it
 /// can touch the queue, then enqueue it durably.
 fn inject(state: &Arc<ControlState>, operand: &str) -> String {
+    let injected = validate(operand).and_then(|(name, text)| {
+        let pushed = state.queue.lock().unwrap().push(&name, &text);
+        pushed.map(|_| name).map_err(|e| format!("queue-write {e}"))
+    });
+    match injected {
+        Ok(name) => format!("ok injected {name}"),
+        Err(e) => format!("err {e}"),
+    }
+}
+
+/// Reads and parses a scenario operand (a file or a bundled name)
+/// without touching the queue: its name and text, ready to enqueue, or
+/// the reason it was refused.
+fn validate(operand: &str) -> Result<(String, String), String> {
     let text = match scenario::bundled::by_name(operand) {
         Some(src) => src.to_string(),
-        None => match std::fs::read_to_string(operand) {
-            Ok(text) => text,
-            Err(e) => return format!("err unreadable {operand}: {e}"),
-        },
+        None => {
+            std::fs::read_to_string(operand).map_err(|e| format!("unreadable {operand}: {e}"))?
+        }
     };
-    let scn = match Scenario::parse_with_warnings(&text) {
-        Ok((scn, _warnings)) => scn,
-        Err(e) => return format!("err scenario-invalid {operand}: {e}"),
-    };
-    match state.queue.lock().unwrap().push(&scn.name, &text) {
-        Ok(_) => format!("ok injected {}", scn.name),
-        Err(e) => format!("err queue-write {e}"),
-    }
+    let (scn, _warnings) = Scenario::parse_with_warnings(&text)
+        .map_err(|e| format!("scenario-invalid {operand}: {e}"))?;
+    Ok((scn.name, text))
 }
 
 /// `upgrade <snapshot>`: rolling agent swap. The library of the line-up
@@ -295,13 +303,17 @@ pub fn run(config: DaemonConfig, operands: &[String]) -> i32 {
         cfg: Mutex::new(config.clone()),
     });
 
-    // Initial operands are validated and enqueued exactly like
-    // `inject` over the admin socket.
+    // Initial operands are validated like `inject` over the admin
+    // socket, all of them before any is enqueued: they join the queue
+    // only once the start is accepted, below.
+    let mut jobs = Vec::with_capacity(operands.len());
     for operand in operands {
-        let reply = inject(&state, operand);
-        if let Some(err) = reply.strip_prefix("err ") {
-            eprintln!("racd: {operand}: {err}");
-            return EXIT_USAGE;
+        match validate(operand) {
+            Ok(job) => jobs.push(job),
+            Err(e) => {
+                eprintln!("racd: {operand}: {e}");
+                return EXIT_USAGE;
+            }
         }
     }
 
@@ -333,12 +345,19 @@ pub fn run(config: DaemonConfig, operands: &[String]) -> i32 {
             }
         }
     };
-    // Armed once the start is accepted, and before the address file
-    // that scripts wait for: a start rejected earlier ran no job, so it
-    // leaves the marker as it found it.
+    // Armed once the start is accepted, and before the start operands
+    // are enqueued and the address file that scripts wait for is
+    // written: a start rejected earlier ran and queued no job, so it
+    // leaves the marker and the queue as it found them.
     if let Err(e) = marker.arm() {
         eprintln!("racd: cannot arm dirty marker: {e}");
         return EXIT_STATE;
+    }
+    for (name, text) in &jobs {
+        if let Err(e) = state.queue.lock().unwrap().push(name, text) {
+            eprintln!("racd: cannot enqueue {name}: {e}");
+            return EXIT_STATE;
+        }
     }
     // The resolved admin address lands in the state dir so scripts
     // (the drill harness, CI) can find an OS-assigned port.

@@ -2,8 +2,8 @@
 //! queue, writes the scenario artifacts, cleans up its checkpoint and
 //! queue entry, and disarms the dirty marker — and a second daemon
 //! instance over the same scenario produces byte-identical CSV output.
-//! A start rejected for its operands or addresses leaves the marker as
-//! it found it.
+//! A start rejected for its operands or addresses leaves the marker and
+//! the queue as it found them.
 //!
 //! The runs that drain a queue are kept to a single test function: the
 //! daemon shares process-global state (the health cell, signal flags),
@@ -22,6 +22,16 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// The jobs queued under `state`: its queue's `.scn` files, none when
+/// there is no queue directory.
+fn queued(state: &Path) -> usize {
+    std::fs::read_dir(state.join("queue")).map_or(0, |dir| {
+        dir.filter_map(|e| e.ok())
+            .filter(|e| e.path().extension().is_some_and(|x| x == "scn"))
+            .count()
+    })
 }
 
 fn daemon_config(state: &Path, cache: &Path) -> DaemonConfig {
@@ -122,10 +132,17 @@ fn rejected_start_leaves_the_dirty_marker_as_it_found_it() {
         serve.serve_addr = Some(taken.clone());
         let mut admin = cfg.clone();
         admin.admin_addr = taken.clone();
+        // Each start names a valid scenario too, which must not be
+        // queued when the start is refused.
+        let valid = "flash-crowd".to_string();
         let starts = [
-            ("an invalid operand", cfg, vec![huge.display().to_string()]),
-            ("a busy --serve address", serve, vec![]),
-            ("a busy admin address", admin, vec![]),
+            (
+                "an invalid operand",
+                cfg,
+                vec![valid.clone(), huge.display().to_string()],
+            ),
+            ("a busy --serve address", serve, vec![valid.clone()]),
+            ("a busy admin address", admin, vec![valid.clone()]),
         ];
         for (why, cfg, operands) in starts {
             assert_eq!(racd::run(cfg, &operands), EXIT_USAGE, "{why}");
@@ -135,6 +152,7 @@ fn rejected_start_leaves_the_dirty_marker_as_it_found_it() {
                 "a start rejected for {why} changed a marker that was {}",
                 if was_dirty { "present" } else { "absent" }
             );
+            assert_eq!(queued(&state), 0, "a start rejected for {why} queued a job");
         }
         assert!(!cache.exists(), "a rejected start trained nothing");
     }
