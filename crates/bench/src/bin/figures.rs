@@ -32,7 +32,7 @@
 //! state, recorded series, decision-trace prefix) to
 //! `<dir>/scenario-<name>.ckpt` every `--checkpoint-every N` (default 5)
 //! line-up iterations, atomically, and stores the policy library once
-//! beside it in `<dir>/library-<fingerprint>.ckpt`. `--stop-after N`
+//! beside it in `<dir>/library-<fingerprint>/`. `--stop-after N`
 //! exits cleanly after N iterations; `--resume <file>` picks the run
 //! back up and finishes it, producing CSV and trace output
 //! byte-identical to an uninterrupted run. `--warm-start <file>` seeds a
@@ -1536,7 +1536,7 @@ fn scenario_figure(
 /// `figures profile <scenario>` — one checkpointed line-up run with the
 /// self-profiler on, reported as a self-time table plus a
 /// flamegraph-compatible folded-stack file. The run is checkpointed
-/// (into a throwaway directory, snapshot and library sidecar both
+/// (into a throwaway directory, snapshot and library directory both
 /// deleted afterwards) so the `checkpoint` phase shows up in the
 /// attribution alongside measure/tuner/sweep.
 fn run_profile<'a>(args: &'a Args, opts: &'a Options, console: &'a Console) -> Checked<'a> {

@@ -2,9 +2,10 @@
 //!
 //! Offline training is the slow step of the pipeline, so the harness
 //! caches each context's [`InitialPolicy`] as a one-section [`ckpt`]
-//! snapshot, encoded with [`rac::encode_policy`] like the library
-//! sidecar and the fleet's donors. A file that fails its magic,
-//! version, CRC or shape is rejected, never served.
+//! snapshot, encoded with [`rac::encode_policy`] like the fleet's
+//! donors. A checkpointed line-up stores its library's policies in the
+//! same files ([`policy_snapshot`], [`read_policy`]). A file that fails
+//! its magic, version, CRC or shape is rejected, never served.
 
 use std::fs::File;
 use std::io::{self, Read as _};
@@ -16,6 +17,13 @@ use rac::{Action, ConfigLattice, InitialPolicy};
 /// The one section of a cached policy.
 const SECTION_POLICY: &str = "rac.policy";
 
+/// The one-section snapshot a policy is stored as.
+pub fn policy_snapshot(policy: &InitialPolicy) -> SnapshotWriter {
+    let mut snap = SnapshotWriter::new();
+    snap.section(SECTION_POLICY, |w| rac::encode_policy(w, policy));
+    snap
+}
+
 /// Stores a policy at `path` atomically, creating parent directories as
 /// needed.
 ///
@@ -23,9 +31,9 @@ const SECTION_POLICY: &str = "rac.policy";
 ///
 /// Returns any underlying I/O error.
 pub fn store_policy(path: &Path, policy: &InitialPolicy) -> io::Result<()> {
-    let mut snap = SnapshotWriter::new();
-    snap.section(SECTION_POLICY, |w| rac::encode_policy(w, policy));
-    snap.write_atomic(path).map(drop).map_err(io::Error::other)
+    (policy_snapshot(policy).write_atomic(path))
+        .map(drop)
+        .map_err(io::Error::other)
 }
 
 /// Loads a policy from `path` if it exists, checks out and matches the

@@ -8,11 +8,7 @@
 //! bit-identical across processes and `RAC_THREADS` settings, and any
 //! invariant violation reproduces from the seed alone.
 
-use ckpt::wire::{Reader, Writer};
-use ckpt::{Snapshot, SnapshotWriter};
-use rac::{
-    BoundaryAction, Experiment, IterationRecord, RacAgent, ScenarioProgress, ScenarioRunOutcome,
-};
+use rac::{Experiment, IterationRecord, RacAgent};
 use scenario::{Directive, Scenario, Tier};
 use simkernel::{Pcg64, SimDuration};
 use tpcw::Mix;
@@ -141,7 +137,8 @@ pub fn last_fault_clear_iteration(scn: &Scenario) -> usize {
 /// Runs the chaos line-up: a cold-started RAC agent (no offline policy
 /// library — the guardrails must carry it) through the scenario.
 pub fn run_chaos(scn: &Scenario) -> Vec<IterationRecord> {
-    run_chaos_killed(scn, &[]).0
+    let exp = Experiment::for_scenario(paper_system_spec(), scn);
+    exp.run_scenario(scn, &mut RacAgent::new(standard_settings()))
 }
 
 /// The seeded `kill` fault arm: iteration boundaries at which the
@@ -169,61 +166,6 @@ pub fn kill_points(seed: u64, scn: &Scenario) -> Vec<usize> {
     points.sort_unstable();
     points.dedup();
     points
-}
-
-/// Runs the chaos scenario with the process "killed" at each of
-/// `kill_points` (sorted, in-range): at the kill boundary the agent's
-/// state and the run progress go through their full wire forms — as a
-/// fresh process would read them back — and a restored agent resumes.
-/// Returns the finished series plus how many kills landed while the
-/// measurement breaker was open (composing death with an outage).
-///
-/// # Panics
-///
-/// On snapshot/restore errors — the test harness treats those as
-/// failures, not results.
-pub fn run_chaos_killed(scn: &Scenario, kill_points: &[usize]) -> (Vec<IterationRecord>, usize) {
-    let exp = Experiment::for_scenario(paper_system_spec(), scn);
-    let mut agent = RacAgent::new(standard_settings());
-    let mut progress: Option<ScenarioProgress> = None;
-    let mut remaining = kill_points.to_vec();
-    let mut kills_in_outage = 0usize;
-    loop {
-        let next_kill = remaining.first().copied();
-        let mut snapshot_bytes = Vec::new();
-        let outcome = exp
-            .run_scenario_resumable(scn, &mut agent, progress.take(), |p, tuner| {
-                if Some(p.iterations_done) == next_kill {
-                    let mut snap = SnapshotWriter::new();
-                    tuner.save_state(&mut snap);
-                    snapshot_bytes = snap.to_bytes();
-                    Ok(BoundaryAction::Stop)
-                } else {
-                    Ok(BoundaryAction::Continue)
-                }
-            })
-            .expect("chaos kill-arm run");
-        match outcome {
-            ScenarioRunOutcome::Complete(series) => return (series, kills_in_outage),
-            ScenarioRunOutcome::Interrupted(p) => {
-                remaining.remove(0);
-                if p.channel.is_open() {
-                    kills_in_outage += 1;
-                }
-                // The "kill": everything a resume needs crosses the
-                // wire, nothing survives in memory.
-                let mut w = Writer::new();
-                p.encode(&mut w);
-                let bytes = w.into_bytes();
-                let mut r = Reader::new(&bytes, "chaos-kill");
-                let restored = ScenarioProgress::decode(&mut r).expect("progress decodes");
-                r.finish().expect("progress fully consumed");
-                let snap = Snapshot::from_bytes(&snapshot_bytes).expect("snapshot parses");
-                agent = RacAgent::restore(&snap, None).expect("agent restores");
-                progress = Some(restored);
-            }
-        }
-    }
 }
 
 /// Checks the chaos invariants on a finished series. Returns one

@@ -14,10 +14,12 @@
 //! tuner, the active tuner's [`ScenarioProgress`] and learned state, and
 //! the serialized decision trace prefix. The library itself never
 //! changes during a run, so it is written once, to a content-addressed
-//! sidecar beside the checkpoint ([`library_sidecar`]), and every
-//! snapshot names it by fingerprint. Resuming restores all of that
-//! (taking the library from the sidecar the snapshot names, never from
-//! the caller), replays the active tuner's completed intervals
+//! directory beside the checkpoint ([`library_dir`]), and every snapshot
+//! names it by fingerprint. The directory holds each policy in the
+//! policy cache's own file format, `policy-<i>.ckpt`, and the entries'
+//! contexts in `contexts.ckpt`. Resuming restores all of that (taking
+//! the library from the directory the snapshot names, never from the
+//! caller), replays the active tuner's completed intervals
 //! deterministically ([`Experiment::run_scenario_resumable`]), and
 //! continues — producing CSV and trace output byte-identical to an
 //! uninterrupted run at any `RAC_THREADS`.
@@ -44,16 +46,18 @@
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+use std::{fs, io};
 
 use ckpt::{CkptError, Snapshot, SnapshotWriter};
 use obs::trace;
 use rac::{
     decode_series, encode_series, BoundaryAction, Experiment, IterationRecord, PersistTuner,
-    PolicyLibrary, RacAgent, ScenarioProgress, ScenarioRunOutcome, StaticDefault, TrialAndError,
+    PolicyLibrary, RacAgent, ScenarioProgress, ScenarioRunOutcome, StaticDefault, SystemContext,
+    TrialAndError,
 };
 use scenario::Scenario;
 
-use crate::{paper_system_spec, standard_settings, ONLINE_LEVELS};
+use crate::{cache, paper_system_spec, standard_settings, ONLINE_LEVELS};
 
 /// Display names of the standard tuner lineup, in run order.
 pub const LINEUP: [&str; 3] = ["RAC", "trial-and-error", "static default"];
@@ -62,12 +66,17 @@ const SECTION_META: &str = "lineup.meta";
 const SECTION_DONE: &str = "lineup.done";
 const SECTION_PROGRESS: &str = "lineup.progress";
 const SECTION_TRACE: &str = "lineup.trace";
+/// The one section of a library directory's [`CONTEXTS_FILE`].
+const SECTION_CONTEXTS: &str = "rac.contexts";
+
+/// The file of a library directory that lists its entries' contexts.
+const CONTEXTS_FILE: &str = "contexts.ckpt";
 
 /// How a checkpointed lineup run persists itself.
 #[derive(Debug, Clone)]
 pub struct CheckpointOptions {
     /// Snapshot file (atomically replaced at every flush). The policy
-    /// library's sidecar ([`library_sidecar`]) goes in the same directory.
+    /// library's directory ([`library_dir`]) goes beside it.
     pub path: PathBuf,
     /// Flush to disk every N lineup iterations.
     pub every: usize,
@@ -153,8 +162,8 @@ pub fn lineup_arms(library: Option<&PolicyLibrary>) -> (RacAgent, TrialAndError,
 ///
 /// Returns [`CkptError::Mismatch`] when `resume` was written for a
 /// different system spec or scenario, any decoding error from a corrupt
-/// snapshot or library sidecar, and I/O errors from reading the sidecar
-/// or writing the snapshot file.
+/// snapshot or library file, and I/O errors from reading the library or
+/// writing the snapshot file.
 pub fn run_tuners_checkpointed(
     scn: &Scenario,
     library: &PolicyLibrary,
@@ -204,7 +213,7 @@ pub fn run_tuners_checkpointed_with(
 /// # Errors
 ///
 /// As [`run_tuners_checkpointed`], plus [`CkptError::Mismatch`] for a
-/// `resume` without a `checkpoint` to find its library sidecar beside.
+/// `resume` without a `checkpoint` to find its library directory beside.
 pub fn run_lineup(
     scn: &Scenario,
     library: Option<&PolicyLibrary>,
@@ -310,17 +319,17 @@ pub(crate) fn run_plain_lineup(
     }
 }
 
-/// The policy-library sidecar of the line-up checkpoint at `checkpoint`:
-/// the file [`warm_start_library`] reads the checkpointed run's library
-/// from.
+/// The policy-library directory of the line-up checkpoint at
+/// `checkpoint`: where [`warm_start_library`] reads the checkpointed
+/// run's library from.
 ///
 /// # Errors
 ///
 /// Returns any error loading the checkpoint, and
 /// [`CkptError::Mismatch`] when the line-up ran without a library.
-pub fn library_sidecar(checkpoint: &Path) -> Result<PathBuf, CkptError> {
+pub fn library_dir(checkpoint: &Path) -> Result<PathBuf, CkptError> {
     match LineupMeta::decode(&Snapshot::load(checkpoint)?)?.library {
-        Some(fp) => Ok(sidecar_path(checkpoint, fp)),
+        Some(fp) => Ok(library_path(checkpoint, fp)),
         None => Err(CkptError::Mismatch {
             detail: "the checkpointed line-up ran without a policy library".to_string(),
         }),
@@ -328,23 +337,78 @@ pub fn library_sidecar(checkpoint: &Path) -> Result<PathBuf, CkptError> {
 }
 
 /// Where the library with fingerprint `fp` is stored for the checkpoint
-/// at `checkpoint`: `library-<fp>.ckpt` in the same directory.
-fn sidecar_path(checkpoint: &Path, fp: u64) -> PathBuf {
-    checkpoint.with_file_name(format!("library-{fp:016x}.ckpt"))
+/// at `checkpoint`: the directory `library-<fp>` beside it.
+fn library_path(checkpoint: &Path, fp: u64) -> PathBuf {
+    checkpoint.with_file_name(format!("library-{fp:016x}"))
+}
+
+/// The file of the library directory `dir` that holds entry `i`'s
+/// policy, in the policy cache's format.
+fn policy_path(dir: &Path, i: usize) -> PathBuf {
+    dir.join(format!("policy-{i}.ckpt"))
 }
 
 /// The library the line-up checkpoint at `checkpoint` ran with, read
-/// from its sidecar and checked against the standard lattice: what
+/// from its directory and checked against the standard lattice: what
 /// `--warm-start` and `racd upgrade` seed from. A library that is empty
 /// or of another lattice is [`CkptError::Mismatch`].
 pub fn warm_start_library(checkpoint: &Path) -> Result<PolicyLibrary, CkptError> {
-    read_library(&library_sidecar(checkpoint)?)
+    read_library(&library_dir(checkpoint)?)
 }
 
-/// Loads a library sidecar and decodes it on the standard lattice.
-fn read_library(sidecar: &Path) -> Result<PolicyLibrary, CkptError> {
-    let states = crate::standard_lattice().num_states();
-    rac::library_from_snapshot(&Snapshot::load(sidecar)?, states, rac::Action::COUNT)
+/// The entries of the library directory `dir`: each context its
+/// `contexts.ckpt` lists, in order, with the file that holds its policy.
+/// An empty list is [`CkptError::Mismatch`], as there is nothing to seed
+/// an agent from.
+fn library_entries(dir: &Path) -> Result<Vec<(SystemContext, PathBuf)>, CkptError> {
+    let snap = Snapshot::load(&dir.join(CONTEXTS_FILE))?;
+    let mut r = snap.section(SECTION_CONTEXTS)?;
+    let entries = (0..r.get_count(2)?)
+        .map(|i| Ok((rac::decode_context(&mut r)?, policy_path(dir, i))))
+        .collect::<Result<Vec<_>, CkptError>>()?;
+    r.finish()?;
+    if entries.is_empty() {
+        return Err(CkptError::Mismatch {
+            detail: "the checkpointed policy library is empty, nothing to warm-start from"
+                .to_string(),
+        });
+    }
+    Ok(entries)
+}
+
+/// Reads the library stored in `dir` on the standard lattice, one
+/// policy file at a time through one buffer.
+fn read_library(dir: &Path) -> Result<PolicyLibrary, CkptError> {
+    let lattice = crate::standard_lattice();
+    let mut buf = Vec::new();
+    let mut library = PolicyLibrary::new();
+    for (context, path) in library_entries(dir)? {
+        match cache::read_policy(&path, &lattice, &mut buf)? {
+            Some(policy) => library.insert(context, policy),
+            None => return Err(missing_file(path, io::ErrorKind::NotFound.into())),
+        }
+    }
+    Ok(library)
+}
+
+/// Checks that every file of the library stored in `dir` is there.
+fn find_library(dir: &Path) -> Result<(), CkptError> {
+    for (_, path) in library_entries(dir)? {
+        if let Err(source) = fs::metadata(&path) {
+            return Err(missing_file(path, source));
+        }
+    }
+    Ok(())
+}
+
+/// The error for a policy file of a library directory that cannot be
+/// found.
+fn missing_file(path: PathBuf, source: io::Error) -> CkptError {
+    CkptError::Io {
+        path,
+        context: "find the policy-library file",
+        source,
+    }
 }
 
 /// The `lineup.meta` section: what the snapshot was taken against, the
@@ -393,9 +457,9 @@ impl LineupMeta {
 enum SinkLibrary<'a> {
     /// The lineup runs without one.
     None,
-    /// Not yet in its sidecar: the first write stores it.
+    /// Not yet in its directory: the first write stores it.
     Unwritten(&'a PolicyLibrary),
-    /// In the sidecar named by this fingerprint.
+    /// In the directory named by this fingerprint.
     Stored(u64),
 }
 
@@ -404,7 +468,7 @@ enum SinkLibrary<'a> {
 /// the schedule, on `Checkpoint` and `Stop`, at `stop_after`, and at
 /// the lineup's last boundary (so a finished run leaves its final state
 /// behind as warm-start food). Its first write also stores the library
-/// in its sidecar.
+/// in its directory.
 struct CkptSink<'a> {
     options: &'a CheckpointOptions,
     spec_fp: u64,
@@ -467,21 +531,30 @@ impl CkptSink<'_> {
     }
 
     /// The fingerprint the next snapshot names, storing the library in
-    /// its sidecar first if this sink has not done so yet. A sidecar
-    /// that already exists holds the same bytes (it is named by them),
-    /// so it is not rewritten.
+    /// its directory first if this sink has not done so yet: each
+    /// policy as the policy cache stores it, then the list of contexts.
+    /// A file that already exists holds the same bytes (its directory is
+    /// named by them), so it is not rewritten.
     fn store_library(&mut self) -> Result<Option<u64>, CkptError> {
         match self.library {
             SinkLibrary::None => Ok(None),
             SinkLibrary::Stored(fp) => Ok(Some(fp)),
             SinkLibrary::Unwritten(library) => {
                 let fp = library.fingerprint();
-                let path = sidecar_path(&self.options.path, fp);
-                if !path.exists() {
-                    let mut snap = SnapshotWriter::new();
-                    rac::library_to_snapshot(&mut snap, library);
-                    write(&path, &snap)?;
+                let dir = library_path(&self.options.path, fp);
+                for (i, (_, policy)) in library.iter().enumerate() {
+                    write_new(&policy_path(&dir, i), || cache::policy_snapshot(policy))?;
                 }
+                write_new(&dir.join(CONTEXTS_FILE), || {
+                    let mut snap = SnapshotWriter::new();
+                    snap.section(SECTION_CONTEXTS, |w| {
+                        w.put_usize(library.len());
+                        for (context, _) in library.iter() {
+                            rac::encode_context(w, context);
+                        }
+                    });
+                    snap
+                })?;
                 self.library = SinkLibrary::Stored(fp);
                 Ok(Some(fp))
             }
@@ -521,9 +594,8 @@ impl CkptSink<'_> {
     }
 }
 
-/// Atomically writes one checkpoint file (snapshot or sidecar) and
-/// records it in the `rac_ckpt_*` metrics. The write time includes
-/// encoding any streamed section, the library's in a sidecar.
+/// Atomically writes one checkpoint file (a snapshot or a file of the
+/// library directory) and records it in the `rac_ckpt_*` metrics.
 fn write(path: &Path, snap: &SnapshotWriter) -> Result<(), CkptError> {
     let t0 = Instant::now();
     let bytes = snap.write_atomic(path)?;
@@ -533,6 +605,15 @@ fn write(path: &Path, snap: &SnapshotWriter) -> Result<(), CkptError> {
     m.histogram("rac_ckpt_write_us")
         .record_us(t0.elapsed().as_micros() as u64);
     Ok(())
+}
+
+/// [`write`]s the snapshot `snap` builds to `path`, unless a file is
+/// already there.
+fn write_new(path: &Path, snap: impl FnOnce() -> SnapshotWriter) -> Result<(), CkptError> {
+    if path.exists() {
+        return Ok(());
+    }
+    write(path, &snap())
 }
 
 struct ResumedLineup {
@@ -545,7 +626,7 @@ struct ResumedLineup {
 }
 
 /// Decodes a snapshot of the checkpoint at `checkpoint`, reading the
-/// library it names from the sidecar beside it.
+/// library it names from the directory beside it.
 fn decode_lineup(
     snap: &Snapshot,
     checkpoint: &Path,
@@ -601,23 +682,19 @@ fn decode_lineup(
     r.finish()?;
 
     // RAC is restored with the library the snapshot names, read from its
-    // sidecar. Later tuners do not use the library, but the run keeps
-    // naming it, so its sidecar must still be there.
-    let sidecar = library.map(|fp| sidecar_path(checkpoint, fp));
+    // directory. Later tuners do not use the library, but the run keeps
+    // naming it, so its files must still be there.
+    let dir = library.map(|fp| library_path(checkpoint, fp));
     let tuner: Box<dyn PersistTuner> = match tuner_index {
         0 => {
-            let library = sidecar.as_deref().map(read_library).transpose()?;
+            let library = dir.as_deref().map(read_library).transpose()?;
             Box::new(RacAgent::restore(snap, library)?)
         }
         1 => Box::new(TrialAndError::restore(snap)?),
         _ => Box::new(StaticDefault::new()),
     };
-    if let Some(path) = sidecar.filter(|_| tuner_index > 0) {
-        std::fs::metadata(&path).map_err(|source| CkptError::Io {
-            path,
-            context: "find the policy-library sidecar",
-            source,
-        })?;
+    if let Some(dir) = dir.filter(|_| tuner_index > 0) {
+        find_library(&dir)?;
     }
 
     let mut r = snap.section(SECTION_TRACE)?;
@@ -669,6 +746,77 @@ mod tests {
                 ..rac::TrainingOptions::default()
             },
         )
+    }
+
+    /// [`tiny_library`] with a second context, whose policy took one more
+    /// sweep pass: each entry's file has bytes of its own.
+    fn two_context_library() -> PolicyLibrary {
+        let mut library = tiny_library();
+        let mut policy = library.iter().next().expect("one policy").1.clone();
+        policy.passes += 1;
+        library.insert(rac::paper_contexts()[1], policy);
+        library
+    }
+
+    #[test]
+    fn library_directory_holds_the_cached_policies_and_warm_starts() {
+        let scn = tiny_scenario();
+        let library = two_context_library();
+        let dir = std::env::temp_dir().join(format!("rac-ckpt-libdir-{}", std::process::id()));
+        // Stopped inside the trial-and-error session.
+        let opts = CheckpointOptions {
+            path: dir.join("run.ckpt"),
+            every: 4,
+            stop_after: Some(8),
+        };
+        run_tuners_checkpointed(&scn, &library, &opts, None).unwrap();
+        let lib_dir = library_dir(&opts.path).unwrap();
+        let fp = library.fingerprint();
+        assert_eq!(lib_dir, dir.join(format!("library-{fp:016x}")));
+        for (i, (_, policy)) in library.iter().enumerate() {
+            let cached = dir.join("cache").join(format!("policy-{i}.ckpt"));
+            cache::store_policy(&cached, policy).unwrap();
+            let stored = fs::read(policy_path(&lib_dir, i)).unwrap();
+            assert_eq!(stored, fs::read(&cached).unwrap(), "policy {i}");
+        }
+        let warm = warm_start_library(&opts.path).unwrap();
+        assert_eq!(warm, library);
+        assert_eq!(warm.fingerprint(), fp);
+
+        // A policy of another lattice does not warm-start.
+        let first = policy_path(&lib_dir, 0);
+        let stored = fs::read(&first).unwrap();
+        let three_levels = rac::train_initial_policy(
+            &rac::ConfigLattice::new(3),
+            rac::SlaReward::new(crate::SLA_MS),
+            rac::OfflineSettings::default(),
+            |c: &websim::ServerConfig| 100.0 + c.max_clients() as f64 * 0.3,
+        )
+        .unwrap();
+        cache::store_policy(&first, &three_levels).unwrap();
+        let err = warm_start_library(&opts.path).unwrap_err();
+        assert!(matches!(err, CkptError::Mismatch { .. }), "{err}");
+
+        // A missing policy file fails a warm start, and a resume although
+        // the trial-and-error arm it continues needs no library.
+        fs::remove_file(&first).unwrap();
+        let snap = Snapshot::load(&opts.path).unwrap();
+        let resume = run_tuners_checkpointed(&scn, &library, &opts, Some(&snap)).unwrap_err();
+        for err in [warm_start_library(&opts.path).unwrap_err(), resume] {
+            assert!(
+                matches!(&err, CkptError::Io { path, .. } if *path == first),
+                "{err}"
+            );
+        }
+
+        // An empty list of contexts is refused.
+        fs::write(&first, &stored).unwrap();
+        let mut empty = SnapshotWriter::new();
+        empty.section(SECTION_CONTEXTS, |w| w.put_usize(0));
+        empty.write_atomic(&lib_dir.join(CONTEXTS_FILE)).unwrap();
+        let err = warm_start_library(&opts.path).unwrap_err();
+        assert!(matches!(err, CkptError::Mismatch { .. }), "{err}");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

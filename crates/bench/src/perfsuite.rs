@@ -240,7 +240,7 @@ fn recovery_scenario() -> Scenario {
 /// Runs the lineup to `RECOVERY_STOP_AFTER` iterations, checkpointing
 /// to `path`, and returns the committed snapshot bytes — the untimed
 /// setup for [`daemon_recoveries_per_sec`], standing in for the
-/// checkpoint a killed daemon leaves behind. The library sidecar the
+/// checkpoint a killed daemon leaves behind. The library directory the
 /// snapshot names stays beside `path`, where a resume looks for it.
 fn prepare_recovery_snapshot(scn: &Scenario, library: &PolicyLibrary, path: &Path) -> Vec<u8> {
     let opts = crate::checkpoint::CheckpointOptions {
@@ -275,7 +275,7 @@ fn daemon_recoveries_per_sec(
     let opts = crate::checkpoint::CheckpointOptions {
         // Never written: the schedule is disabled and the control
         // callback aborts before any flush. The resume reads the
-        // library sidecar beside it.
+        // library directory beside it.
         path: checkpoint.to_path_buf(),
         every: 0,
         stop_after: None,

@@ -7,7 +7,7 @@
 //! `k` further bytes), so the sixteen lookups are independent. A step
 //! still waits on the step before it, so [`crc32`] runs three such
 //! chains over the thirds of its input side by side and joins them as
-//! zlib's `crc32_combine` does: the register is affine in its start
+//! zlib's checksum combination does: the register is affine in its start
 //! value, and carrying it across `n` bytes multiplies it by `x^(8n)`
 //! modulo the polynomial. On a 2-vCPU host that took the six cached
 //! policies (28 MB) from 17–19 ms to 7–9 ms. The checksums are the
@@ -76,13 +76,6 @@ fn shift(mut crc: u32, mut n: usize) -> u32 {
         k += 1;
     }
     crc
-}
-
-/// The CRC-32 of `a` followed by `b`, from `crc_a` (of `a`), `crc_b` (of
-/// `b`) and `b`'s length: the pre- and post-inversions cancel, so only
-/// `crc_a` is carried across `b`.
-pub(crate) fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
-    shift(crc_a, len_b) ^ crc_b
 }
 
 /// The register after `crc` takes in the sixteen bytes of `b`, read as
@@ -190,38 +183,6 @@ mod tests {
             assert_eq!(crc32(slice), crc32_bytewise(slice), "length {len}");
         }
         assert_eq!(crc32(&[0u8; 100_000]), crc32_bytewise(&[0u8; 100_000]));
-    }
-
-    #[test]
-    fn combine_matches_the_checksum_of_the_concatenation() {
-        let mut state = 11u64;
-        let bytes: Vec<u8> = (0..200_000)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                (state >> 56) as u8
-            })
-            .collect();
-        for len in 0..=300 {
-            let whole = &bytes[..len];
-            for split in 0..=len {
-                let (a, b) = whole.split_at(split);
-                assert_eq!(
-                    crc32_combine(crc32(a), crc32(b), b.len()),
-                    crc32_bytewise(whole),
-                    "length {len}, split at {split}"
-                );
-            }
-        }
-        for split in [0, 1, 4_099, 100_000, 199_999, 200_000] {
-            let (a, b) = bytes.split_at(split);
-            assert_eq!(
-                crc32_combine(crc32(a), crc32(b), b.len()),
-                crc32_bytewise(&bytes),
-                "200,000 bytes split at {split}"
-            );
-        }
     }
 
     #[test]

@@ -27,8 +27,7 @@
 //! `path`. A crash at any point leaves either the old complete file or
 //! the new complete file — never a torn one. Each section goes to the
 //! file from its own buffer, so a snapshot is never copied whole in
-//! memory; a section added with [`SnapshotWriter::streamed_section`] is
-//! encoded piece by piece as it is written and never held whole at all.
+//! memory.
 //!
 //! # Example
 //!
@@ -52,6 +51,4 @@ pub mod wire;
 
 pub use crc::crc32;
 pub use error::CkptError;
-pub use snapshot::{
-    remove_stale_temp, temp_path, PayloadSink, Snapshot, SnapshotWriter, FORMAT_VERSION, MAGIC,
-};
+pub use snapshot::{remove_stale_temp, temp_path, Snapshot, SnapshotWriter, FORMAT_VERSION, MAGIC};

@@ -19,11 +19,11 @@
 //! Strictly nothing after the last section; trailing bytes are rejected.
 
 use std::fs::{self, File};
-use std::io::{self, BufWriter, Cursor, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use crate::crc::{crc32, crc32_combine};
+use crate::crc::crc32;
 use crate::error::CkptError;
 use crate::wire::{Reader, Writer};
 
@@ -38,35 +38,10 @@ pub const MAGIC: [u8; 8] = *b"RACCKPT\0";
 /// constants from agent and tuner sections. Older files are refused.
 pub const FORMAT_VERSION: u32 = 3;
 
-/// Where a streamed section's payload goes, one piece at a time: the
-/// temp file of [`SnapshotWriter::write_atomic`] or the buffer of
-/// [`SnapshotWriter::to_bytes`].
-pub type PayloadSink<'a> = dyn FnMut(&[u8]) -> io::Result<()> + 'a;
-
-/// Hands a streamed section's payload to a [`PayloadSink`].
-type Stream = Box<dyn Fn(&mut PayloadSink<'_>) -> io::Result<()> + Send + Sync>;
-
-/// A section's payload.
-enum Payload {
-    /// Encoded once, when the section was added.
-    Buffered(Vec<u8>),
-    /// Encoded piece by piece each time the snapshot is written.
-    Streamed(Stream),
-}
-
-impl std::fmt::Debug for Payload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Payload::Buffered(bytes) => write!(f, "Buffered({} bytes)", bytes.len()),
-            Payload::Streamed(_) => f.write_str("Streamed"),
-        }
-    }
-}
-
 /// Builds a snapshot section by section, then serializes or persists it.
 #[derive(Debug, Default)]
 pub struct SnapshotWriter {
-    sections: Vec<(String, Payload)>,
+    sections: Vec<(String, Vec<u8>)>,
 }
 
 impl SnapshotWriter {
@@ -83,29 +58,6 @@ impl SnapshotWriter {
     /// length — section names are compile-time constants in practice,
     /// so either is a programming error.
     pub fn section(&mut self, name: &str, fill: impl FnOnce(&mut Writer)) {
-        let mut w = Writer::new();
-        fill(&mut w);
-        self.push(name, Payload::Buffered(w.into_bytes()));
-    }
-
-    /// Appends a section whose payload `stream` hands to its sink in
-    /// pieces, each time the snapshot is serialized or written, so a
-    /// payload too large to hold twice is never held whole. `stream`
-    /// must produce the same bytes on every call and fail only when its
-    /// sink does.
-    ///
-    /// # Panics
-    ///
-    /// As [`section`](Self::section).
-    pub fn streamed_section(
-        &mut self,
-        name: &str,
-        stream: impl Fn(&mut PayloadSink<'_>) -> io::Result<()> + Send + Sync + 'static,
-    ) {
-        self.push(name, Payload::Streamed(Box::new(stream)));
-    }
-
-    fn push(&mut self, name: &str, payload: Payload) {
         assert!(
             u16::try_from(name.len()).is_ok(),
             "section name too long: {name}"
@@ -114,33 +66,27 @@ impl SnapshotWriter {
             self.sections.iter().all(|(n, _)| n != name),
             "duplicate section: {name}"
         );
-        self.sections.push((name.to_string(), payload));
+        let mut w = Writer::new();
+        fill(&mut w);
+        self.sections.push((name.to_string(), w.into_bytes()));
     }
 
     /// Serializes the snapshot to its on-disk byte form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a streamed section fails although its sink did not,
-    /// which [`streamed_section`](Self::streamed_section) rules out.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let buffered: usize = (self.sections.iter())
-            .map(|(name, payload)| match payload {
-                Payload::Buffered(bytes) => 14 + name.len() + bytes.len(),
-                Payload::Streamed(_) => 14 + name.len(),
-            })
+        let len: usize = (self.sections.iter())
+            .map(|(name, payload)| 14 + name.len() + payload.len())
             .sum();
-        let mut out = Cursor::new(Vec::with_capacity(16 + buffered));
+        let mut out = Vec::with_capacity(16 + len);
         self.write_to(&mut out)
             .expect("a snapshot serializes into memory");
-        out.into_inner()
+        out
     }
 
     /// Persists the snapshot atomically: parent directories are created,
     /// the header and then each section's header and payload go from the
-    /// section's own buffer (or stream) to [`temp_path`], the file is
-    /// fsynced, then renamed over `path`. Returns the number of bytes
-    /// written, the length of [`to_bytes`](Self::to_bytes).
+    /// section's own buffer to [`temp_path`], the file is fsynced, then
+    /// renamed over `path`. Returns the number of bytes written, the
+    /// length of [`to_bytes`](Self::to_bytes).
     ///
     /// # Errors
     ///
@@ -165,47 +111,22 @@ impl SnapshotWriter {
         Ok(written)
     }
 
-    /// Writes the container into `out` and returns its length. A streamed
-    /// section's header goes out with a zero length and CRC first, and is
-    /// rewritten in place once its payload has been counted and summed.
-    fn write_to(&self, out: &mut (impl Write + Seek)) -> io::Result<u64> {
+    /// Writes the container into `out` and returns its length.
+    fn write_to(&self, out: &mut impl Write) -> io::Result<u64> {
         out.write_all(&MAGIC)?;
         out.write_all(&FORMAT_VERSION.to_le_bytes())?;
         out.write_all(&(self.sections.len() as u32).to_le_bytes())?;
         let mut written = 16;
         for (name, payload) in &self.sections {
-            let len = match payload {
-                Payload::Buffered(bytes) => {
-                    write_section_header(out, name, bytes.len() as u64, crc32(bytes))?;
-                    out.write_all(bytes)?;
-                    bytes.len() as u64
-                }
-                Payload::Streamed(stream) => {
-                    write_section_header(out, name, 0, 0)?;
-                    let (mut len, mut crc) = (0, 0);
-                    stream(&mut |piece: &[u8]| {
-                        crc = crc32_combine(crc, crc32(piece), piece.len());
-                        len += piece.len() as u64;
-                        out.write_all(piece)
-                    })?;
-                    out.seek(SeekFrom::Start(written))?;
-                    write_section_header(out, name, len, crc)?;
-                    out.seek(SeekFrom::End(0))?;
-                    len
-                }
-            };
-            written += 14 + name.len() as u64 + len;
+            out.write_all(&(name.len() as u16).to_le_bytes())?;
+            out.write_all(name.as_bytes())?;
+            out.write_all(&(payload.len() as u64).to_le_bytes())?;
+            out.write_all(&crc32(payload).to_le_bytes())?;
+            out.write_all(payload)?;
+            written += 14 + name.len() as u64 + payload.len() as u64;
         }
         Ok(written)
     }
-}
-
-/// Writes one section header: name length, name, payload length, CRC.
-fn write_section_header(out: &mut impl Write, name: &str, len: u64, crc: u32) -> io::Result<()> {
-    out.write_all(&(name.len() as u16).to_le_bytes())?;
-    out.write_all(name.as_bytes())?;
-    out.write_all(&len.to_le_bytes())?;
-    out.write_all(&crc.to_le_bytes())
 }
 
 /// Wraps an I/O error of one filesystem step on `path`.
@@ -374,14 +295,6 @@ mod tests {
         w
     }
 
-    /// The payload of one of `sample`'s sections, all of them buffered.
-    fn buffered(payload: &Payload) -> &[u8] {
-        match payload {
-            Payload::Buffered(bytes) => bytes,
-            Payload::Streamed(_) => unreachable!("sample() buffers its sections"),
-        }
-    }
-
     #[test]
     fn round_trips() {
         let bytes = sample().to_bytes();
@@ -407,7 +320,7 @@ mod tests {
         for (name, payload) in &writer.sections {
             for snap in [&copied, &owned] {
                 let mut r = snap.section(name).unwrap();
-                assert_eq!(r.take(r.remaining()).unwrap(), buffered(payload));
+                assert_eq!(r.take(r.remaining()).unwrap(), payload.as_slice());
             }
         }
     }
@@ -475,7 +388,6 @@ mod tests {
         let header = 16;
         let mut offset = header;
         for (name, payload) in &sample().sections {
-            let payload = buffered(payload);
             offset += 2 + name.len() + 8 + 4;
             for i in 0..payload.len() {
                 let mut bytes = clean.clone();
@@ -511,7 +423,7 @@ mod tests {
         for (name, payload) in &sample().sections {
             let header = 2 + name.len() + 8 + 4;
             headers.extend(offset..offset + header);
-            offset += header + buffered(payload).len();
+            offset += header + payload.len();
         }
         for at in headers {
             for value in [0x00, 0xff] {
@@ -559,41 +471,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// `sample()` with its first section's payload streamed in pieces
-    /// of uneven sizes, empty ones included, and a third, empty section
-    /// streamed from no pieces at all.
-    fn streamed_sample() -> SnapshotWriter {
-        let mut w = SnapshotWriter::new();
-        w.streamed_section("alpha", |sink| {
-            let mut payload = Writer::new();
-            payload.put_u64(42);
-            payload.put_str("hello");
-            let bytes = payload.as_bytes();
-            for range in [0..0, 0..3, 3..3, 3..16, 16..bytes.len()] {
-                sink(&bytes[range])?;
-            }
-            Ok(())
-        });
-        w.section("beta", |w| w.put_f64(1.5));
-        w.streamed_section("gamma", |_| Ok(()));
-        w
-    }
-
-    #[test]
-    fn a_streamed_section_is_the_buffered_section_of_its_bytes() {
-        let mut expected = sample();
-        expected.section("gamma", |_| {});
-        let bytes = streamed_sample().to_bytes();
-        assert_eq!(bytes, expected.to_bytes());
-        assert_eq!(bytes, streamed_sample().to_bytes(), "not deterministic");
-        let snap = Snapshot::from_vec(bytes).unwrap();
-        let mut r = snap.section("alpha").unwrap();
-        assert_eq!(r.get_u64().unwrap(), 42);
-        assert_eq!(r.get_str().unwrap(), "hello");
-        r.finish().unwrap();
-        snap.section("gamma").unwrap().finish().unwrap();
-    }
-
     #[test]
     fn write_atomic_writes_exactly_to_bytes() {
         let dir = std::env::temp_dir().join(format!("ckpt-in-place-{}", std::process::id()));
@@ -606,7 +483,6 @@ mod tests {
             ("sample()", sample()),
             ("an empty section", empty_section),
             ("no sections", SnapshotWriter::new()),
-            ("streamed sections", streamed_sample()),
         ] {
             let written = snap.write_atomic(&path).unwrap();
             let on_disk = std::fs::read(&path).unwrap();

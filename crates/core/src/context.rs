@@ -304,7 +304,7 @@ impl PolicyLibrary {
 
     /// A 64-bit FNV-1a fingerprint of the library's checkpoint wire
     /// encoding: what a checkpoint records to name the library, and the
-    /// content address of the sidecar file holding it. Computed on the
+    /// content address of the directory holding it. Computed on the
     /// first call and remembered by this library and every clone of it,
     /// so a process pays for it at most once per library.
     pub fn fingerprint(&self) -> u64 {

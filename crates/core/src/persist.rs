@@ -9,10 +9,8 @@
 //! baselines) implement their codecs in their own modules; this one
 //! holds the building blocks they share.
 
-use std::convert::Infallible;
-
 use ckpt::wire::{Reader, Writer};
-use ckpt::{CkptError, Snapshot, SnapshotWriter};
+use ckpt::CkptError;
 use rl::QTable;
 use tpcw::Mix;
 use vmstack::ResourceLevel;
@@ -20,9 +18,6 @@ use websim::ServerConfig;
 
 use crate::context::{PolicyLibrary, SystemContext};
 use crate::init::InitialPolicy;
-
-/// The section [`library_to_snapshot`] writes.
-const SECTION_LIBRARY: &str = "rac.library";
 
 /// Encodes a server configuration as its eight raw parameter values.
 pub(crate) fn encode_config(w: &mut Writer, config: &ServerConfig) {
@@ -44,7 +39,10 @@ pub(crate) fn decode_config(r: &mut Reader<'_>) -> Result<ServerConfig, CkptErro
 
 /// Encodes a system context as indices into the canonical mix/level
 /// orders.
-pub(crate) fn encode_context(w: &mut Writer, ctx: &SystemContext) {
+///
+/// Public, like [`encode_policy`], because a checkpointed line-up lists
+/// its library's contexts in a file of their own.
+pub fn encode_context(w: &mut Writer, ctx: &SystemContext) {
     let mix = Mix::ALL.iter().position(|&m| m == ctx.mix).unwrap_or(0);
     let level = ResourceLevel::ALL
         .iter()
@@ -55,7 +53,12 @@ pub(crate) fn encode_context(w: &mut Writer, ctx: &SystemContext) {
 }
 
 /// Decodes a system context.
-pub(crate) fn decode_context(r: &mut Reader<'_>) -> Result<SystemContext, CkptError> {
+///
+/// # Errors
+///
+/// [`CkptError::Corrupt`] for an index outside the canonical orders,
+/// and truncation as usual.
+pub fn decode_context(r: &mut Reader<'_>) -> Result<SystemContext, CkptError> {
     let mix = r.get_u8()? as usize;
     let level = r.get_u8()? as usize;
     let mix = *Mix::ALL.get(mix).ok_or_else(|| CkptError::Corrupt {
@@ -149,130 +152,24 @@ pub fn decode_policy(
     })
 }
 
-/// Appends the library's wire encoding to `w` — its entry count, then
-/// each context and policy in insertion order — and hands `emit` what
-/// `w` holds before each policy and at the end. So at most one policy
-/// is encoded at a time, through one buffer: what
-/// [`library_fingerprint`] hashes, and what [`library_to_snapshot`]
-/// writes after the section's shape header.
-fn stream_library<E>(
-    mut w: Writer,
-    lib: &PolicyLibrary,
-    mut emit: impl FnMut(&[u8]) -> Result<(), E>,
-) -> Result<(), E> {
-    w.put_usize(lib.len());
-    for (ctx, policy) in lib.iter() {
-        emit(w.as_bytes())?;
-        w.clear();
-        encode_context(&mut w, ctx);
-        encode_policy(&mut w, policy);
-    }
-    emit(w.as_bytes())
-}
-
-/// Decodes a policy library of `states`-state policies.
-pub(crate) fn decode_library(
-    r: &mut Reader<'_>,
-    states: usize,
-    actions: usize,
-) -> Result<PolicyLibrary, CkptError> {
-    let len = r.get_usize()?;
-    let mut lib = PolicyLibrary::new();
-    for _ in 0..len {
-        let ctx = decode_context(r)?;
-        let policy = decode_policy(r, states, actions)?;
-        lib.insert(ctx, policy);
-    }
-    Ok(lib)
-}
-
-/// FNV-1a over the library's wire encoding ([`stream_library`]), the
-/// hash the spec and scenario fingerprints take over theirs, fed one
-/// policy at a time. Callers go through the memoizing
+/// FNV-1a over the library's wire encoding — its entry count, then
+/// each context and policy in insertion order — the hash the spec and
+/// scenario fingerprints take over theirs. Each entry is encoded and
+/// hashed in turn through one buffer, so the encoding is never held
+/// whole. Callers go through the memoizing
 /// [`PolicyLibrary::fingerprint`].
 pub(crate) fn library_fingerprint(lib: &PolicyLibrary) -> u64 {
     let mut hash = simkernel::Fnv1a::new();
-    let Ok(()) = stream_library::<Infallible>(Writer::new(), lib, |bytes| {
-        hash.write(bytes);
-        Ok(())
-    });
+    let mut w = Writer::new();
+    w.put_usize(lib.len());
+    hash.write(w.as_bytes());
+    for (ctx, policy) in lib.iter() {
+        w.clear();
+        encode_context(&mut w, ctx);
+        encode_policy(&mut w, policy);
+        hash.write(w.as_bytes());
+    }
     hash.finish()
-}
-
-/// Adds a policy library to a snapshot as its `rac.library` section:
-/// the lattice shape, then every `(context, policy)` entry.
-/// Checkpointed line-ups store their library this way, once, in a
-/// sidecar snapshot that their snapshots name by
-/// [`PolicyLibrary::fingerprint`]; [`library_from_snapshot`] reads it
-/// back.
-///
-/// The section is streamed: the snapshot shares the library (a clone
-/// copies no policy), and each write encodes it one policy at a time
-/// through one buffer, so the payload is never held whole.
-///
-/// # Panics
-///
-/// Panics if the snapshot already has a `rac.library` section.
-pub fn library_to_snapshot(snap: &mut SnapshotWriter, lib: &PolicyLibrary) {
-    let lib = lib.clone();
-    snap.streamed_section(SECTION_LIBRARY, move |sink| {
-        let mut w = Writer::new();
-        match lib.iter().next() {
-            Some((_, policy)) => {
-                w.put_bool(true);
-                w.put_usize(policy.qtable.states());
-                w.put_usize(policy.qtable.actions());
-                stream_library(w, &lib, sink)
-            }
-            None => {
-                w.put_bool(false);
-                sink(w.as_bytes())
-            }
-        }
-    });
-}
-
-/// Reads the policy library a snapshot stores with
-/// [`library_to_snapshot`], trained on a `states` × `actions` lattice —
-/// the warm-start path: a fresh run seeds its agent with the library a
-/// previous run learned with, without restoring any online state.
-///
-/// A library from a run with different `online_levels` has a
-/// self-consistent shape header, but would blow up later inside agent
-/// construction; the shape check turns that into a typed error before
-/// any policy is handed out.
-///
-/// # Errors
-///
-/// Returns [`CkptError::MissingSection`] when the snapshot has no
-/// `rac.library` section, [`CkptError::Mismatch`] when the stored
-/// library is empty or was trained on another lattice, and decoding
-/// errors as usual.
-pub fn library_from_snapshot(
-    snap: &Snapshot,
-    states: usize,
-    actions: usize,
-) -> Result<PolicyLibrary, CkptError> {
-    let mut r = snap.section(SECTION_LIBRARY)?;
-    if !r.get_bool()? {
-        return Err(CkptError::Mismatch {
-            detail: "snapshot holds an empty policy library, nothing to warm-start from"
-                .to_string(),
-        });
-    }
-    let got_states = r.get_usize()?;
-    let got_actions = r.get_usize()?;
-    if (got_states, got_actions) != (states, actions) {
-        return Err(CkptError::Mismatch {
-            detail: format!(
-                "warm-start library trained on a {got_states}x{got_actions} lattice, \
-                 this run's lattice is {states}x{actions}"
-            ),
-        });
-    }
-    let lib = decode_library(&mut r, states, actions)?;
-    r.finish()?;
-    Ok(lib)
 }
 
 #[cfg(test)]
@@ -319,32 +216,6 @@ mod tests {
             let oracle = simkernel::Fnv1a::new().write(&w.into_bytes()).finish();
             assert_eq!(library_fingerprint(&lib), oracle, "{} policies", lib.len());
         }
-    }
-
-    #[test]
-    fn streamed_sidecar_is_the_materialized_section() {
-        let dir = std::env::temp_dir().join(format!("rac-sidecar-{}", std::process::id()));
-        let path = dir.join("library.ckpt");
-        for lib in [three_policy_library(), PolicyLibrary::new()] {
-            let mut oracle = SnapshotWriter::new();
-            oracle.section(SECTION_LIBRARY, |w| match lib.iter().next() {
-                Some((_, policy)) => {
-                    w.put_bool(true);
-                    w.put_usize(policy.qtable.states());
-                    w.put_usize(policy.qtable.actions());
-                    encode_library(w, &lib);
-                }
-                None => w.put_bool(false),
-            });
-            let mut streamed = SnapshotWriter::new();
-            library_to_snapshot(&mut streamed, &lib);
-            let written = streamed.write_atomic(&path).unwrap();
-            let on_disk = std::fs::read(&path).unwrap();
-            assert_eq!(on_disk, oracle.to_bytes(), "{} policies", lib.len());
-            assert_eq!(written, on_disk.len() as u64);
-            assert_eq!(streamed.to_bytes(), on_disk);
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -399,60 +270,22 @@ mod tests {
 
     #[test]
     fn policy_and_library_round_trip() {
-        let lattice = ConfigLattice::new(2);
-        let policy = train_initial_policy(
-            &lattice,
-            SlaReward::new(1_000.0),
-            OfflineSettings { group_levels: 2 },
-            |c: &ServerConfig| 100.0 + c.max_clients() as f64 * 0.1,
-        )
-        .unwrap();
-        let mut lib = PolicyLibrary::new();
-        lib.insert(
-            SystemContext::new(Mix::Shopping, ResourceLevel::Level1),
-            policy,
-        );
-        let mut w = Writer::new();
-        encode_library(&mut w, &lib);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes, "t");
-        let back = decode_library(&mut r, lattice.num_states(), Action::COUNT).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back, lib);
-    }
-
-    #[test]
-    fn library_snapshot_reads_back_only_on_its_own_lattice() {
-        let lattice = ConfigLattice::new(2);
-        let policy = train_initial_policy(
-            &lattice,
-            SlaReward::new(1_000.0),
-            OfflineSettings { group_levels: 2 },
-            |c: &ServerConfig| 100.0 + c.max_clients() as f64 * 0.1,
-        )
-        .unwrap();
-        let mut lib = PolicyLibrary::new();
-        lib.insert(
-            SystemContext::new(Mix::Ordering, ResourceLevel::Level3),
-            policy,
-        );
-        let snapshot = |lib: &PolicyLibrary| {
-            let mut w = SnapshotWriter::new();
-            library_to_snapshot(&mut w, lib);
-            Snapshot::from_vec(w.to_bytes()).unwrap()
-        };
-        let states = lattice.num_states();
-        let back = library_from_snapshot(&snapshot(&lib), states, Action::COUNT).unwrap();
-        assert_eq!(back, lib);
-        let bigger = ConfigLattice::new(3).num_states();
-        for (states, actions) in [(bigger, Action::COUNT), (states, Action::COUNT + 1)] {
-            let err = library_from_snapshot(&snapshot(&lib), states, actions).unwrap_err();
-            assert!(matches!(err, CkptError::Mismatch { .. }), "{err}");
+        // A library rebuilt from its entries' encodings, as a
+        // checkpointed line-up stores and reads them, is the library.
+        let lib = three_policy_library();
+        let states = ConfigLattice::new(2).num_states();
+        let mut back = PolicyLibrary::new();
+        for (ctx, policy) in lib.iter() {
+            let mut w = Writer::new();
+            encode_context(&mut w, ctx);
+            encode_policy(&mut w, policy);
+            let bytes = w.into_bytes();
+            let mut r = Reader::new(&bytes, "t");
+            let ctx = decode_context(&mut r).unwrap();
+            back.insert(ctx, decode_policy(&mut r, states, Action::COUNT).unwrap());
+            r.finish().unwrap();
         }
-        let empty = library_from_snapshot(&snapshot(&PolicyLibrary::new()), states, Action::COUNT);
-        assert!(matches!(empty, Err(CkptError::Mismatch { .. })));
-        let none = Snapshot::from_vec(SnapshotWriter::new().to_bytes()).unwrap();
-        let missing = library_from_snapshot(&none, states, Action::COUNT);
-        assert!(matches!(missing, Err(CkptError::MissingSection { .. })));
+        assert_eq!(back, lib);
+        assert_eq!(back.fingerprint(), lib.fingerprint());
     }
 }

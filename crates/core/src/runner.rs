@@ -205,42 +205,6 @@ impl Runner {
         self.threads
     }
 
-    /// Measures one point through the cache.
-    pub fn measure(
-        &self,
-        spec: &SystemSpec,
-        config: ServerConfig,
-        warmup: SimDuration,
-        measure: SimDuration,
-    ) -> PerfSample {
-        let job = MeasureJob::new(spec.clone(), config, warmup, measure);
-        let key = job.key();
-        let recording = obs::enabled();
-        if recording {
-            RunnerMetrics::get().jobs.inc();
-        }
-        if let Some(sample) = self.cache.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if recording {
-                RunnerMetrics::get().cache_hits.inc();
-            }
-            return *sample;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if recording {
-            RunnerMetrics::get().cache_misses.inc();
-        }
-        let started = std::time::Instant::now();
-        let sample = job.execute();
-        if recording {
-            RunnerMetrics::get()
-                .job_ms
-                .record_ms(started.elapsed().as_secs_f64() * 1_000.0);
-        }
-        self.cache.lock().unwrap().insert(key, sample);
-        sample
-    }
-
     /// Evaluates a batch of measurements across the worker pool,
     /// returning results **in submission order**.
     ///
@@ -482,12 +446,6 @@ impl SimMeasurer {
         }
     }
 
-    /// The full [`PerfSample`] for one configuration (cached).
-    pub fn sample(&self, config: ServerConfig) -> PerfSample {
-        self.runner
-            .measure(&self.spec, config, self.warmup, self.measure)
-    }
-
     /// The full [`PerfSample`]s for a batch of configurations, in order.
     pub fn sample_batch(&self, configs: &[ServerConfig]) -> Vec<PerfSample> {
         let jobs: Vec<MeasureJob> = configs
@@ -500,7 +458,7 @@ impl SimMeasurer {
 
 impl Measure for SimMeasurer {
     fn measure(&mut self, config: &ServerConfig) -> f64 {
-        self.sample(*config).mean_response_ms
+        self.sample_batch(&[*config])[0].mean_response_ms
     }
 
     fn measure_batch(&mut self, configs: &[ServerConfig]) -> Vec<f64> {
@@ -565,11 +523,11 @@ mod tests {
     #[test]
     fn cache_hit_equals_fresh_simulation() {
         let runner = Runner::new(2);
-        let job = tiny_jobs(1).remove(0);
-        let first = runner.measure(&job.spec, job.config, job.warmup, job.measure);
-        let hit = runner.measure(&job.spec, job.config, job.warmup, job.measure);
+        let jobs = tiny_jobs(1);
+        let first = runner.run(&jobs);
+        let hit = runner.run(&jobs);
         runner.clear_cache();
-        let fresh = runner.measure(&job.spec, job.config, job.warmup, job.measure);
+        let fresh = runner.run(&jobs);
         assert_eq!(first, hit);
         assert_eq!(first, fresh);
         assert_eq!(runner.cache_stats().hits, 1);

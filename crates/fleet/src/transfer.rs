@@ -1,8 +1,8 @@
 //! The fleet-wide policy transfer store.
 //!
 //! Generalizes the one-to-one `--warm-start` machinery (a policy
-//! library read from a checkpoint's sidecar) into a shared library:
-//! every finished tenant donates its learned policy
+//! library read from a checkpoint's library directory) into a shared
+//! library: every finished tenant donates its learned policy
 //! ([`rac::RacAgent::learned_policy`]) tagged with the tenant's feature
 //! vector, and a new tenant is seeded from the *nearest* donor under
 //! squared-Euclidean feature distance.
@@ -285,17 +285,12 @@ mod tests {
 
     #[test]
     fn seed_from_snapshot_with_mismatched_lattice_is_typed_not_panic() {
-        // Regression (satellite): a warm-start snapshot whose library
-        // was trained on a different parameter lattice must surface a
-        // typed error at the seeding boundary.
+        // Regression: a warm-start library trained on a different
+        // parameter lattice must surface a typed error at the seeding
+        // boundary.
         let (policy, states) = policy_for(2);
         let mut lib = rac::PolicyLibrary::new();
         lib.insert(rac::paper_contexts()[0], policy);
-        let mut snap = ckpt::SnapshotWriter::new();
-        rac::library_to_snapshot(&mut snap, &lib);
-        let snap = ckpt::Snapshot::from_bytes(&snap.to_bytes()).unwrap();
-        // The library reads back on its own 2-level lattice.
-        let lib = rac::library_from_snapshot(&snap, states, Action::COUNT).unwrap();
 
         // Same lattice seeds fine...
         let mut ok_store = TransferStore::new(states, Action::COUNT);

@@ -110,6 +110,21 @@ impl Health {
         self.heartbeat.load(Ordering::Relaxed)
     }
 
+    /// The current job's last completed iteration.
+    pub fn iteration(&self) -> u64 {
+        self.iteration.load(Ordering::Relaxed)
+    }
+
+    /// The current job's iteration count, 0 when unknown.
+    pub fn total_iterations(&self) -> u64 {
+        self.total_iterations.load(Ordering::Relaxed)
+    }
+
+    /// Whether the measurement-channel breaker is open.
+    pub fn breaker_open(&self) -> bool {
+        self.breaker_open.load(Ordering::Relaxed)
+    }
+
     /// Updates fleet progress (tenant experiments finished out of
     /// `total`; both 0 outside fleet runs, in which case the fields
     /// still render — a fleet in progress is recognizable by
@@ -180,6 +195,8 @@ mod tests {
         h.set_breaker_open(true);
         h.set_degraded(true);
         assert_eq!(h.state(), RunState::Running);
+        assert_eq!((h.iteration(), h.total_iterations()), (3, 40));
+        assert!(h.breaker_open());
         let json = h.render_json();
         assert!(json.contains("\"state\":\"running\""));
         assert!(json.contains("\"job\":\"scenario diurnal\""));

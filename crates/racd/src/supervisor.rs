@@ -122,30 +122,18 @@ impl ControlState {
         } else {
             "running"
         };
-        let json = health.render_json();
         format!(
             "ok state={state} job={job} queue={} iter={}/{} breaker_open={} heartbeat={} \
              restarts={} dirty_start={}",
             self.queue.lock().unwrap().len(),
-            json_u64(&json, "iteration"),
-            json_u64(&json, "total_iterations"),
-            json.contains("\"breaker_open\":true"),
-            json_u64(&json, "heartbeat"),
+            health.iteration(),
+            health.total_iterations(),
+            health.breaker_open(),
+            health.beats(),
             self.restarts_total.load(Ordering::Relaxed),
             self.dirty_start.load(Ordering::Relaxed),
         )
     }
-}
-
-/// Pulls a numeric field out of the (flat, trusted) health JSON.
-fn json_u64(json: &str, key: &str) -> u64 {
-    json.split(&format!("\"{key}\":"))
-        .nth(1)
-        .and_then(|rest| {
-            let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-            digits.parse().ok()
-        })
-        .unwrap_or(0)
 }
 
 /// Dispatches one parsed admin command; returns the reply line.
@@ -202,7 +190,7 @@ fn validate(operand: &str) -> Result<(String, String), String> {
 }
 
 /// `upgrade <snapshot>`: rolling agent swap. The library of the line-up
-/// checkpoint at `path` (read from its sidecar) seeds the RAC agent of
+/// checkpoint at `path` (read from its directory) seeds the RAC agent of
 /// every *subsequent* job. The running job keeps its state, and so does
 /// a resumed one, whose library is the one its own checkpoint names —
 /// swaps happen at job boundaries, never mid-lineup. A checkpoint whose
@@ -741,8 +729,13 @@ mod tests {
         })
     }
 
+    /// Held by the tests that write the process-wide health cell or pin
+    /// what `status` reads from it.
+    static HEALTH: Mutex<()> = Mutex::new(());
+
     #[test]
     fn admin_dispatch_flags_and_status() {
+        let _health = HEALTH.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join(format!("racd-sup-{}", std::process::id()));
         let state = empty_state(&dir);
         assert_eq!(
@@ -754,10 +747,20 @@ mod tests {
         assert!(!state.paused.load(Ordering::Relaxed));
         handle_command(&state, AdminCmd::Checkpoint);
         assert!(state.ckpt_request.load(Ordering::Relaxed));
+        let health = obs::health::global();
+        health.set_progress(3, 40);
+        health.set_breaker_open(true);
         let status = handle_command(&state, AdminCmd::Status);
+        health.set_breaker_open(false);
         assert!(status.starts_with("ok state=idle"), "got: {status}");
         assert!(status.contains("queue=0"));
         assert!(status.contains("dirty_start=false"));
+        // The crash drill parses these fields.
+        let pinned = format!(
+            " iter=3/40 breaker_open=true heartbeat={} restarts=0 ",
+            health.beats()
+        );
+        assert!(status.contains(&pinned), "got: {status}");
         handle_command(&state, AdminCmd::Shutdown);
         assert!(state.shutdown.load(Ordering::Relaxed));
         assert!(handle_command(&state, AdminCmd::Status).contains("state=stopping"));
@@ -796,11 +799,13 @@ mod tests {
 
     #[test]
     fn upgrade_vetoes_lattice_mismatch() {
+        // Its line-up writes the health cell.
+        let _health = HEALTH.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join(format!("racd-upg-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let state = empty_state(&dir);
-        // A line-up checkpoint, whose library lives in a sidecar beside
-        // it.
+        // A line-up checkpoint, whose library lives in a directory
+        // beside it.
         let scn = Scenario::parse(
             "name upg\nduration 120s\ninterval 60s\nwarmup 60s\nclients 60\nseed 1\n",
         )
@@ -819,15 +824,15 @@ mod tests {
         assert!(reply.starts_with("ok upgraded 1"), "got: {reply}");
         assert_eq!(state.library_override.lock().unwrap().as_ref(), Some(&lib));
 
-        // A sidecar holding a library at the WRONG lattice (3 levels
+        // A library whose policy file is of the WRONG lattice (3 levels
         // instead of the standard 4, as a build with other lattice
         // settings would leave) must be vetoed.
         *state.library_override.lock().unwrap() = None;
         let wrong = rac_bench::quick_policy_library(&[rac::paper_contexts()[0]]);
-        let mut w = ckpt::SnapshotWriter::new();
-        rac::library_to_snapshot(&mut w, &wrong);
-        let sidecar = rac_bench::checkpoint::library_sidecar(&options.path).unwrap();
-        w.write_atomic(&sidecar).unwrap();
+        let (_, policy) = wrong.iter().next().unwrap();
+        let library = rac_bench::checkpoint::library_dir(&options.path).unwrap();
+        let planted = library.join("policy-0.ckpt");
+        rac_bench::cache::store_policy(&planted, policy).unwrap();
         let reply = handle_command(
             &state,
             AdminCmd::Upgrade(options.path.display().to_string()),
@@ -836,7 +841,7 @@ mod tests {
         assert!(state.library_override.lock().unwrap().is_none());
 
         // A path that is not a line-up checkpoint is unreadable.
-        let reply = handle_command(&state, AdminCmd::Upgrade(sidecar.display().to_string()));
+        let reply = handle_command(&state, AdminCmd::Upgrade(planted.display().to_string()));
         assert!(reply.starts_with("err snapshot-unreadable"), "got: {reply}");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,6 +1,6 @@
 //! The 64-bit FNV-1a hash behind every fingerprint the repository
 //! persists: policy-cache file names, the spec and scenario fingerprints
-//! a checkpoint records, library sidecar names and fleet rosters.
+//! a checkpoint records, library directory names and fleet rosters.
 //!
 //! The hasher is fed raw bytes only. Integers go in as their
 //! little-endian bytes, and nothing is hashed through [`std::hash::Hash`]

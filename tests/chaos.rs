@@ -16,7 +16,9 @@
 //! 3. **Kill-and-resume through an outage** — a run stopped at a
 //!    boundary inside the guaranteed blackout window (breaker open,
 //!    agent degraded) and resumed from the snapshot finishes exactly
-//!    like one that was never interrupted.
+//!    like one that was never interrupted, and so does a line-up killed
+//!    at every seeded point and resumed each time from its checkpoint
+//!    file.
 
 use std::sync::Arc;
 
@@ -28,8 +30,9 @@ use rac::{
 };
 use rac_bench::chaos::{
     chaos_scenario, chaos_table, check_invariants, kill_points, last_fault_clear_iteration,
-    run_chaos, run_chaos_killed, DEFAULT_ITERATIONS, PINNED_SEEDS, RECOVERY_GRACE,
+    run_chaos, DEFAULT_ITERATIONS, PINNED_SEEDS, RECOVERY_GRACE,
 };
+use rac_bench::checkpoint::{run_lineup, CheckpointOptions, LineupCommand, LineupOutcome};
 use rac_bench::{paper_system_spec, standard_settings};
 use scenario::Directive;
 
@@ -146,11 +149,13 @@ fn kill_and_resume_inside_the_outage_matches_uninterrupted() {
 
 #[test]
 fn seeded_kill_arm_composes_with_measurement_faults() {
-    // The `kill` fault arm: several seeded process deaths in one run —
-    // agent state and progress cross their wire forms at each kill —
-    // composed with the schedule's blackout/timeout faults. The series
-    // must match an uninterrupted run exactly, and at least one kill
-    // must land while the breaker is open (death *inside* the outage).
+    // The `kill` fault arm: several seeded process deaths in one run,
+    // composed with the schedule's blackout/timeout faults. Each kill
+    // stops a cold-started line-up, which leaves its checkpoint file,
+    // and the next run resumes from that file. RAC's series must match
+    // an uninterrupted chaos run exactly, the line-up an uninterrupted
+    // line-up, and at least one kill must land while the breaker is
+    // open (death *inside* the outage).
     for seed in PINNED_SEEDS {
         let scn = chaos_scenario(seed, DEFAULT_ITERATIONS);
         let points = kill_points(seed, &scn);
@@ -163,16 +168,54 @@ fn seeded_kill_arm_composes_with_measurement_faults() {
             kill_points(seed, &scn),
             "seed {seed}: kill schedule not deterministic"
         );
-        let full = run_chaos(&scn);
-        let (killed, in_outage) = run_chaos_killed(&scn, &points);
+        let dir =
+            std::env::temp_dir().join(format!("rac-chaos-kill-{seed}-{}", std::process::id()));
+        let options = CheckpointOptions {
+            path: dir.join("chaos.ckpt"),
+            every: 0,
+            stop_after: None,
+        };
+        let mut in_outage = 0;
+        let mut snap = None;
+        for &point in &points {
+            let outcome = run_lineup(&scn, None, Some(&options), snap.as_ref(), |s| {
+                if s.global_iteration != point {
+                    return LineupCommand::Continue;
+                }
+                in_outage += usize::from(s.breaker_open);
+                LineupCommand::Stop
+            })
+            .expect("killed line-up");
+            assert!(
+                matches!(outcome, LineupOutcome::Interrupted { global_iterations } if global_iterations == point),
+                "seed {seed}: line-up not killed at {point}"
+            );
+            snap = Some(Snapshot::load(&options.path).expect("the kill leaves a snapshot"));
+        }
+        let killed = match run_lineup(&scn, None, Some(&options), snap.as_ref(), |_| {
+            LineupCommand::Continue
+        })
+        .expect("resumed line-up")
+        {
+            LineupOutcome::Complete(series) => series,
+            LineupOutcome::Interrupted { .. } => panic!("seed {seed}: resume should finish"),
+        };
         assert!(
             in_outage >= 1,
             "seed {seed}: no kill landed inside the open-breaker window ({points:?})"
         );
         assert_eq!(
-            killed, full,
-            "seed {seed}: kill arm diverged from the uninterrupted run"
+            killed[0].1,
+            run_chaos(&scn),
+            "seed {seed}: kill arm diverged from the uninterrupted chaos run"
         );
+        let whole = run_lineup(&scn, None, None, None, |_| LineupCommand::Continue)
+            .expect("uninterrupted line-up");
+        assert!(
+            matches!(whole, LineupOutcome::Complete(series) if series == killed),
+            "seed {seed}: killed line-up diverged from the uninterrupted one"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

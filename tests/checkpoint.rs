@@ -9,8 +9,9 @@
 //! must surface as a typed [`ckpt::CkptError`], never a panic or a
 //! silently wrong agent, and a finished run's checkpoint must be able
 //! to warm-start the next run's policy library. The library lives in a
-//! sidecar beside the checkpoint: snapshots name it by fingerprint, so
-//! their size does not grow with it, and a resume reads it from there.
+//! directory beside the checkpoint, one policy file per entry:
+//! snapshots name it by fingerprint, so their size does not grow with
+//! it, and a resume reads it from there.
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -23,7 +24,7 @@ use rac::{
     SimMeasurer, SlaReward, Tuner,
 };
 use rac_bench::checkpoint::{
-    library_sidecar, run_tuners_checkpointed, run_tuners_checkpointed_with, warm_start_library,
+    library_dir, run_tuners_checkpointed, run_tuners_checkpointed_with, warm_start_library,
     CheckpointOptions, LineupCommand, LineupOutcome,
 };
 use rac_bench::scenario::{run_tuners, scenario_table};
@@ -474,19 +475,22 @@ fn snapshot_size_does_not_grow_with_the_library() {
             !snap.has_section("rac.library"),
             "library left the snapshot"
         );
-        let sidecar = library_sidecar(&options.path).expect("sidecar named");
         let len = |p: &std::path::Path| std::fs::metadata(p).expect("file exists").len();
-        sizes.push((len(&options.path), len(&sidecar)));
+        let library: u64 = std::fs::read_dir(library_dir(&options.path).expect("library named"))
+            .expect("library directory written")
+            .map(|entry| len(&entry.expect("directory entry").path()))
+            .sum();
+        sizes.push((len(&options.path), library));
     }
     assert_eq!(sizes[0].0, sizes[1].0, "snapshot sizes: {sizes:?}");
-    assert!(sizes[0].1 < sizes[1].1, "sidecar sizes: {sizes:?}");
+    assert!(sizes[0].1 < sizes[1].1, "library sizes: {sizes:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn resume_reads_the_library_its_snapshot_names() {
     let scn = tiny_scenario();
-    let dir = temp_dir("sidecar");
+    let dir = temp_dir("library");
     let options = CheckpointOptions {
         path: dir.join("run.ckpt"),
         every: 2,
@@ -495,21 +499,25 @@ fn resume_reads_the_library_its_snapshot_names() {
     run_tuners_checkpointed(&scn, shared_library(), &options, None).expect("stops cleanly");
     let snap = Snapshot::load(&options.path).expect("load");
     assert_eq!(snapshot_position(&snap), (0, 2), "RAC is the active tuner");
-    let sidecar = library_sidecar(&options.path).expect("sidecar named");
-    let stored = std::fs::read(&sidecar).expect("sidecar written");
+    let library = library_dir(&options.path).expect("library named");
+    let policy = library.join("policy-0.ckpt");
+    let stored = std::fs::read(&policy).expect("policy written");
     let resume = || {
         run_tuners_checkpointed(&scn, shared_library(), &options, Some(&snap))
             .expect_err("resume must fail")
     };
 
-    std::fs::remove_file(&sidecar).unwrap();
+    std::fs::remove_file(&policy).unwrap();
     let err = resume();
-    assert!(matches!(err, CkptError::Io { .. }), "{err}");
+    assert!(
+        matches!(&err, CkptError::Io { path, .. } if *path == policy),
+        "{err}"
+    );
 
     let mut flipped = stored.clone();
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0x01;
-    std::fs::write(&sidecar, &flipped).unwrap();
+    std::fs::write(&policy, &flipped).unwrap();
     let err = resume();
     assert!(matches!(err, CkptError::CrcMismatch { .. }), "{err}");
 
@@ -518,10 +526,10 @@ fn resume_reads_the_library_its_snapshot_names() {
         assert!(matches!(err, CkptError::Mismatch { .. }), "{err}");
     }
 
-    // With its sidecar back, the resume ignores the caller's library:
-    // handed another one, it still finishes the run it interrupted and
-    // keeps naming the same sidecar.
-    std::fs::write(&sidecar, &stored).unwrap();
+    // With its policy file back, the resume ignores the caller's
+    // library: handed another one, it still finishes the run it
+    // interrupted and keeps naming the same directory.
+    std::fs::write(&policy, &stored).unwrap();
     let to_the_end = CheckpointOptions {
         stop_after: None,
         ..options.clone()
@@ -534,9 +542,6 @@ fn resume_reads_the_library_its_snapshot_names() {
             LineupOutcome::Interrupted { .. } => panic!("resume should finish"),
         };
     assert_eq!(resumed, run_tuners(&scn, shared_library()));
-    assert_eq!(
-        library_sidecar(&options.path).expect("still named"),
-        sidecar
-    );
+    assert_eq!(library_dir(&options.path).expect("still named"), library);
     let _ = std::fs::remove_dir_all(&dir);
 }
